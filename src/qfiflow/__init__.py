@@ -57,12 +57,10 @@ from .operators import (
 )
 from .propagation import (
     PropagationError,
-    StatePair,
     Trajectory,
     fd_theta_consistency,
     propagate,
     step_rk4,
 )
-from .cli import RunConfig, RunSummary, emit_csv, parse_config, run_simulate
 
 __version__ = "0.1.0"

@@ -531,9 +531,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     else:
         checks["oracle"] = CheckOutcome(False, None, None, flow_accept)
     if config.checks.theta_consistency:
-        deviation = fd_theta_consistency(
-            model, theta, config.delta_theta, config.t_end, config.dt, config.tolerances
-        )
+        deviation = fd_theta_consistency(traj, config.delta_theta)
         checks["theta_consistency"] = CheckOutcome(
             True, deviation <= THETA_CONSISTENCY_TOL, deviation, THETA_CONSISTENCY_TOL
         )

@@ -19,7 +19,6 @@ from .operators import (
     DimensionMismatchError,
     ToleranceConfig,
     as_operator,
-    hermitian_eigensystem,
     hermiticity_defect,
     hermitize,
 )
@@ -62,7 +61,7 @@ def sld(
     defect = hermiticity_defect(sig)
     if defect > 10.0 * tol.herm * max(1.0, float(np.max(np.abs(sig)))):
         raise ValueError(f"drho_dtheta is not Hermitian: defect {defect:.3e}")
-    p, U = hermitian_eigensystem(hermitize(rho))
+    p, U = np.linalg.eigh(hermitize(rho))
     p_max = float(p[-1])
     if p_max <= 0.0:
         raise ValueError("rho has no positive eigenvalues")

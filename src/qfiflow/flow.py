@@ -23,7 +23,7 @@ import numpy as np
 from .estimation import DEFAULT_EPS_RANK, sld
 from .model import ModelSpec, apply_generator, apply_generator_theta_derivative
 from .operators import DimensionMismatchError, commutator, dagger
-from .propagation import StatePair, Trajectory
+from .propagation import Trajectory
 
 __all__ = [
     "ChannelFlow",
@@ -143,12 +143,13 @@ def full_flow(
     model: ModelSpec,
     theta: float,
     t: float,
-    state: StatePair,
+    rho: np.ndarray,
+    drho_dtheta: np.ndarray,
     L: np.ndarray,
 ) -> float:
     """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} from the generator."""
-    rhodot = apply_generator(model, theta, t, state.rho)
-    sigdot = apply_generator_theta_derivative(model, theta, t, state.rho, state.drho_dtheta)
+    rhodot = apply_generator(model, theta, t, rho)
+    sigdot = apply_generator_theta_derivative(model, theta, t, rho, drho_dtheta)
     return _real_trace(L @ (2.0 * sigdot - L @ rhodot), "full flow")
 
 
@@ -185,13 +186,13 @@ def flow_records(
     theta = traj.theta
     qfis = []
     partials = []
-    for state in traj.states:
-        res = sld(state.rho, state.drho_dtheta, eps_rank=eps_rank, tol=traj.tolerances)
-        subflows, subflow_sum = channel_decomposition(model, theta, state.t, state.rho, res.L)
-        ham = hamiltonian_term(model, theta, state.t, state.rho, res.L)
-        full = full_flow(model, theta, state.t, state, res.L)
+    for t, rho, sig in zip(traj.grid.tolist(), traj.rho, traj.drho_dtheta):
+        res = sld(rho, sig, eps_rank=eps_rank, tol=traj.tolerances)
+        subflows, subflow_sum = channel_decomposition(model, theta, t, rho, res.L)
+        ham = hamiltonian_term(model, theta, t, rho, res.L)
+        full = full_flow(model, theta, t, rho, sig, res.L)
         qfis.append(res.qfi)
-        partials.append((state.t, res.qfi, subflows, ham, full))
+        partials.append((t, res.qfi, subflows, ham, full))
     records = []
     for k, (t, F, subflows, ham, full) in enumerate(partials):
         flow_fd = fd_flow_oracle(qfis, traj.dt, k)

@@ -39,7 +39,6 @@ __all__ = [
     "trace_deviation",
     "min_eigenvalue",
     "validate_density",
-    "hermitian_eigensystem",
     "as_operator",
 ]
 
@@ -163,13 +162,3 @@ def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
             f"minimum eigenvalue {lam_min:.3e} < {-tol.positivity:.3e}", lam_min
         )
     return m
-
-
-def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    The only matrix decomposition used repo-wide.  Columns of the returned
-    matrix are the eigenvectors.
-    """
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs

@@ -14,7 +14,6 @@ visible.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +30,10 @@ from .operators import (
     ToleranceConfig,
     hermitize,
     min_eigenvalue,
-    trace_deviation,
     validate_density,
 )
 
 __all__ = [
-    "StatePair",
     "Trajectory",
     "PropagationError",
     "step_rk4",
@@ -48,23 +45,18 @@ MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
-class StatePair:
-    """State and its theta-derivative at one time point."""
-
-    rho: np.ndarray
-    drho_dtheta: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniform-grid solution with integrator metadata and health measures."""
+    """Uniform-grid RK4 solution with integrator metadata and health measures.
+
+    ``rho[k]`` and ``drho_dtheta[k]`` are the state and its theta-derivative
+    at ``grid[k]``; both stacks have shape ``(len(grid), d, d)``.
+    """
 
     model: ModelSpec
     theta: float
     grid: np.ndarray
-    states: tuple[StatePair, ...]
-    method: str
+    rho: np.ndarray
+    drho_dtheta: np.ndarray
     dt: float
     tolerances: ToleranceConfig
     max_trace_drift: float
@@ -87,20 +79,25 @@ def _pair_rhs(model: ModelSpec, theta: float, t: float, rho, sigma):
     )
 
 
-def step_rk4(model: ModelSpec, theta: float, state: StatePair, dt: float) -> StatePair:
-    """One classical fourth-order Runge-Kutta step of the coupled pair."""
+def step_rk4(
+    model: ModelSpec,
+    theta: float,
+    t: float,
+    rho: np.ndarray,
+    drho_dtheta: np.ndarray,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One classical fourth-order Runge-Kutta step of the coupled pair from t to t + dt."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    t = state.t
-    rho = state.rho
-    sig = state.drho_dtheta
+    sig = drho_dtheta
     k1r, k1s = _pair_rhs(model, theta, t, rho, sig)
     k2r, k2s = _pair_rhs(model, theta, t + 0.5 * dt, rho + 0.5 * dt * k1r, sig + 0.5 * dt * k1s)
     k3r, k3s = _pair_rhs(model, theta, t + 0.5 * dt, rho + 0.5 * dt * k2r, sig + 0.5 * dt * k2s)
     k4r, k4s = _pair_rhs(model, theta, t + dt, rho + dt * k3r, sig + dt * k3s)
     rho_next = hermitize(rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
     sig_next = hermitize(sig + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s))
-    return StatePair(rho=rho_next, drho_dtheta=sig_next, t=t + dt)
+    return rho_next, sig_next
 
 
 def propagate(
@@ -128,59 +125,45 @@ def propagate(
     grid = np.arange(n_steps + 1) * dt
     for ch in model.channels:
         scan_scalar_poles(ch.gamma, grid)
-    rho0 = np.asarray(model.rho0_family.rho0(theta), dtype=complex)
-    sig0 = np.asarray(model.rho0_family.drho0_dtheta(theta), dtype=complex)
-    state = StatePair(rho=rho0, drho_dtheta=sig0, t=0.0)
-    states = []
-    max_drift = 0.0
-    min_eig = np.inf
-    for k in range(n_steps + 1):
+    rho = np.empty((n_steps + 1, model.dim, model.dim), dtype=complex)
+    sig = np.empty_like(rho)
+    rho[0] = model.rho0_family.rho0(theta)
+    sig[0] = model.rho0_family.drho0_dtheta(theta)
+    times = grid.tolist()
+    for k, t in enumerate(times):
         if k > 0:
-            state = step_rk4(model, theta, state, dt)
-            state = dataclasses.replace(state, t=float(grid[k]))
+            rho[k], sig[k] = step_rk4(model, theta, times[k - 1], rho[k - 1], sig[k - 1], dt)
         try:
-            validate_density(state.rho, tol)
+            validate_density(rho[k], tol)
         except DensityValidationError as exc:
-            raise PropagationError(
-                f"state invalid at t={state.t!r}: {exc}", state.t, exc
-            ) from exc
-        max_drift = max(max_drift, trace_deviation(state.rho))
-        min_eig = min(min_eig, min_eigenvalue(state.rho))
-        states.append(state)
+            raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
+    # step_rk4 returns exactly Hermitian matrices, which hermitize leaves
+    # unchanged, so only the initial state needs it; this avoids a stack copy.
+    lam_min = min(min_eigenvalue(rho[0]), float(np.min(np.linalg.eigvalsh(rho[1:])[:, 0])))
     return Trajectory(
         model=model,
         theta=theta,
         grid=grid,
-        states=tuple(states),
-        method="rk4",
+        rho=rho,
+        drho_dtheta=sig,
         dt=dt,
         tolerances=tol,
-        max_trace_drift=max_drift,
-        min_eigenvalue=float(min_eig),
+        max_trace_drift=float(np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))),
+        min_eigenvalue=lam_min,
     )
 
 
-def fd_theta_consistency(
-    model: ModelSpec,
-    theta: float,
-    delta_theta: float = 1e-4,
-    t_end: float = 5.0,
-    dt: float = 1e-3,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> float:
-    """Compare the co-evolved derivative against a central difference in theta.
+def fd_theta_consistency(traj: Trajectory, delta_theta: float = 1e-4) -> float:
+    """Compare a trajectory's co-evolved derivative against a central difference in theta.
 
-    Propagates at theta and theta +/- delta_theta and returns the maximum
-    entrywise deviation over the whole grid between the co-evolved
-    drho_dtheta and [rho(theta+d) - rho(theta-d)] / (2d).
+    Propagates at theta +/- delta_theta on the trajectory's grid, step and
+    tolerances, and returns the maximum entrywise deviation over the whole
+    grid between traj.drho_dtheta and [rho(theta+d) - rho(theta-d)] / (2d).
     """
     if delta_theta <= 0.0:
         raise ValueError(f"delta_theta must be positive, got {delta_theta!r}")
-    center = propagate(model, theta, t_end, dt, tol)
-    plus = propagate(model, theta + delta_theta, t_end, dt, tol)
-    minus = propagate(model, theta - delta_theta, t_end, dt, tol)
-    worst = 0.0
-    for s0, sp, sm in zip(center.states, plus.states, minus.states):
-        fd = (sp.rho - sm.rho) / (2.0 * delta_theta)
-        worst = max(worst, float(np.max(np.abs(s0.drho_dtheta - fd))))
-    return worst
+    t_end = float(traj.grid[-1])
+    plus = propagate(traj.model, traj.theta + delta_theta, t_end, traj.dt, traj.tolerances)
+    minus = propagate(traj.model, traj.theta - delta_theta, t_end, traj.dt, traj.tolerances)
+    fd = (plus.rho - minus.rho) / (2.0 * delta_theta)
+    return float(np.max(np.abs(traj.drho_dtheta - fd)))

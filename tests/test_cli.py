@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import qfiflow
 from qfiflow.cli import (
     DEFAULT_CSV_PATH,
     DEFAULT_SUMMARY_PATH,
@@ -324,6 +328,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert "check oracle: pass" in out
         assert "theta-independence hamiltonian: holds" in out
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        # runpy warns when the package __init__ has already imported qfiflow.cli
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qfiflow.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qfiflow.cli", "--help"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -119,13 +119,11 @@ class TestChannelDecomposition:
     def test_positive_rate_instants_give_nonpositive_subflow(self):
         model = builtin_model("ad-nm", {"a": 1.5})
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        for state in traj.states[::100]:
-            (ch,) = model.channels
-            if ch.gamma(state.t) > 0:
-                res = sld(state.rho, state.drho_dtheta)
-                flows, _ = channel_decomposition(
-                    model, model.theta, state.t, state.rho, res.L
-                )
+        (ch,) = model.channels
+        for t, rho, sig in zip(traj.grid[::100], traj.rho[::100], traj.drho_dtheta[::100]):
+            if ch.gamma(t) > 0:
+                res = sld(rho, sig)
+                flows, _ = channel_decomposition(model, model.theta, t, rho, res.L)
                 assert flows[0].I <= 1e-12
 
 
@@ -160,9 +158,9 @@ class TestFullFlow:
         records = flow_records(traj)
         assert max(abs(r.full_flow) for r in records) <= 1e-9
         assert max(abs(r.qfi - records[0].qfi) for r in records) <= 1e-6
-        state = traj.states[500]
-        res = sld(state.rho, state.drho_dtheta)
-        assert abs(full_flow(model, 0.4, state.t, state, res.L)) <= 1e-9
+        t, rho, sig = traj.grid[500], traj.rho[500], traj.drho_dtheta[500]
+        res = sld(rho, sig)
+        assert abs(full_flow(model, 0.4, t, rho, sig, res.L)) <= 1e-9
 
     def test_pure_phase_estimation_flow(self):
         model = builtin_model("phase-dephasing", {"gamma0": 0.0})
@@ -287,46 +285,10 @@ class TestClassifyIntervals:
 
 
 class TestMultilevelSystem:
-    def test_qutrit_two_channel_decomposition(self):
+    def test_qutrit_two_channel_decomposition(self, qutrit_model):
         # theta enters only through the initial state, so the subflow sum is
         # the whole flow; exercises dim > 2 and multiple channels at once
-        A1 = np.zeros((3, 3), complex)
-        A1[0, 1] = 1.0
-        A2 = np.zeros((3, 3), complex)
-        A2[1, 2] = 1.0
-        slope = np.zeros((3, 3), complex)
-        slope[0, 1] = slope[1, 0] = 0.1
-        slope[0, 0] = 0.05
-        slope[1, 1] = -0.05
-        from qfiflow.model import LinearStateFamily, SinusoidalScalar
-
-        model = ModelSpec(
-            dim=3,
-            H=constant_operator(np.diag([0.0, 1.0, 2.3]).astype(complex)),
-            dH_dtheta=zero_operator(3),
-            channels=(
-                Channel(
-                    label="lo01",
-                    A=constant_operator(A1),
-                    gamma=SinusoidalScalar(0.8, 1.4, 3.0),
-                    dA_dtheta=zero_operator(3),
-                    dgamma_dtheta=ConstantScalar(0.0),
-                ),
-                Channel(
-                    label="lo12",
-                    A=constant_operator(A2),
-                    gamma=ConstantScalar(0.5),
-                    dA_dtheta=zero_operator(3),
-                    dgamma_dtheta=ConstantScalar(0.0),
-                ),
-            ),
-            rho0_family=LinearStateFamily(
-                base=np.diag([0.5, 0.3, 0.2]).astype(complex),
-                slope=slope,
-                theta_ref=0.0,
-            ),
-            theta=0.0,
-        )
+        model = qutrit_model
         traj = propagate(model, 0.0, 2.0, 1e-3)
         records = flow_records(traj)
         tol = 1e-5 * max(1.0, max(r.qfi for r in records))

@@ -19,7 +19,6 @@ from qfiflow.operators import (
     TraceDeviationError,
     anticommutator,
     commutator,
-    hermitian_eigensystem,
     hermitize,
     validate_density,
 )
@@ -115,17 +114,6 @@ class TestValidateDensity:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
-
-
-class TestEigensystem:
-    def test_sorted_ascending_and_orthonormal(self):
-        rng = np.random.default_rng(7)
-        g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        h = hermitize(g)
-        vals, vecs = hermitian_eigensystem(h)
-        assert np.all(np.diff(vals) >= 0)
-        npt.assert_allclose(vecs.conj().T @ vecs, np.eye(5), atol=1e-12)
-        npt.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-12)
 
 
 @given(matrix_pairs())

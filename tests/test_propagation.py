@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qfiflow import propagation
 from qfiflow.model import (
     Channel,
     ConstantScalar,
@@ -15,10 +16,15 @@ from qfiflow.model import (
     constant_operator,
     zero_operator,
 )
-from qfiflow.operators import SIGMA_MINUS, SIGMA_Z, hermiticity_defect
+from qfiflow.operators import (
+    SIGMA_MINUS,
+    SIGMA_Z,
+    hermiticity_defect,
+    min_eigenvalue,
+    trace_deviation,
+)
 from qfiflow.propagation import (
     PropagationError,
-    StatePair,
     fd_theta_consistency,
     propagate,
     step_rk4,
@@ -62,34 +68,30 @@ def _constant_damping_model(gamma, angle=math.pi):
 class TestStepRk4:
     def test_pure_decay_single_step(self):
         model = _constant_damping_model(1.0)
-        state = StatePair(model.rho0_family.rho0(0.0), np.zeros((2, 2), complex), 0.0)
-        out = step_rk4(model, 0.0, state, 0.1)
-        assert out.rho[1, 1].real == pytest.approx(RK4_DECAY_ONE_STEP, abs=1e-15)
-        assert out.rho[1, 1].real == pytest.approx(0.9048375, abs=1e-7)
-        assert abs(out.rho[1, 1].real - math.exp(-0.1)) < 1e-7
-        assert out.t == pytest.approx(0.1)
+        rho, _ = step_rk4(model, 0.0, 0.0, model.rho0_family.rho0(0.0), np.zeros((2, 2), complex), 0.1)
+        assert rho[1, 1].real == pytest.approx(RK4_DECAY_ONE_STEP, abs=1e-15)
+        assert rho[1, 1].real == pytest.approx(0.9048375, abs=1e-7)
+        assert abs(rho[1, 1].real - math.exp(-0.1)) < 1e-7
 
     def test_unitary_trace_exact(self):
         model = _unitary_model()
-        state = StatePair(
-            model.rho0_family.rho0(model.theta),
-            model.rho0_family.drho0_dtheta(model.theta),
-            0.0,
-        )
+        rho0 = model.rho0_family.rho0(model.theta)
+        sig0 = model.rho0_family.drho0_dtheta(model.theta)
         for dt in (0.01, 0.17, 0.5):
-            out = step_rk4(model, model.theta, state, dt)
-            assert abs(np.trace(out.rho) - 1.0) < 1e-15
+            rho, _ = step_rk4(model, model.theta, 0.0, rho0, sig0, dt)
+            assert abs(np.trace(rho) - 1.0) < 1e-15
 
     def test_fourth_order_convergence(self):
         # Richardson: one dt-step vs two dt/2-steps against a fine reference
         model = builtin_model("ad-nm")
-        s0 = propagate(model, model.theta, 0.5, 1e-3).states[-1]
+        traj = propagate(model, model.theta, 0.5, 1e-3)
 
         def advance(nsub):
-            s = s0
+            t, rho, sig = float(traj.grid[-1]), traj.rho[-1], traj.drho_dtheta[-1]
             for _ in range(nsub):
-                s = step_rk4(model, model.theta, s, 0.1 / nsub)
-            return s.rho
+                rho, sig = step_rk4(model, model.theta, t, rho, sig, 0.1 / nsub)
+                t += 0.1 / nsub
+            return rho
 
         ref = advance(128)
         e1 = np.max(np.abs(advance(1) - ref))
@@ -98,37 +100,39 @@ class TestStepRk4:
 
     def test_output_exactly_hermitian(self):
         model = builtin_model("ad-nm")
-        state = StatePair(
+        rho, sig = step_rk4(
+            model,
+            model.theta,
+            0.0,
             model.rho0_family.rho0(model.theta),
             model.rho0_family.drho0_dtheta(model.theta),
-            0.0,
+            1e-3,
         )
-        out = step_rk4(model, model.theta, state, 1e-3)
-        assert hermiticity_defect(out.rho) == 0.0
-        assert hermiticity_defect(out.drho_dtheta) == 0.0
+        assert hermiticity_defect(rho) == 0.0
+        assert hermiticity_defect(sig) == 0.0
 
     def test_rejects_nonpositive_dt(self):
         model = builtin_model("ad-nm")
-        state = StatePair(np.eye(2, dtype=complex) / 2, np.zeros((2, 2), complex), 0.0)
         with pytest.raises(ValueError):
-            step_rk4(model, model.theta, state, 0.0)
+            step_rk4(model, model.theta, 0.0, np.eye(2, dtype=complex) / 2, np.zeros((2, 2), complex), 0.0)
 
     def test_pre_hermitize_drift_is_rounding_level(self):
         # the raw RK4 update loses Hermiticity only through floating rounding
         from qfiflow.model import apply_generator
 
         model = builtin_model("ad-nm")
-        s = propagate(model, model.theta, 0.2, 1e-3).states[-1]
+        traj = propagate(model, model.theta, 0.2, 1e-3)
+        t, rho = float(traj.grid[-1]), traj.rho[-1]
         dt = 1e-3
 
         def rhs(t, r):
             return apply_generator(model, model.theta, t, r)
 
-        k1 = rhs(s.t, s.rho)
-        k2 = rhs(s.t + dt / 2, s.rho + dt / 2 * k1)
-        k3 = rhs(s.t + dt / 2, s.rho + dt / 2 * k2)
-        k4 = rhs(s.t + dt, s.rho + dt * k3)
-        raw = s.rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = rhs(t, rho)
+        k2 = rhs(t + dt / 2, rho + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, rho + dt / 2 * k2)
+        k4 = rhs(t + dt, rho + dt * k3)
+        raw = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         assert hermiticity_defect(raw) <= 1e-13
 
 
@@ -137,14 +141,14 @@ class TestPropagate:
         # constant gamma = 1 from the excited state: rho11(1) = exp(-1)
         model = builtin_model("ad-nm", {"a": 0.0, "theta": math.pi})
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        assert abs(traj.states[-1].rho[1, 1].real - math.exp(-1.0)) < 1e-8
+        assert abs(traj.rho[-1, 1, 1].real - math.exp(-1.0)) < 1e-8
 
     def test_unitary_spectrum_invariant(self):
         model = builtin_model("phase-dephasing", {"theta": 0.9, "gamma0": 0.0})
         traj = propagate(model, 0.9, 2.0, 1e-3)
-        ref = np.linalg.eigvalsh(traj.states[0].rho)
-        for state in traj.states[::200]:
-            npt.assert_allclose(np.linalg.eigvalsh(state.rho), ref, atol=1e-12)
+        ref = np.linalg.eigvalsh(traj.rho[0])
+        for rho in traj.rho[::200]:
+            npt.assert_allclose(np.linalg.eigvalsh(rho), ref, atol=1e-12)
 
     def test_negative_rate_windows_stay_physical(self):
         model = builtin_model("ad-nm", {"a": 1.5})
@@ -158,14 +162,13 @@ class TestPropagate:
             model = builtin_model(name)
             traj = propagate(model, model.theta, 2.0, 1e-3)
             assert traj.max_trace_drift <= 1e-9
-            assert max(abs(np.trace(s.drho_dtheta)) for s in traj.states) <= 1e-9
+            assert max(abs(np.trace(sig)) for sig in traj.drho_dtheta) <= 1e-9
 
     def test_grid_and_time_stamps_agree(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 0.05, 1e-3)
-        assert len(traj.states) == len(traj.grid) == 51
-        for k, state in enumerate(traj.states):
-            assert state.t == traj.grid[k]
+        assert len(traj.grid) == 51
+        assert traj.rho.shape == traj.drho_dtheta.shape == (51, 2, 2)
 
     def test_invalid_state_aborts_with_time_stamp(self):
         # constant negative rate inflates the excited population past 1
@@ -189,21 +192,55 @@ class TestPropagate:
             propagate(model, model.theta, 1.0, 1e-9)  # over the step cap
 
 
+class TestHealthFigures:
+    def test_stacked_figures_match_scalar_helpers(self, qutrit_model):
+        # the per-matrix helpers are the reference for the batched figures
+        for model in (builtin_model("ad-nm"), qutrit_model):
+            traj = propagate(model, model.theta, 2.0, 1e-3)
+            assert traj.rho.shape == (len(traj.grid), model.dim, model.dim)
+            drift = max(trace_deviation(rho) for rho in traj.rho)
+            lam_min = min(min_eigenvalue(rho) for rho in traj.rho)
+            assert abs(traj.max_trace_drift - drift) <= 1e-15
+            assert abs(traj.min_eigenvalue - lam_min) <= 1e-15
+
+
 class TestFdThetaConsistency:
     def test_ad_nm(self):
         model = builtin_model("ad-nm")
-        assert fd_theta_consistency(model, model.theta, 1e-4, 1.0, 1e-3) <= 1e-5
+        traj = propagate(model, model.theta, 1.0, 1e-3)
+        assert fd_theta_consistency(traj, 1e-4) <= 1e-5
 
     def test_phase_dephasing(self):
         model = builtin_model("phase-dephasing")
-        assert fd_theta_consistency(model, model.theta, 1e-4, 1.0, 1e-3) <= 1e-5
+        traj = propagate(model, model.theta, 1.0, 1e-3)
+        assert fd_theta_consistency(traj, 1e-4) <= 1e-5
 
     def test_fully_theta_independent_problem_is_exact(self):
         # theta enters neither the generator nor the initial state
         model = _constant_damping_model(0.7, angle=math.pi / 3)
-        assert fd_theta_consistency(model, 0.0, 1e-4, 0.5, 1e-3) <= 1e-13
+        traj = propagate(model, 0.0, 0.5, 1e-3)
+        assert fd_theta_consistency(traj, 1e-4) <= 1e-13
+
+    def test_reuses_trajectory_and_matches_central_difference(self, monkeypatch):
+        model = builtin_model("ad-nm")
+        theta, delta = model.theta, 1e-4
+        traj = propagate(model, theta, 0.5, 1e-3)
+        plus = propagate(model, theta + delta, 0.5, 1e-3)
+        minus = propagate(model, theta - delta, 0.5, 1e-3)
+        expected = float(np.max(np.abs(traj.drho_dtheta - (plus.rho - minus.rho) / (2 * delta))))
+
+        calls = []
+
+        def counting_propagate(*args, **kwargs):
+            calls.append(args)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "propagate", counting_propagate)
+        assert fd_theta_consistency(traj, delta) == expected
+        assert len(calls) == 2
 
     def test_rejects_nonpositive_delta(self):
         model = builtin_model("ad-nm")
+        traj = propagate(model, model.theta, 0.1, 1e-3)
         with pytest.raises(ValueError):
-            fd_theta_consistency(model, model.theta, 0.0, 1.0, 1e-3)
+            fd_theta_consistency(traj, 0.0)
