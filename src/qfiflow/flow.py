@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import DEFAULT_EPS_RANK, sld
-from .model import ModelSpec, apply_generator, apply_generator_theta_derivative
+from .model import (
+    ModelSpec,
+    apply_generator,
+    apply_generator_theta_derivative,
+    compile_generator,
+)
 from .operators import DimensionMismatchError, commutator, dagger
 from .propagation import Trajectory
 
@@ -150,6 +155,10 @@ def full_flow(
     """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} from the generator."""
     rhodot = apply_generator(model, theta, t, rho)
     sigdot = apply_generator_theta_derivative(model, theta, t, rho, drho_dtheta)
+    return _flow_from_derivatives(L, rhodot, sigdot)
+
+
+def _flow_from_derivatives(L: np.ndarray, rhodot: np.ndarray, sigdot: np.ndarray) -> float:
     return _real_trace(L @ (2.0 * sigdot - L @ rhodot), "full flow")
 
 
@@ -184,15 +193,21 @@ def flow_records(
     """SLD, QFI, and all flow quantities at every grid point of a trajectory."""
     model = traj.model
     theta = traj.theta
+    gen = compile_generator(model)
     qfis = []
     partials = []
-    for t, rho, sig in zip(traj.grid.tolist(), traj.rho, traj.drho_dtheta):
-        res = sld(rho, sig, eps_rank=eps_rank, tol=traj.tolerances)
-        subflows, subflow_sum = channel_decomposition(model, theta, t, rho, res.L)
-        ham = hamiltonian_term(model, theta, t, rho, res.L)
-        full = full_flow(model, theta, t, rho, sig, res.L)
-        qfis.append(res.qfi)
-        partials.append((t, res.qfi, subflows, ham, full))
+    size = gen.times_per_block(1)
+    for start in range(0, len(traj.grid), size):
+        block = slice(start, start + size)
+        pairs = np.stack([traj.rho[block], traj.drho_dtheta[block]], axis=1)
+        dots = gen.act(gen.operators(traj.grid[block], (theta,)), pairs)
+        for t, (rho, sig), (rhodot, sigdot) in zip(traj.grid[block].tolist(), pairs, dots):
+            res = sld(rho, sig, eps_rank=eps_rank, tol=traj.tolerances)
+            subflows, subflow_sum = channel_decomposition(model, theta, t, rho, res.L)
+            ham = hamiltonian_term(model, theta, t, rho, res.L)
+            full = _flow_from_derivatives(res.L, rhodot, sigdot)
+            qfis.append(res.qfi)
+            partials.append((t, res.qfi, subflows, ham, full))
     records = []
     for k, (t, F, subflows, ham, full) in enumerate(partials):
         flow_fd = fd_flow_oracle(qfis, traj.dt, k)

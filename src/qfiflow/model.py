@@ -6,10 +6,13 @@ all three, and a parametric initial-state family rho0(theta).  Operator
 time/theta dependence is restricted to sums of (scalar function) x (constant
 matrix), which keeps configurations serializable and derivative rules exact.
 
-``apply_generator`` evaluates the generator K(t) acting on a state;
-``apply_generator_theta_derivative`` evaluates the theta-derivative of K rho
-using the product rule with the declared derivative fields.  Units are
-dimensionless with hbar = 1.
+:func:`compile_generator` turns a model into a :class:`CompiledGenerator`:
+the constant matrices of the effective Hamiltonian and of the jump
+sandwiches, collected once, and scalar coefficients evaluated per time for
+the generator K and for its theta-derivative dK/dtheta, the latter from the
+declared derivative fields.  ``apply_generator`` (K rho) and
+``apply_generator_theta_derivative`` (d/dtheta of K rho) are thin wrappers
+over it for one state at one time.  Units are dimensionless with hbar = 1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .operators import (
     SIGMA_Z,
     DimensionMismatchError,
     ToleranceConfig,
-    anticommutator,
     as_operator,
     commutator,
     dagger,
@@ -58,6 +60,9 @@ __all__ = [
     "LinearStateFamily",
     "StateFamily",
     "ModelSpec",
+    "COEFFICIENT_BYTES",
+    "CompiledGenerator",
+    "compile_generator",
     "apply_generator",
     "apply_generator_theta_derivative",
     "builtin_model",
@@ -435,22 +440,186 @@ def _check_state_dim(model: ModelSpec, rho: np.ndarray) -> None:
         )
 
 
+# Bytes of generator operators evaluated ahead at once: bounds their storage
+# independently of the run length.
+COEFFICIENT_BYTES = 2**20
+
+
+def _flat(matrices, d: int) -> np.ndarray:
+    return np.array(matrices, dtype=complex).reshape(len(matrices), d * d)
+
+
+def _scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
+    """s at every time (one number if constant), with the arithmetic of its scalar form."""
+    if isinstance(s, ConstantScalar):
+        return s.c
+    if isinstance(s, SinusoidalScalar):
+        return s.c0 * (1.0 + s.a * np.sin(s.omega * times + s.phi))
+    if isinstance(s, ThetaScaledScalar):
+        return theta * _scalar_values(s.base, times, theta)
+    # point by point (jc_lorentzian): the closed form raises at a pole and on overflow
+    return np.array([s(t, theta) for t in times.tolist()], dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledGenerator:
+    """The generator of a model as scalar coefficients on constant matrices.
+
+    With L_0 = 1 and jump operators L_1..L_n -- every term of every channel's
+    A and, with ``derivative``, every term of its dA_dtheta -- a generator
+    acts on a Hermitian X as
+
+        K X = T + T†,   T = sum_a L_a X R_a,
+
+    where R_0 = G† for the effective Hamiltonian
+    G = -i sum_k h_k H_k - 1/2 sum_ab W_ab L_a† L_b, and
+    R_a = 1/2 sum_b W_ab L_b† carries half the jump sandwiches; that is
+    K X = G X + (G X)† + sum_ab W_ab L_a X L_b†.  Only h and W depend on
+    (theta, t).  For K they are the H modulations and W_ab = gamma_i f_a f_b
+    for terms a, b of channel i; for dK/dtheta they are the dH_dtheta
+    modulations and the theta-derivative of gamma_i f_a f_b, taken from the
+    declared dgamma_dtheta and dA_dtheta.
+
+    A stack of members X_s evolves as X_o' = sum_s K_so X_s.  With one state
+    per theta, K_so is K(theta_s) on the diagonal; with ``derivative``, each
+    theta contributes the pair (rho, drho_dtheta) under the block-triangular
+    [[K, 0], [dK/dtheta, K]].
+    """
+
+    dim: int
+    derivative: bool
+    jumps: np.ndarray  # ((1 + n) d, d): L_0, ..., L_n stacked vertically
+    ham: np.ndarray  # (n_h, d*d): (-i H_k)†, then (-i dH_k)† with derivative
+    pairs: tuple[np.ndarray, np.ndarray]  # (a, b) of every same-channel pair
+    effective: np.ndarray  # (len(pairs), d*d): (-1/2 L_a† L_b)† for each pair
+    adjoints: np.ndarray  # (n, d*d): L_b†
+    same_channel: np.ndarray  # (n, n) bool
+    forms: tuple[TimeDependentScalar, ...]
+    # Columns of the form values (len(forms) reads 0) giving the h
+    # coefficients, and per jump operator its channel's rate and its term's
+    # modulation: for K (h, rate, f), then for dK/dtheta (dh, drate, g).
+    columns: tuple[np.ndarray, ...]
+
+    def _members(self, n_thetas: int) -> int:
+        return 2 * n_thetas if self.derivative else n_thetas
+
+    def times_per_block(self, n_thetas: int) -> int:
+        """How many times of operators fit in COEFFICIENT_BYTES (at least one)."""
+        k = self._members(n_thetas)
+        return max(1, COEFFICIENT_BYTES // (16 * k * k * len(self.jumps) * self.dim))
+
+    def _factors(self, h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """R_0 (T, d, d) and R_1..R_n (T, n, d, d) from h (T, n_h) and W (T, n, n)."""
+        d, n = self.dim, len(self.adjoints)
+        # real coefficients times complex matrices, as real products on the (re, im) views
+        w_pairs = w[:, self.pairs[0], self.pairs[1]]
+        r0 = h @ self.ham.view(float) + w_pairs @ self.effective.view(float)
+        rj = (0.5 * w).reshape(len(w) * n, n) @ self.adjoints.view(float)
+        return r0.view(complex).reshape(len(w), d, d), rj.view(complex).reshape(len(w), n, d, d)
+
+    def operators(self, times, thetas) -> np.ndarray:
+        """The stack's generator at every time, shape ``times.shape + (k, k (1+n) d, d)``.
+
+        For each output member o, rows run over (member s, jump a, index) and
+        hold R_0..R_n of K_so.  One matrix product per output member keeps
+        each product small, below where a threaded BLAS splits it.
+        """
+        times = np.asarray(times, dtype=float)
+        ts = times.ravel()
+        d, m = self.dim, len(self.jumps) // self.dim
+        k = self._members(len(thetas))
+        out = np.zeros((len(ts), k, k, m, d, d), dtype=complex)
+        v = np.zeros((len(ts), len(self.forms) + 1))
+        for i, theta in enumerate(thetas):
+            for j, form in enumerate(self.forms):
+                v[:, j] = _scalar_values(form, ts, theta)
+            h, rate, f, dh, drate, g = (v[:, c] for c in self.columns)
+            ff = self.same_channel * f[:, :, None] * f[:, None, :]
+            k_factors = self._factors(h, rate[:, :, None] * ff)
+            if self.derivative:
+                gf = self.same_channel * g[:, :, None] * f[:, None, :]
+                dw = drate[:, :, None] * ff + rate[:, :, None] * (gf + gf.swapaxes(1, 2))
+                s = 2 * i
+                blocks = [
+                    (s, s, k_factors),
+                    (s, s + 1, self._factors(dh, dw)),
+                    (s + 1, s + 1, k_factors),
+                ]
+            else:
+                blocks = [(i, i, k_factors)]
+            for s, o, (r0, rj) in blocks:
+                out[:, o, s, 0] = r0
+                out[:, o, s, 1:] = rj
+        return out.reshape(times.shape + (k, k * m * d, d))
+
+    def act(self, operators: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The stack's time derivative for Hermitian x of shape (..., k, d, d).
+
+        ``operators`` comes from :meth:`operators` at the matching times.
+        """
+        d = self.dim
+        lead = x.shape[:-3]
+        p = (self.jumps @ x).reshape(x.shape[:-2] + (-1, d, d))  # L_a X_s: (..., k, 1+n, d, d)
+        p = p.swapaxes(-2, -3).swapaxes(-3, -4).reshape(lead + (1, d, -1))
+        t = p @ operators
+        return t + t.conj().swapaxes(-1, -2)
+
+
+def compile_generator(model: ModelSpec, derivative: bool = True) -> CompiledGenerator:
+    """Collect the model's constant matrices once; ``derivative`` adds what dK/dtheta needs."""
+    d = model.dim
+    h_terms = list(model.H.terms)
+    dh_terms = list(model.dH_dtheta.terms) if derivative else []
+    channels = list(enumerate(model.channels))
+    a_terms = [(i, t) for i, ch in channels for t in ch.A.terms]
+    c_terms = [(i, t) for i, ch in channels for t in ch.dA_dtheta.terms] if derivative else []
+    terms = a_terms + c_terms
+    ops = [t.base for _, t in terms]
+    channel = np.array([i for i, _ in terms], dtype=int)
+    n_ch = len(model.channels)
+    forms = [t.modulation for t in h_terms + dh_terms] + [ch.gamma for ch in model.channels]
+    if derivative:
+        forms += [ch.dgamma_dtheta for ch in model.channels]
+    forms += [t.modulation for _, t in terms]
+    zero = len(forms)
+    n_h, n_dh = len(h_terms), len(dh_terms)
+    rate = n_h + n_dh + channel
+    term = zero - len(terms) + np.arange(len(terms))
+    is_a = np.arange(len(terms)) < len(a_terms)
+    columns = (
+        np.r_[np.arange(n_h), np.full(n_dh, zero)],
+        rate,
+        np.where(is_a, term, zero),
+        np.r_[np.full(n_h, zero), n_h + np.arange(n_dh)],
+        rate + n_ch if derivative else np.full(len(terms), zero),
+        np.where(is_a, zero, term),
+    )
+    same_channel = channel[:, None] == channel[None, :]
+    pair_a, pair_b = np.nonzero(same_channel)
+    return CompiledGenerator(
+        dim=d,
+        derivative=derivative,
+        jumps=np.concatenate([np.eye(d, dtype=complex)] + ops, axis=0),
+        ham=_flat([1j * dagger(t.base) for t in h_terms + dh_terms], d),
+        pairs=(pair_a, pair_b),
+        effective=_flat([-0.5 * dagger(ops[b]) @ ops[a] for a, b in zip(pair_a, pair_b)], d),
+        adjoints=_flat([dagger(op) for op in ops], d),
+        same_channel=same_channel,
+        forms=tuple(forms),
+        columns=columns,
+    )
+
+
 def apply_generator(model: ModelSpec, theta: float, t: float, rho: np.ndarray) -> np.ndarray:
     """K(t) rho = -i[H, rho] + sum_i gamma_i (A_i rho A_i† - 1/2 {A_i†A_i, rho}).
 
-    Hermitian and traceless output for Hermitian input.
+    Hermitian and traceless output for Hermitian input (the only input the
+    compiled form is defined for).
     """
     rho = np.asarray(rho, dtype=complex)
     _check_state_dim(model, rho)
-    H = model.H.evaluate(t, theta)
-    out = -1j * commutator(H, rho)
-    for ch in model.channels:
-        g = ch.gamma(t, theta)
-        A = ch.A.evaluate(t, theta)
-        Ad = dagger(A)
-        AdA = Ad @ A
-        out += g * (A @ rho @ Ad - 0.5 * anticommutator(AdA, rho))
-    return out
+    gen = compile_generator(model, derivative=False)
+    return gen.act(gen.operators(t, (theta,)), rho[None])[0]
 
 
 def apply_generator_theta_derivative(
@@ -460,37 +629,17 @@ def apply_generator_theta_derivative(
     rho: np.ndarray,
     drho_dtheta: np.ndarray,
 ) -> np.ndarray:
-    """Product-rule derivative of K rho in theta.
+    """d/dtheta (K rho) = (dK/dtheta) rho + K drho_dtheta for Hermitian rho and drho_dtheta.
 
-    Returns d/dtheta (K rho) assembled from the declared derivative fields:
-    -i[dH, rho] - i[H, drho] plus, per channel, the dgamma term on the plain
-    dissipator and the gamma term with A and rho derivatives distributed.
+    dK/dtheta is assembled from the declared derivative fields dH_dtheta,
+    dgamma_dtheta and dA_dtheta.
     """
     rho = np.asarray(rho, dtype=complex)
     sig = np.asarray(drho_dtheta, dtype=complex)
     _check_state_dim(model, rho)
     _check_state_dim(model, sig)
-    H = model.H.evaluate(t, theta)
-    out = -1j * commutator(H, sig)
-    if not model.dH_dtheta.is_zero:
-        out = out - 1j * commutator(model.dH_dtheta.evaluate(t, theta), rho)
-    for ch in model.channels:
-        g = ch.gamma(t, theta)
-        A = ch.A.evaluate(t, theta)
-        Ad = dagger(A)
-        AdA = Ad @ A
-        dg = ch.dgamma_dtheta(t, theta)
-        if dg != 0.0:
-            out += dg * (A @ rho @ Ad - 0.5 * anticommutator(AdA, rho))
-        out += g * (A @ sig @ Ad - 0.5 * anticommutator(AdA, sig))
-        if not ch.dA_dtheta.is_zero:
-            dA = ch.dA_dtheta.evaluate(t, theta)
-            dAd = dagger(dA)
-            dAdA = dAd @ A + Ad @ dA
-            out += g * (
-                dA @ rho @ Ad + A @ rho @ dAd - 0.5 * anticommutator(dAdA, rho)
-            )
-    return out
+    gen = compile_generator(model)
+    return gen.act(gen.operators(t, (theta,)), np.stack([rho, sig]))[1]
 
 
 _ZERO_SCALAR = ConstantScalar(0.0)

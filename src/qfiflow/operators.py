@@ -123,8 +123,9 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """(m + m†)/2; the result is exactly Hermitian and idempotent under repeats."""
-    return 0.5 * (m + m.conj().T)
+    """(m + m†)/2, matrix by matrix for a stack; the result is exactly Hermitian
+    and idempotent under repeats."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -142,8 +143,8 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(m))[0])
 
 
-def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Check the density-matrix invariants; return the matrix unchanged.
+def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+    """Check the density-matrix invariants; return the minimum eigenvalue.
 
     Raises the matching :class:`DensityValidationError` subclass with the
     measured deviation when Hermiticity, unit trace, or positivity (within
@@ -161,4 +162,4 @@ def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
         raise NegativeEigenvalueError(
             f"minimum eigenvalue {lam_min:.3e} < {-tol.positivity:.3e}", lam_min
         )
-    return m
+    return lam_min

@@ -1,15 +1,17 @@
 """Joint fixed-step integration of rho(theta;t) and its theta-derivative.
 
-The pair (rho, drho_dtheta) is advanced simultaneously: rho under the
-generator K(t), and drho_dtheta under the product-rule derivative of K rho.
-Co-evolving the derivative this way makes the mixed t/theta derivatives of
-the trajectory agree by construction; :func:`fd_theta_consistency` measures
-the residual disagreement against an independent central difference over
-theta.
+One classical RK4 loop advances a stack of states under the compiled
+generator.  :func:`propagate` evolves the pair (rho, drho_dtheta) under the
+block-triangular [[K, 0], [dK/dtheta, K]], so the mixed t/theta derivatives
+of the trajectory agree by construction; :func:`fd_theta_consistency`
+measures the residual disagreement against an independent central
+difference over theta, evolving rho(theta + delta) and rho(theta - delta)
+together in one pass.
 
-Both matrices are re-hermitized after every step.  The trace is *not*
-renormalized: drift is measured and reported so integrator defects stay
-visible.
+Every density matrix in the stack passes validation at every grid point.
+All matrices are re-hermitized after every step.  The trace is
+*not* renormalized: drift is measured and reported so integrator defects
+stay visible.
 """
 
 from __future__ import annotations
@@ -19,17 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    CompiledGenerator,
     ModelSpec,
-    apply_generator,
-    apply_generator_theta_derivative,
+    compile_generator,
     scan_scalar_poles,
 )
 from .operators import (
     DEFAULT_TOLERANCES,
-    DensityValidationError,
     ToleranceConfig,
     hermitize,
-    min_eigenvalue,
     validate_density,
 )
 
@@ -72,11 +72,13 @@ class PropagationError(RuntimeError):
         self.cause = cause
 
 
-def _pair_rhs(model: ModelSpec, theta: float, t: float, rho, sigma):
-    return (
-        apply_generator(model, theta, t, rho),
-        apply_generator_theta_derivative(model, theta, t, rho, sigma),
-    )
+def _rk4_step(act, ops: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of the stack x; ops holds the generator at t, t + dt/2, t + dt."""
+    k1 = act(ops[0], x)
+    k2 = act(ops[1], x + 0.5 * dt * k1)
+    k3 = act(ops[1], x + 0.5 * dt * k2)
+    k4 = act(ops[2], x + dt * k3)
+    return hermitize(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def step_rk4(
@@ -90,14 +92,54 @@ def step_rk4(
     """One classical fourth-order Runge-Kutta step of the coupled pair from t to t + dt."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    sig = drho_dtheta
-    k1r, k1s = _pair_rhs(model, theta, t, rho, sig)
-    k2r, k2s = _pair_rhs(model, theta, t + 0.5 * dt, rho + 0.5 * dt * k1r, sig + 0.5 * dt * k1s)
-    k3r, k3s = _pair_rhs(model, theta, t + 0.5 * dt, rho + 0.5 * dt * k2r, sig + 0.5 * dt * k2s)
-    k4r, k4s = _pair_rhs(model, theta, t + dt, rho + dt * k3r, sig + dt * k3s)
-    rho_next = hermitize(rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
-    sig_next = hermitize(sig + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s))
+    gen = compile_generator(model)
+    ops = gen.operators([t, t + 0.5 * dt, t + dt], (theta,))
+    rho_next, sig_next = _rk4_step(gen.act, ops, np.stack([rho, drho_dtheta]), dt)
     return rho_next, sig_next
+
+
+def _validated(states: np.ndarray, t: float, tol: ToleranceConfig) -> float:
+    """Smallest eigenvalue of the states at t; an invalid (or non-finite) one aborts
+    with the time stamp."""
+    lam_min = np.inf
+    for rho in states:
+        try:
+            lam_min = min(lam_min, validate_density(rho, tol))
+        except ValueError as exc:
+            raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
+    return lam_min
+
+
+def _integrate(
+    gen: CompiledGenerator,
+    thetas: tuple[float, ...],
+    x: np.ndarray,
+    grid: np.ndarray,
+    dt: float,
+    tol: ToleranceConfig,
+    visit,
+) -> float:
+    """Advance the stack x over the grid with RK4, validating its states at every point.
+
+    x holds (rho, drho_dtheta) for a generator compiled with its derivative,
+    else one state per theta.  ``visit(k, x)`` sees the stack at each grid
+    point.  Returns the smallest eigenvalue of the validated states.
+    """
+    states = slice(None, None, 2 if gen.derivative else 1)
+    times = grid.tolist()
+    lam_min = _validated(x[states], times[0], tol)
+    visit(0, x)
+    block = max(1, gen.times_per_block(len(thetas)) // 3)
+    # Overflow leaves a non-finite state, which the gate reports with its time.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(times) - 1, block):
+            t = grid[start : min(start + block, len(times) - 1)]
+            ops = gen.operators(np.stack([t, t + 0.5 * dt, t + dt], axis=1), thetas)
+            for j, k in enumerate(range(start + 1, start + 1 + len(t))):
+                x = _rk4_step(gen.act, ops[j], x, dt)
+                lam_min = min(lam_min, _validated(x[states], times[k], tol))
+                visit(k, x)
+    return lam_min
 
 
 def propagate(
@@ -111,7 +153,8 @@ def propagate(
 
     The initial derivative comes from the initial-state family's analytic
     theta-derivative.  Every stored rho must pass density validation at the
-    run tolerances; a violation aborts with the offending time stamp.
+    run tolerances; a violation (including a non-finite state) aborts with
+    the offending time stamp.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -127,19 +170,12 @@ def propagate(
         scan_scalar_poles(ch.gamma, grid)
     rho = np.empty((n_steps + 1, model.dim, model.dim), dtype=complex)
     sig = np.empty_like(rho)
-    rho[0] = model.rho0_family.rho0(theta)
-    sig[0] = model.rho0_family.drho0_dtheta(theta)
-    times = grid.tolist()
-    for k, t in enumerate(times):
-        if k > 0:
-            rho[k], sig[k] = step_rk4(model, theta, times[k - 1], rho[k - 1], sig[k - 1], dt)
-        try:
-            validate_density(rho[k], tol)
-        except DensityValidationError as exc:
-            raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
-    # step_rk4 returns exactly Hermitian matrices, which hermitize leaves
-    # unchanged, so only the initial state needs it; this avoids a stack copy.
-    lam_min = min(min_eigenvalue(rho[0]), float(np.min(np.linalg.eigvalsh(rho[1:])[:, 0])))
+    x = np.stack([model.rho0_family.rho0(theta), model.rho0_family.drho0_dtheta(theta)])
+
+    def store(k, x):
+        rho[k], sig[k] = x
+
+    lam_min = _integrate(compile_generator(model), (theta,), x, grid, dt, tol, store)
     return Trajectory(
         model=model,
         theta=theta,
@@ -156,14 +192,22 @@ def propagate(
 def fd_theta_consistency(traj: Trajectory, delta_theta: float = 1e-4) -> float:
     """Compare a trajectory's co-evolved derivative against a central difference in theta.
 
-    Propagates at theta +/- delta_theta on the trajectory's grid, step and
-    tolerances, and returns the maximum entrywise deviation over the whole
-    grid between traj.drho_dtheta and [rho(theta+d) - rho(theta-d)] / (2d).
+    Evolves rho at theta +/- delta_theta together, in one pass on the
+    trajectory's grid, step and tolerances, validating both states at every
+    point, and returns the maximum entrywise deviation over the whole grid
+    between traj.drho_dtheta and [rho(theta+d) - rho(theta-d)] / (2d).
     """
     if delta_theta <= 0.0:
         raise ValueError(f"delta_theta must be positive, got {delta_theta!r}")
-    t_end = float(traj.grid[-1])
-    plus = propagate(traj.model, traj.theta + delta_theta, t_end, traj.dt, traj.tolerances)
-    minus = propagate(traj.model, traj.theta - delta_theta, t_end, traj.dt, traj.tolerances)
-    fd = (plus.rho - minus.rho) / (2.0 * delta_theta)
-    return float(np.max(np.abs(traj.drho_dtheta - fd)))
+    thetas = (traj.theta + delta_theta, traj.theta - delta_theta)
+    x = np.stack([traj.model.rho0_family.rho0(theta) for theta in thetas])
+    deviation = 0.0
+
+    def compare(k, x):
+        nonlocal deviation
+        fd = (x[0] - x[1]) / (2.0 * delta_theta)
+        deviation = max(deviation, float(np.max(np.abs(traj.drho_dtheta[k] - fd))))
+
+    gen = compile_generator(traj.model, derivative=False)
+    _integrate(gen, thetas, x, traj.grid, traj.dt, traj.tolerances, compare)
+    return deviation

@@ -342,6 +342,23 @@ class TestMain:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_package_entry_point_simulates(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qfiflow.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        config = self._write_config(tmp_path, dict(AD_NM_CONFIG, t_end=0.05))
+        csv = tmp_path / "o.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qfiflow", "simulate",
+             "--config", config, "--out", str(csv), "--summary", str(tmp_path / "s.json")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "check oracle: pass" in proc.stdout
+        assert len(csv.read_text().splitlines()) == 52
+
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -357,6 +374,16 @@ class TestMain:
             "outputs": [{"csv_path": str(tmp_path / "o.csv")}],
         }
         assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
+
+    def test_non_finite_state_exit_three_with_time_stamp(self, tmp_path, capsys):
+        doc = {
+            "model": {"builtin": "ad-nm", "params": {"gamma0": 1e300}},
+            "t_end": 0.01,
+            "dt": 0.001,
+            "outputs": [{"csv_path": str(tmp_path / "o.csv")}],
+        }
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
+        assert "runtime abort: state invalid at t=0.001: " in capsys.readouterr().err
 
     def test_inconsistent_declaration_fails_oracle_check(self, tmp_path, capsys):
         # H depends on theta but the declared derivative field is zero

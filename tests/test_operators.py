@@ -83,13 +83,17 @@ class TestHermitize:
         m = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
         npt.assert_allclose(hermitize(m), SIGMA_X, atol=1e-15)
 
+    def test_stack_matrix_by_matrix(self):
+        stack = np.array([[[1.0, 1j], [0.0, 1.0]], [[0.0, 2.0], [0.0, 0.0]]], dtype=complex)
+        npt.assert_array_equal(hermitize(stack), [hermitize(m) for m in stack])
+
 
 class TestValidateDensity:
     def test_maximally_mixed_qubit(self):
         validate_density(IDENTITY_2 / 2)
 
     def test_diagonal_mixture(self):
-        validate_density(np.diag([0.6, 0.4]).astype(complex))
+        assert validate_density(np.diag([0.6, 0.4]).astype(complex)) == pytest.approx(0.4, abs=1e-15)
 
     def test_negative_eigenvalue_reported(self):
         with pytest.raises(NegativeEigenvalueError) as err:

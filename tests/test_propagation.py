@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -177,6 +178,15 @@ class TestPropagate:
             propagate(model, 0.0, 5.0, 1e-3)
         assert 0.0 < err.value.t <= 5.0
 
+    def test_non_finite_state_aborts_with_time_stamp(self):
+        # the first step overflows; the gate reports it at t = dt without numpy warnings
+        model = builtin_model("ad-nm", {"gamma0": 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError, match="non-finite") as err:
+                propagate(model, model.theta, 0.01, 1e-3)
+        assert err.value.t == 0.001
+
     def test_pole_inside_run_rejected(self):
         model = builtin_model("ad-jc", {"gamma0": 1.0, "lambda": 0.5})
         with pytest.raises(ScalarPoleError):
@@ -237,7 +247,18 @@ class TestFdThetaConsistency:
 
         monkeypatch.setattr(propagation, "propagate", counting_propagate)
         assert fd_theta_consistency(traj, delta) == expected
-        assert len(calls) == 2
+        assert calls == []  # theta +/- delta evolve together in one pass
+
+    @pytest.mark.parametrize("name", ["phase-dephasing", "rate-estimation"])
+    def test_batched_pass_matches_two_propagations(self, name):
+        # models whose generator depends on theta through H or gamma
+        model = builtin_model(name)
+        theta, delta = model.theta, 1e-4
+        traj = propagate(model, theta, 0.5, 1e-3)
+        plus = propagate(model, theta + delta, 0.5, 1e-3)
+        minus = propagate(model, theta - delta, 0.5, 1e-3)
+        expected = float(np.max(np.abs(traj.drho_dtheta - (plus.rho - minus.rho) / (2 * delta))))
+        assert abs(fd_theta_consistency(traj, delta) - expected) <= 1e-12
 
     def test_rejects_nonpositive_delta(self):
         model = builtin_model("ad-nm")
