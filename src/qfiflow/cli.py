@@ -143,6 +143,11 @@ class RunSummary:
     max_abs_residual_t: float
     max_trace_drift: float
     min_rho_eigenvalue: float
+    # SLD support convention: grid points where it cut at least one eigenvalue
+    # pair, the most pairs cut at one point, and the first such time.
+    sld_support_cut_points: int
+    sld_support_cut_max_pairs: int
+    sld_support_cut_first_t: float | None
     interval_reports: tuple[IntervalReport, ...]
     theta_independence: dict[str, Verdict]
     checks: dict[str, CheckOutcome]
@@ -504,6 +509,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     )
     max_ham = max(abs(r.ham_term) for r in records)
     max_residual = max(abs(r.residual_T) for r in records)
+    cut_times = [r.t for r in records if r.thresholded_pairs]
 
     probe_times = tuple(float(x) for x in np.linspace(0.0, config.t_end, 5))
     probes = probe_theta_dependence(model, theta, probe_times, config.delta_theta)
@@ -565,6 +571,9 @@ def run_simulate(config: RunConfig) -> RunSummary:
         max_abs_residual_t=max_residual,
         max_trace_drift=traj.max_trace_drift,
         min_rho_eigenvalue=traj.min_eigenvalue,
+        sld_support_cut_points=len(cut_times),
+        sld_support_cut_max_pairs=max(r.thresholded_pairs for r in records),
+        sld_support_cut_first_t=cut_times[0] if cut_times else None,
         interval_reports=interval_reports,
         theta_independence=verdicts,
         checks=checks,
@@ -636,6 +645,9 @@ def summary_to_dict(summary: RunSummary) -> dict:
         "max_abs_residual_t": summary.max_abs_residual_t,
         "max_trace_drift": summary.max_trace_drift,
         "min_rho_eigenvalue": summary.min_rho_eigenvalue,
+        "sld_support_cut_points": summary.sld_support_cut_points,
+        "sld_support_cut_max_pairs": summary.sld_support_cut_max_pairs,
+        "sld_support_cut_first_t": summary.sld_support_cut_first_t,
         "interval_reports": [_interval_report_to_dict(r) for r in summary.interval_reports],
         "theta_independence": {
             key: {"status": v.status, "magnitude": v.magnitude}

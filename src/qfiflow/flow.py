@@ -11,6 +11,13 @@ validates the whole assembly.
 Sign convention: J_i = -Tr{rho [L,A_i]† [L,A_i]} is nonpositive for any
 valid state, so the sign of the subflow I_i = gamma_i * J_i follows the sign
 of the decay rate -- negative rates show up as positive subflows.
+
+:func:`flow_records` is columnar: it works on bounded blocks of grid points
+as ``(n, d, d)`` stacks (one batched SLD eigendecomposition, stacked
+products for J_i, the Hamiltonian term and the full flow, an array stencil
+for the finite-difference oracle).  The one-point functions
+(:func:`subflow_J`, :func:`channel_decomposition`, :func:`hamiltonian_term`,
+:func:`full_flow`, :func:`fd_flow_oracle`) stay public as its references.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import DEFAULT_EPS_RANK, sld
+from .estimation import DEFAULT_EPS_RANK, sld_stack
 from .model import (
     ModelSpec,
     apply_generator,
     apply_generator_theta_derivative,
     compile_generator,
+    scalar_values,
 )
 from .operators import DimensionMismatchError, commutator, dagger
 from .propagation import Trajectory
@@ -73,6 +81,7 @@ class FlowRecord:
     ham_term: float
     full_flow: float
     residual_T: float
+    thresholded_pairs: int = 0  # eigenvalue pairs the SLD support convention cut
 
 
 @dataclass(frozen=True)
@@ -155,10 +164,6 @@ def full_flow(
     """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} from the generator."""
     rhodot = apply_generator(model, theta, t, rho)
     sigdot = apply_generator_theta_derivative(model, theta, t, rho, drho_dtheta)
-    return _flow_from_derivatives(L, rhodot, sigdot)
-
-
-def _flow_from_derivatives(L: np.ndarray, rhodot: np.ndarray, sigdot: np.ndarray) -> float:
     return _real_trace(L @ (2.0 * sigdot - L @ rhodot), "full flow")
 
 
@@ -186,44 +191,93 @@ def fd_flow_oracle(qfi_series, dt: float, k: int) -> float:
     return (f[k + 1] - f[k - 1]) / (2.0 * dt)
 
 
+def _real_traces(m: np.ndarray, what: str) -> np.ndarray:
+    """Real parts of the traces of a stack; warns as :func:`_real_trace` does, once,
+    for the first matrix whose imaginary residue is not rounding."""
+    vals = np.trace(m, axis1=1, axis2=2)
+    residue = np.abs(vals.imag) > _IMAG_WARN * np.maximum(1.0, np.abs(vals.real))
+    if residue.any():
+        warnings.warn(
+            f"{what} has imaginary residue {vals.imag[np.argmax(residue)]:.3e}; "
+            "likely Hermiticity loss upstream",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return vals.real
+
+
+def _fd_series(f: np.ndarray, dt: float) -> np.ndarray:
+    """:func:`fd_flow_oracle` at every index of the series f at once."""
+    n = len(f)
+    if n < 3:
+        raise ValueError(f"need at least 3 samples, got {n}")
+    out = np.empty(n)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dt)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dt)
+    out[-1] = (3.0 * f[n - 1] - 4.0 * f[n - 2] + f[n - 3]) / (2.0 * dt)
+    return out
+
+
 def flow_records(
     traj: Trajectory,
     eps_rank: float = DEFAULT_EPS_RANK,
 ) -> list[FlowRecord]:
-    """SLD, QFI, and all flow quantities at every grid point of a trajectory."""
+    """SLD, QFI, and all flow quantities at every grid point of a trajectory.
+
+    Works on blocks of grid points (bounded by the compiled generator's
+    ``COEFFICIENT_BYTES``) as stacks: one batched eigendecomposition gives the
+    SLDs, QFIs and support-convention counts (:func:`sld_stack`), and the
+    subflows, Hamiltonian term and full flow are stacked products in the
+    operation order of the scalar :func:`subflow_J`, :func:`hamiltonian_term`
+    and :func:`full_flow`, which stay as their references.
+    """
     model = traj.model
     theta = traj.theta
     gen = compile_generator(model)
-    qfis = []
-    partials = []
     size = gen.times_per_block(1)
-    for start in range(0, len(traj.grid), size):
+    n = len(traj.grid)
+    qfi = np.empty(n)
+    ham = np.zeros(n)
+    full = np.empty(n)
+    thresholded = np.empty(n, dtype=int)
+    gammas = np.empty((len(model.channels), n))
+    Js = np.empty((len(model.channels), n))
+    for start in range(0, n, size):
         block = slice(start, start + size)
-        pairs = np.stack([traj.rho[block], traj.drho_dtheta[block]], axis=1)
-        dots = gen.act(gen.operators(traj.grid[block], (theta,)), pairs)
-        for t, (rho, sig), (rhodot, sigdot) in zip(traj.grid[block].tolist(), pairs, dots):
-            res = sld(rho, sig, eps_rank=eps_rank, tol=traj.tolerances)
-            subflows, subflow_sum = channel_decomposition(model, theta, t, rho, res.L)
-            ham = hamiltonian_term(model, theta, t, rho, res.L)
-            full = _flow_from_derivatives(res.L, rhodot, sigdot)
-            qfis.append(res.qfi)
-            partials.append((t, res.qfi, subflows, ham, full))
-    records = []
-    for k, (t, F, subflows, ham, full) in enumerate(partials):
-        flow_fd = fd_flow_oracle(qfis, traj.dt, k)
-        subflow_sum = sum(cf.I for cf in subflows)
-        records.append(
-            FlowRecord(
-                t=t,
-                qfi=F,
-                flow_fd=flow_fd,
-                subflows=subflows,
-                ham_term=ham,
-                full_flow=full,
-                residual_T=residual_T(full, ham, subflow_sum),
-            )
+        times = traj.grid[block]
+        rho, sig = traj.rho[block], traj.drho_dtheta[block]
+        L, qfi[block], thresholded[block] = sld_stack(rho, sig, eps_rank=eps_rank, tol=traj.tolerances)
+        for i, ch in enumerate(model.channels):
+            gammas[i, block] = scalar_values(ch.gamma, times, theta)
+            A = ch.A.evaluate_many(times, theta)
+            C = L @ A - A @ L
+            Js[i, block] = -_real_traces(rho @ C.conj().swapaxes(1, 2) @ C, "subflow")
+        if not model.dH_dtheta.is_zero:
+            dH = model.dH_dtheta.evaluate_many(times, theta)
+            ham[block] = _real_traces(-2.0j * (L @ (dH @ rho - rho @ dH)), "hamiltonian term")
+        dots = gen.act(gen.operators(times, (theta,)), np.stack([rho, sig], axis=1))
+        full[block] = _real_traces(L @ (2.0 * dots[:, 1] - L @ dots[:, 0]), "full flow")
+    Is = gammas * Js
+    residual = residual_T(full, ham, sum(Is))
+    fd = _fd_series(qfi, traj.dt)
+    columns = zip(
+        traj.grid.tolist(), qfi.tolist(), fd.tolist(), ham.tolist(), full.tolist(),
+        residual.tolist(), thresholded.tolist(), gammas.T.tolist(), Js.T.tolist(), Is.T.tolist(),
+    )
+    labels = [ch.label for ch in model.channels]
+    return [
+        FlowRecord(
+            t=t,
+            qfi=F,
+            flow_fd=flow_fd,
+            subflows=tuple(map(ChannelFlow, labels, g, J, I)),
+            ham_term=h,
+            full_flow=f,
+            residual_T=r,
+            thresholded_pairs=c,
         )
-    return records
+        for t, F, flow_fd, h, f, r, c, g, J, I in columns
+    ]
 
 
 def _mask_intervals(times: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float], ...]:

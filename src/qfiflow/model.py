@@ -46,6 +46,7 @@ __all__ = [
     "ThetaScaledScalar",
     "TimeDependentScalar",
     "scan_scalar_poles",
+    "scalar_values",
     "scalar_is_zero",
     "scalar_from_config",
     "scalar_to_config",
@@ -287,6 +288,13 @@ class TimeDependentOperator:
             out += term.modulation(t, theta) * term.base
         return out
 
+    def evaluate_many(self, times: np.ndarray, theta: float = 0.0) -> np.ndarray:
+        """The operator at every time, shape ``(len(times), dim, dim)``, summed as in evaluate."""
+        out = np.zeros((len(times), self.dim, self.dim), dtype=complex)
+        for term in self.terms:
+            out += np.multiply.outer(scalar_values(term.modulation, times, theta), term.base)
+        return out
+
     @property
     def is_zero(self) -> bool:
         return all(
@@ -449,14 +457,14 @@ def _flat(matrices, d: int) -> np.ndarray:
     return np.array(matrices, dtype=complex).reshape(len(matrices), d * d)
 
 
-def _scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
+def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
     """s at every time (one number if constant), with the arithmetic of its scalar form."""
     if isinstance(s, ConstantScalar):
         return s.c
     if isinstance(s, SinusoidalScalar):
         return s.c0 * (1.0 + s.a * np.sin(s.omega * times + s.phi))
     if isinstance(s, ThetaScaledScalar):
-        return theta * _scalar_values(s.base, times, theta)
+        return theta * scalar_values(s.base, times, theta)
     # point by point (jc_lorentzian): the closed form raises at a pole and on overflow
     return np.array([s(t, theta) for t in times.tolist()], dtype=float)
 
@@ -532,7 +540,7 @@ class CompiledGenerator:
         v = np.zeros((len(ts), len(self.forms) + 1))
         for i, theta in enumerate(thetas):
             for j, form in enumerate(self.forms):
-                v[:, j] = _scalar_values(form, ts, theta)
+                v[:, j] = scalar_values(form, ts, theta)
             h, rate, f, dh, drate, g = (v[:, c] for c in self.columns)
             ff = self.same_channel * f[:, :, None] * f[:, None, :]
             k_factors = self._factors(h, rate[:, :, None] * ff)

@@ -71,7 +71,8 @@ class DimensionMismatchError(ValueError):
 
 
 class DensityValidationError(ValueError):
-    """A density-matrix invariant failed; ``deviation`` is the measured size."""
+    """A density-matrix invariant failed; ``deviation`` is the measured size
+    (``validate_density`` also sets ``index``, the failing matrix's position)."""
 
     def __init__(self, message: str, deviation: float):
         super().__init__(message)
@@ -144,22 +145,45 @@ def min_eigenvalue(m: np.ndarray) -> float:
 
 
 def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Check the density-matrix invariants; return the minimum eigenvalue.
+    """Check the density-matrix invariants of a matrix, or of every matrix of an
+    ``(n, d, d)`` stack; return the smallest eigenvalue.
 
-    Raises the matching :class:`DensityValidationError` subclass with the
-    measured deviation when Hermiticity, unit trace, or positivity (within
-    ``tol``) fails.
+    Each matrix must have finite entries (else ``ValueError``), then pass
+    Hermiticity, unit trace and positivity within ``tol`` (else the matching
+    :class:`DensityValidationError` subclass with the measured deviation).
+    The error raised is that of the first failing matrix in stack order, and
+    its ``index`` attribute is that matrix's position (0 for a single
+    matrix).  Only matrices before the first non-finite, non-Hermitian or
+    off-trace one reach the (single, batched) eigenvalue solver.
     """
-    m = as_operator(m)
-    herm = hermiticity_defect(m)
-    if herm > tol.herm:
-        raise NotHermitianError(f"hermiticity defect {herm:.3e} > {tol.herm:.3e}", herm)
-    tr = trace_deviation(m)
-    if tr > tol.trace:
-        raise TraceDeviationError(f"trace deviation {tr:.3e} > {tol.trace:.3e}", tr)
-    lam_min = min_eigenvalue(m)
-    if lam_min < -tol.positivity:
-        raise NegativeEigenvalueError(
-            f"minimum eigenvalue {lam_min:.3e} < {-tol.positivity:.3e}", lam_min
+    m = np.asarray(m, dtype=complex)
+    stack = m if m.ndim == 3 else m[None]
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
+        raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    n_finite = len(stack) if finite.all() else int(np.argmin(finite))
+    head = stack[:n_finite]
+    herm = np.abs(head - head.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    tr = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
+    off = (herm > tol.herm) | (tr > tol.trace)
+    n_checked = int(np.argmax(off)) if off.any() else n_finite
+    lam = np.linalg.eigvalsh(hermitize(stack[:n_checked]))[:, 0]
+    negative = lam < -tol.positivity
+    if negative.any():
+        k = int(np.argmax(negative))
+        exc = NegativeEigenvalueError(
+            f"minimum eigenvalue {lam[k]:.3e} < {-tol.positivity:.3e}", float(lam[k])
         )
-    return lam_min
+    elif n_checked < n_finite:
+        k = n_checked
+        if herm[k] > tol.herm:
+            exc = NotHermitianError(f"hermiticity defect {herm[k]:.3e} > {tol.herm:.3e}", float(herm[k]))
+        else:
+            exc = TraceDeviationError(f"trace deviation {tr[k]:.3e} > {tol.trace:.3e}", float(tr[k]))
+    elif n_finite < len(stack):
+        k = n_finite
+        exc = ValueError("matrix contains non-finite entries")
+    else:
+        return float(lam.min())
+    exc.index = k
+    raise exc

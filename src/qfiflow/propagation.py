@@ -8,10 +8,13 @@ measures the residual disagreement against an independent central
 difference over theta, evolving rho(theta + delta) and rho(theta - delta)
 together in one pass.
 
-Every density matrix in the stack passes validation at every grid point.
-All matrices are re-hermitized after every step.  The trace is
+Every density matrix in the stack passes validation at every grid point:
+steps run in blocks, and each block's states go through one stacked
+``validate_density`` call, whose first failing state is reported with its
+time.  All matrices are re-hermitized after every step.  The trace is
 *not* renormalized: drift is measured and reported so integrator defects
-stay visible.
+stay visible.  A trajectory whose two ``(N + 1, d, d)`` stacks would exceed
+``TRAJECTORY_BYTES`` is rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ __all__ = [
     "fd_theta_consistency",
 ]
 
-MAX_STEPS = 10**7
+# Bytes the two (N + 1, d, d) complex stacks of a trajectory may take; a
+# longer or larger run is rejected before anything is allocated.
+TRAJECTORY_BYTES = 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +103,16 @@ def step_rk4(
     return rho_next, sig_next
 
 
-def _validated(states: np.ndarray, t: float, tol: ToleranceConfig) -> float:
-    """Smallest eigenvalue of the states at t; an invalid (or non-finite) one aborts
-    with the time stamp."""
-    lam_min = np.inf
-    for rho in states:
-        try:
-            lam_min = min(lam_min, validate_density(rho, tol))
-        except ValueError as exc:
-            raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
-    return lam_min
+def _validated(xs: np.ndarray, times: list[float], states: slice, tol: ToleranceConfig) -> float:
+    """Smallest eigenvalue of the states of a block of stacks xs, ``xs[j]`` at
+    ``times[j]``, in one gate; the first invalid (or non-finite) state aborts
+    with its time stamp."""
+    block = xs[:, states]
+    try:
+        return validate_density(block.reshape((-1,) + block.shape[-2:]), tol)
+    except ValueError as exc:
+        t = times[exc.index // block.shape[1]]
+        raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
 
 
 def _integrate(
@@ -122,23 +127,27 @@ def _integrate(
     """Advance the stack x over the grid with RK4, validating its states at every point.
 
     x holds (rho, drho_dtheta) for a generator compiled with its derivative,
-    else one state per theta.  ``visit(k, x)`` sees the stack at each grid
-    point.  Returns the smallest eigenvalue of the validated states.
+    else one state per theta.  Steps run in blocks: a block's stacks are
+    validated together, then ``visit(k, xs)`` sees them, ``xs[j]`` being the
+    stack at grid point k + j.  Returns the smallest eigenvalue of the
+    validated states.
     """
     states = slice(None, None, 2 if gen.derivative else 1)
     times = grid.tolist()
-    lam_min = _validated(x[states], times[0], tol)
-    visit(0, x)
+    lam_min = _validated(x[None], times, states, tol)
+    visit(0, x[None])
     block = max(1, gen.times_per_block(len(thetas)) // 3)
+    xs = np.empty((block,) + x.shape, dtype=complex)
     # Overflow leaves a non-finite state, which the gate reports with its time.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(times) - 1, block):
             t = grid[start : min(start + block, len(times) - 1)]
             ops = gen.operators(np.stack([t, t + 0.5 * dt, t + dt], axis=1), thetas)
-            for j, k in enumerate(range(start + 1, start + 1 + len(t))):
-                x = _rk4_step(gen.act, ops[j], x, dt)
-                lam_min = min(lam_min, _validated(x[states], times[k], tol))
-                visit(k, x)
+            for j in range(len(t)):
+                x = xs[j] = _rk4_step(gen.act, ops[j], x, dt)
+            k = start + 1
+            lam_min = min(lam_min, _validated(xs[: len(t)], times[k : k + len(t)], states, tol))
+            visit(k, xs[: len(t)])
     return lam_min
 
 
@@ -163,8 +172,12 @@ def propagate(
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         n_steps = 1
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"{n_steps} steps exceed the limit of {MAX_STEPS}")
+    nbytes = 2 * (n_steps + 1) * model.dim**2 * np.dtype(complex).itemsize
+    if nbytes > TRAJECTORY_BYTES:
+        raise ValueError(
+            f"{n_steps + 1} states of dimension {model.dim} need {nbytes} bytes, "
+            f"over the budget of {TRAJECTORY_BYTES}"
+        )
     grid = np.arange(n_steps + 1) * dt
     for ch in model.channels:
         scan_scalar_poles(ch.gamma, grid)
@@ -172,8 +185,9 @@ def propagate(
     sig = np.empty_like(rho)
     x = np.stack([model.rho0_family.rho0(theta), model.rho0_family.drho0_dtheta(theta)])
 
-    def store(k, x):
-        rho[k], sig[k] = x
+    def store(k, xs):
+        rho[k : k + len(xs)] = xs[:, 0]
+        sig[k : k + len(xs)] = xs[:, 1]
 
     lam_min = _integrate(compile_generator(model), (theta,), x, grid, dt, tol, store)
     return Trajectory(
@@ -203,10 +217,10 @@ def fd_theta_consistency(traj: Trajectory, delta_theta: float = 1e-4) -> float:
     x = np.stack([traj.model.rho0_family.rho0(theta) for theta in thetas])
     deviation = 0.0
 
-    def compare(k, x):
+    def compare(k, xs):
         nonlocal deviation
-        fd = (x[0] - x[1]) / (2.0 * delta_theta)
-        deviation = max(deviation, float(np.max(np.abs(traj.drho_dtheta[k] - fd))))
+        fd = (xs[:, 0] - xs[:, 1]) / (2.0 * delta_theta)
+        deviation = max(deviation, float(np.max(np.abs(traj.drho_dtheta[k : k + len(xs)] - fd))))
 
     gen = compile_generator(traj.model, derivative=False)
     _integrate(gen, thetas, x, traj.grid, traj.dt, traj.tolerances, compare)

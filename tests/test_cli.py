@@ -305,6 +305,26 @@ class TestRunSimulate:
         assert outcome.enabled and outcome.passed is True
         assert outcome.value <= outcome.tolerance
 
+    def test_sld_support_convention_in_summary(self, tmp_path):
+        out = [{"csv_path": str(tmp_path / "o.csv")}]
+
+        def cut(doc):
+            s = run_simulate(parse_config(json.dumps(dict(doc, t_end=0.2, dt=0.001, outputs=out))))
+            return s.sld_support_cut_points, s.sld_support_cut_max_pairs, s.sld_support_cut_first_t
+
+        # ad-nm starts pure and mixes at once; without decay a pure state stays pure
+        assert cut(AD_NM_CONFIG) == (1, 1, 0.0)
+        unitary = {"model": {"builtin": "phase-dephasing", "params": {"gamma0": 0.0}}}
+        assert cut(unitary) == (201, 1, 0.0)
+        mixed = json.loads(json.dumps(INLINE_MODEL))
+        mixed["rho0_family"] = {
+            "family": "linear",
+            "rho0": [[[0.6, 0], [0.1, 0]], [[0.1, 0], [0.4, 0]]],
+            "drho0_dtheta": [[[0, 0], [0.1, 0]], [[0.1, 0], [0, 0]]],
+            "theta_ref": 0.3,
+        }
+        assert cut({"model": mixed}) == (0, 0, None)
+
     def test_summary_round_trip_is_lossless(self, tmp_path):
         summ = tmp_path / "s.json"
         cfg = parse_config(
@@ -384,6 +404,31 @@ class TestMain:
         }
         assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
         assert "runtime abort: state invalid at t=0.001: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params, line",
+        [
+            (
+                {"a": 3.0, "phi": math.pi},
+                "state invalid at t=0.34800000000000003: minimum eigenvalue -1.891e-05 < -1.000e-09",
+            ),
+            (
+                {"a": 1.5, "phi": math.pi, "gamma0": 3.0},
+                "state invalid at t=0.857: minimum eigenvalue -2.319e-06 < -1.000e-09",
+            ),
+            ({"gamma0": 1e300}, "state invalid at t=0.001: matrix contains non-finite entries"),
+        ],
+    )
+    def test_state_gate_abort_names_first_failing_time(self, tmp_path, capsys, params, line):
+        # the first two fail in the middle of a block of validated steps
+        doc = {
+            "model": {"builtin": "ad-nm", "params": params},
+            "t_end": 5,
+            "dt": 0.001,
+            "outputs": [{"csv_path": str(tmp_path / "o.csv")}],
+        }
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err == f"runtime abort: {line}\n"
 
     def test_inconsistent_declaration_fails_oracle_check(self, tmp_path, capsys):
         # H depends on theta but the declared derivative field is zero

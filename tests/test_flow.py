@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import models, real
 
 from qfiflow.estimation import sld
 from qfiflow.flow import (
@@ -26,6 +29,7 @@ from qfiflow.model import (
     zero_operator,
 )
 from qfiflow.operators import (
+    DEFAULT_TOLERANCES,
     IDENTITY_2,
     SIGMA_MINUS,
     SIGMA_X,
@@ -34,7 +38,7 @@ from qfiflow.operators import (
     DimensionMismatchError,
     hermitize,
 )
-from qfiflow.propagation import propagate
+from qfiflow.propagation import Trajectory, propagate
 
 PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 
@@ -317,3 +321,52 @@ class TestFlowRecords:
         records = flow_records(traj)
         assert len(records) == len(traj.grid)
         assert all(r.t == t for r, t in zip(records, traj.grid))
+
+
+def _state_pair(rng, d):
+    """A density matrix of random rank (pure states included) and a Hermitian direction.
+
+    Eigenvalues off the support are zero or, as after negative-rate
+    intervals, slightly negative within the positivity tolerance.
+    """
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rank = int(rng.integers(1, d + 1))
+    p = -rng.uniform(0.0, 5e-10, d) * rng.integers(0, 2)
+    p[:rank] = rng.uniform(0.05, 1.0, rank)
+    rho = hermitize((q * (p / p.sum())) @ q.conj().T)
+    sig = hermitize(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return rho, sig - np.trace(sig).real / d * np.eye(d)
+
+
+class TestStackedFlowMatchesScalarReferences:
+    @settings(max_examples=60, deadline=None)
+    @given(models(), real(1.0), st.integers(3, 8), st.integers(0, 2**32 - 1))
+    def test_random_models_and_states(self, model, theta, n, seed):
+        rng = np.random.default_rng(seed)
+        dt = 0.1
+        rho, sig = map(np.array, zip(*(_state_pair(rng, model.dim) for _ in range(n))))
+        traj = Trajectory(
+            model=model, theta=theta, grid=np.arange(n) * dt, rho=rho, drho_dtheta=sig,
+            dt=dt, tolerances=DEFAULT_TOLERANCES, max_trace_drift=0.0, min_eigenvalue=0.0,
+        )
+        records = flow_records(traj)
+        refs = [sld(r, s) for r, s in zip(rho, sig)]
+        qfis = [ref.qfi for ref in refs]
+
+        def close(got, ref):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+        assert len(records) == n
+        for k, (rec, ref, t) in enumerate(zip(records, refs, traj.grid.tolist())):
+            assert rec.t == t
+            assert rec.thresholded_pairs == ref.thresholded_pairs
+            close(rec.qfi, ref.qfi)
+            close(rec.flow_fd, fd_flow_oracle(qfis, dt, k))
+            close(rec.ham_term, hamiltonian_term(model, theta, t, rho[k], ref.L))
+            close(rec.full_flow, full_flow(model, theta, t, rho[k], sig[k], ref.L))
+            assert [cf.label for cf in rec.subflows] == [ch.label for ch in model.channels]
+            for cf, ch in zip(rec.subflows, model.channels):
+                close(cf.gamma, ch.gamma(t, theta))
+                close(cf.J, subflow_J(rho[k], ref.L, ch.A.evaluate(t, theta)))
+                assert cf.I == cf.gamma * cf.J
+            assert rec.residual_T == rec.full_flow - rec.ham_term - sum(cf.I for cf in rec.subflows)

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from reference_generator import reference_generator, reference_generator_theta_derivative
+from strategies import models, real
 
 from qfiflow.model import (
     BUILTIN_MODEL_NAMES,
@@ -14,14 +14,11 @@ from qfiflow.model import (
     ConstantScalar,
     FixedRyStateFamily,
     JcLorentzianScalar,
-    LinearStateFamily,
     ModelSpec,
-    OperatorTerm,
     RyStateFamily,
     ScalarPoleError,
     SinusoidalScalar,
     ThetaScaledScalar,
-    TimeDependentOperator,
     apply_generator,
     apply_generator_theta_derivative,
     builtin_model,
@@ -261,57 +258,9 @@ class TestGeneratorThetaDerivative:
             assert abs(np.trace(out)) <= 1e-12 * scale
 
 
-def _real(bound=2.0):
-    return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
-
-
-_untheta_scalars = st.one_of(
-    st.just(ConstantScalar(0.0)),
-    st.builds(ConstantScalar, _real()),
-    st.builds(SinusoidalScalar, _real(), _real(), st.floats(0.0, 5.0), st.floats(0.0, 6.3)),
-)
-_scalars = st.one_of(_untheta_scalars, st.builds(ThetaScaledScalar, _untheta_scalars))
-
-
-@st.composite
-def _operators(draw, d, hermitian=False, min_terms=0):
-    elements = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
-    terms = []
-    for _ in range(draw(st.integers(min_terms, 3))):
-        base = draw(hnp.arrays(np.complex128, (d, d), elements=elements))
-        terms.append(OperatorTerm(hermitize(base) if hermitian else base, draw(_scalars)))
-    return TimeDependentOperator(d, tuple(terms))
-
-
-@st.composite
-def _models(draw):
-    """Random GKSL models: multi-term operators, several channels, rates of either
-    sign, and declared derivatives (not required to match the ingredients)."""
-    d = draw(st.integers(2, 4))
-    channels = tuple(
-        Channel(
-            label=f"ch{i}",
-            A=draw(_operators(d, min_terms=1)),
-            gamma=draw(_scalars),
-            dA_dtheta=draw(_operators(d)),
-            dgamma_dtheta=draw(_scalars),
-        )
-        for i in range(draw(st.integers(0, 3)))
-    )
-    rho0 = np.eye(d, dtype=complex) / d
-    return ModelSpec(
-        dim=d,
-        H=draw(_operators(d, hermitian=True)),
-        dH_dtheta=draw(_operators(d, hermitian=True)),
-        channels=channels,
-        rho0_family=LinearStateFamily(rho0, np.zeros((d, d), complex), 0.0),
-        theta=0.0,
-    )
-
-
 class TestCompiledGenerator:
     @settings(max_examples=80, deadline=None)
-    @given(_models(), _real(1.0), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+    @given(models(), real(1.0), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
     def test_matches_reference_loops(self, model, theta, t, seed):
         rng = np.random.default_rng(seed)
         d = model.dim

@@ -120,6 +120,73 @@ class TestValidateDensity:
             validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
 
 
+def _mixed_states(n, seed=3):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = g @ g.conj().T
+        out.append(hermitize(rho / np.trace(rho).real))
+    return np.array(out)
+
+
+def _break_trace(m):
+    return 1.5 * m
+
+
+def _break_hermiticity(m):
+    return m + np.array([[0.0, 0.1], [0.0, 0.0]])
+
+
+def _negative(lam):
+    return lambda m: np.diag([1.0 - lam, lam]).astype(complex)
+
+
+class TestValidateDensityStack:
+    def test_returns_smallest_eigenvalue_of_the_stack(self):
+        stack = _mixed_states(7)
+        assert validate_density(stack) == min(validate_density(m) for m in stack)
+
+    @pytest.mark.parametrize(
+        "breaks, error, index",
+        [
+            ({3: _break_trace, 5: _break_hermiticity}, TraceDeviationError, 3),
+            ({1: _break_hermiticity, 4: _negative(-0.1)}, NotHermitianError, 1),
+            ({2: _negative(-0.1), 4: _negative(-0.2), 6: _break_trace}, NegativeEigenvalueError, 2),
+            ({0: _negative(-0.1)}, NegativeEigenvalueError, 0),
+        ],
+    )
+    def test_first_failing_matrix_in_stack_order(self, breaks, error, index):
+        stack = _mixed_states(7)
+        for k, brk in breaks.items():
+            stack[k] = brk(stack[k])
+        with pytest.raises(error) as err:
+            validate_density(stack)
+        assert err.value.index == index
+        with pytest.raises(error) as alone:
+            validate_density(stack[index])
+        assert str(err.value) == str(alone.value)
+        assert err.value.deviation == alone.value.deviation
+
+    @pytest.mark.parametrize("bad", [0, 2, 6])
+    def test_non_finite_matrix_never_reaches_the_eigensolver(self, monkeypatch, bad):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        stack = _mixed_states(7)
+        stack[bad, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite") as err:
+            validate_density(stack)
+        assert err.value.index == bad
+        assert all(np.isfinite(a).all() for a in seen)
+        assert sum(len(a) for a in seen) == bad
+
+
 @given(matrix_pairs())
 @settings(max_examples=200)
 def test_commutator_antisymmetry(pair):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -18,8 +19,10 @@ from qfiflow.model import (
     zero_operator,
 )
 from qfiflow.operators import (
+    DEFAULT_TOLERANCES,
     SIGMA_MINUS,
     SIGMA_Z,
+    ToleranceConfig,
     hermiticity_defect,
     min_eigenvalue,
     trace_deviation,
@@ -199,7 +202,23 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(model, model.theta, 1.0, -1e-3)
         with pytest.raises(ValueError):
-            propagate(model, model.theta, 1.0, 1e-9)  # over the step cap
+            propagate(model, model.theta, 1.0, 1e-9)  # over the trajectory byte budget
+
+    def test_byte_budget_rejects_before_allocating(self, monkeypatch):
+        model = builtin_model("ad-nm")
+        need = 2 * 101 * 2 * 2 * 16  # two (101, 2, 2) complex stacks
+        monkeypatch.setattr(propagation, "TRAJECTORY_BYTES", need)
+        assert len(propagate(model, model.theta, 0.1, 1e-3).grid) == 101
+        monkeypatch.setattr(propagation, "TRAJECTORY_BYTES", need - 1)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "empty", no_allocation)
+            m.setattr(np, "arange", no_allocation)
+            with pytest.raises(ValueError, match="budget"):
+                propagate(model, model.theta, 0.1, 1e-3)
 
 
 class TestHealthFigures:
@@ -259,6 +278,22 @@ class TestFdThetaConsistency:
         minus = propagate(model, theta - delta, 0.5, 1e-3)
         expected = float(np.max(np.abs(traj.drho_dtheta - (plus.rho - minus.rho) / (2 * delta))))
         assert abs(fd_theta_consistency(traj, delta) - expected) <= 1e-12
+
+    def test_gate_reports_first_failing_time_of_either_member(self):
+        # with a = 3 the theta +/- delta states go negative near t = 0.35,
+        # inside the first block of steps
+        model = builtin_model("ad-nm", {"a": 3.0, "phi": math.pi})
+        loose = ToleranceConfig(positivity=1.0)
+        traj = propagate(model, model.theta, 1.0, 1e-3, loose)
+        members = [propagate(model, model.theta + s * 1e-4, 1.0, 1e-3, loose) for s in (1, -1)]
+        first = next(
+            k for k in range(len(traj.grid))
+            if any(min_eigenvalue(m.rho[k]) < -DEFAULT_TOLERANCES.positivity for m in members)
+        )
+        assert 0 < first < len(traj.grid) - 1
+        with pytest.raises(PropagationError, match="minimum eigenvalue") as err:
+            fd_theta_consistency(dataclasses.replace(traj, tolerances=DEFAULT_TOLERANCES), 1e-4)
+        assert err.value.t == traj.grid.tolist()[first]
 
     def test_rejects_nonpositive_delta(self):
         model = builtin_model("ad-nm")
