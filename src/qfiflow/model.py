@@ -186,6 +186,10 @@ def scan_scalar_poles(scalar: TimeDependentScalar, times) -> None:
         return
     if not isinstance(scalar, JcLorentzianScalar):
         return
+    den = _jc_pieces(scalar, np.asarray(times, dtype=float))[1].real
+    if np.all(np.isfinite(den) & (np.abs(den) >= 1e-9)) and not np.any(den[1:] * den[:-1] < 0.0):
+        return
+    # point by point, to raise at the first failing time with the scalar's message
     prev: float | None = None
     for t in times:
         den = scalar.denominator(float(t))
@@ -457,6 +461,17 @@ def _flat(matrices, d: int) -> np.ndarray:
     return np.array(matrices, dtype=complex).reshape(len(matrices), d * d)
 
 
+def _jc_pieces(s: JcLorentzianScalar, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``JcLorentzianScalar._pieces`` at every time, with numpy's complex functions;
+    an overflow gives a non-finite value instead of raising."""
+    d = cmath.sqrt(complex(s.lam * s.lam - 2.0 * s.gamma0 * s.lam))
+    z = 0.5 * d * times
+    with np.errstate(all="ignore"):
+        sinhc = np.where(np.abs(z) < 1e-8, 1.0 + z * z / 6.0, np.sinh(z) / z)
+        half_t_sinhc = 0.5 * times * sinhc
+        return half_t_sinhc, np.cosh(z) + s.lam * half_t_sinhc
+
+
 def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
     """s at every time (one number if constant), with the arithmetic of its scalar form."""
     if isinstance(s, ConstantScalar):
@@ -465,7 +480,12 @@ def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
         return s.c0 * (1.0 + s.a * np.sin(s.omega * times + s.phi))
     if isinstance(s, ThetaScaledScalar):
         return theta * scalar_values(s.base, times, theta)
-    # point by point (jc_lorentzian): the closed form raises at a pole and on overflow
+    half_t_sinhc, den = _jc_pieces(s, times)
+    with np.errstate(all="ignore"):
+        values = (2.0 * s.gamma0 * s.lam * half_t_sinhc / den).real
+    if np.all(np.isfinite(values)) and np.all(np.abs(den) >= 1e-9):
+        return values
+    # point by point: the closed form raises at the first pole or overflow
     return np.array([s(t, theta) for t in times.tolist()], dtype=float)
 
 
@@ -515,6 +535,22 @@ class CompiledGenerator:
         """How many times of operators fit in COEFFICIENT_BYTES (at least one)."""
         k = self._members(n_thetas)
         return max(1, COEFFICIENT_BYTES // (16 * k * k * len(self.jumps) * self.dim))
+
+    def map_steps_per_block(self, n_thetas: int) -> int:
+        """How many RK4 step maps in real coordinates fit COEFFICIENT_BYTES next to
+        the unit map (0 if not even one does).
+
+        Per step: operators at two half-grid times with their m x m
+        coefficient temporaries, k d^2 x k d^2 real maps S and the RK4
+        products of them, coordinates and states.  The unit map
+        is 2 m d^2 x d^4 reals for m = 1 + n jump operators; building it takes
+        eight times that, plus the 2 m d^2 real unit operators.
+        """
+        d, m, k = self.dim, len(self.jumps) // self.dim, self._members(n_thetas)
+        n = k * d * d
+        unit = 128 * m * d**6 + 32 * (m * d * d) ** 2
+        step = 64 * n * n + 32 * k * k * m * d * d + 192 * m * m + 64 * n
+        return max(0, (COEFFICIENT_BYTES - unit) // step)
 
     def _factors(self, h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """R_0 (T, d, d) and R_1..R_n (T, n, d, d) from h (T, n_h) and W (T, n, n)."""

@@ -1,20 +1,31 @@
 """Joint fixed-step integration of rho(theta;t) and its theta-derivative.
 
-One classical RK4 loop advances a stack of states under the compiled
-generator.  :func:`propagate` evolves the pair (rho, drho_dtheta) under the
+Classical RK4 advances a stack of states under the compiled generator.
+:func:`propagate` evolves the pair (rho, drho_dtheta) under the
 block-triangular [[K, 0], [dK/dtheta, K]], so the mixed t/theta derivatives
 of the trajectory agree by construction; :func:`fd_theta_consistency`
 measures the residual disagreement against an independent central
 difference over theta, evolving rho(theta + delta) and rho(theta - delta)
 together in one pass.
 
+The equation is linear, so one RK4 step is a fixed real matrix in real
+Hermitian coordinates (per member: the diagonal, then the real parts of the
+upper triangle, then its imaginary parts).  Where the unit map (from the
+compiled operators at one time to the generator S(t) in these coordinates)
+and one block of step maps fit ``COEFFICIENT_BYTES``, a block's maps come
+from batched matrix products on the half grid t_k, t_k + dt/2, t_(k+1), a
+chain of matrix-vector products advances the coordinates, and the states
+rebuilt from them are exactly Hermitian.  Otherwise (large d) RK4 steps act
+on the matrices themselves and re-hermitize after every step.  The choice
+depends on sizes alone; the two paths agree to rounding.
+
 Every density matrix in the stack passes validation at every grid point:
 steps run in blocks, and each block's states go through one stacked
 ``validate_density`` call, whose first failing state is reported with its
-time.  All matrices are re-hermitized after every step.  The trace is
-*not* renormalized: drift is measured and reported so integrator defects
-stay visible.  A trajectory whose two ``(N + 1, d, d)`` stacks would exceed
-``TRAJECTORY_BYTES`` is rejected before anything is allocated.
+time.  The trace is *not* renormalized: drift is measured and reported so
+integrator defects stay visible.  A trajectory whose two ``(N + 1, d, d)``
+stacks would exceed ``TRAJECTORY_BYTES`` is rejected before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -94,7 +105,12 @@ def step_rk4(
     drho_dtheta: np.ndarray,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One classical fourth-order Runge-Kutta step of the coupled pair from t to t + dt."""
+    """One classical fourth-order Runge-Kutta step of the coupled pair from t to t + dt.
+
+    The step acts on the matrices and re-hermitizes, as :func:`propagate`
+    does where step maps in real coordinates do not fit the byte budget;
+    on the step-map path the same step differs from this one by rounding.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     gen = compile_generator(model)
@@ -115,6 +131,99 @@ def _validated(xs: np.ndarray, times: list[float], states: slice, tol: Tolerance
         raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
 
 
+def _hermitian_positions(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions of the diagonal, the upper and the lower triangle of a d x d matrix."""
+    i, j = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), i * d + j, j * d + i
+
+
+def _coordinates(x: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian matrices (..., d, d): the diagonal, then the
+    real parts of the upper triangle, then its imaginary parts."""
+    d = x.shape[-1]
+    diag, upper, _ = _hermitian_positions(d)
+    flat = x.reshape(x.shape[:-2] + (d * d,))
+    return np.concatenate([flat.real[..., diag], flat.real[..., upper], flat.imag[..., upper]], axis=-1)
+
+
+def _matrices(c: np.ndarray, d: int) -> np.ndarray:
+    """The matrices (..., d, d) with real coordinates c (..., d*d); exactly Hermitian."""
+    diag, upper, lower = _hermitian_positions(d)
+    re, im = np.split(c[..., d:], 2, axis=-1)
+    x = np.zeros(c.shape[:-1] + (d * d,), dtype=complex)
+    x.real[..., diag] = c[..., :d]
+    x.real[..., upper] = re
+    x.real[..., lower] = re
+    x.imag[..., upper] = im
+    x.imag[..., lower] = -im
+    return x.reshape(c.shape[:-1] + (d, d))
+
+
+def _unit_map(gen: CompiledGenerator) -> np.ndarray:
+    """The real-linear map from one (output, input) member block of the generator's
+    operators to its d^2 x d^2 block of S, shape (2 m d^2, d^4).
+
+    Row r is ``gen.act`` on the r-th real unit of the operator block (the real,
+    then the imaginary part of each entry), applied to the Hermitian basis
+    whose coordinates are unit vectors.
+    """
+    d, rows = gen.dim, len(gen.jumps)
+    units = np.eye(2 * rows * d).view(complex).reshape(-1, 1, rows, d)
+    out = gen.act(units, _matrices(np.eye(d * d), d)[:, None, None])
+    return _coordinates(out[:, :, 0]).transpose(1, 2, 0).reshape(len(units), d**4)
+
+
+def _generator_maps(ops: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """S(t) at every time of the stack's operators: the k d^2 x k d^2 real matrix
+    of the generator in coordinates, one gemm over all member blocks."""
+    n_times, k = ops.shape[:2]
+    dd = ops.shape[-1] ** 2
+    s = ops.reshape(n_times * k * k, -1).view(float) @ unit
+    return s.reshape(n_times, k, k, dd, dd).transpose(0, 1, 3, 2, 4).reshape(n_times, k * dd, k * dd)
+
+
+def _rk4_increments(s: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 increments N_j = dt/6 (A1 + 2 A2 + 2 A3 + A4), the step maps being
+    M_j = I + N_j, from S on the half grid t_0, t_0 + dt/2, t_1, ..., t_n."""
+    a1, sh, s1 = s[:-1:2], s[1::2], s[2::2]
+    a2 = sh + (0.5 * dt) * (sh @ a1)
+    a3 = sh + (0.5 * dt) * (sh @ a2)
+    a4 = s1 + dt * (s1 @ a3)
+    return (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+
+
+def _map_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
+    """Blocks of the stack x advanced by RK4 step maps in real Hermitian coordinates:
+    yields (k, xs), ``xs[j]`` being the stack at grid point k + j."""
+    unit = _unit_map(gen)
+    block = gen.map_steps_per_block(len(thetas))
+    c = _coordinates(hermitize(x)).ravel()
+    for start in range(0, len(grid) - 1, block):
+        t = grid[start : start + block + 1]
+        half = np.empty(2 * len(t) - 1)
+        half[0::2] = t
+        half[1::2] = t[:-1] + 0.5 * dt
+        increments = _rk4_increments(_generator_maps(gen.operators(half, thetas), unit), dt)
+        cs = np.empty((len(increments), len(c)))
+        # c + N c rather than (I + N) c: the identity would round N's diagonal to ulp(1)
+        for j, n in enumerate(increments):
+            c = cs[j] = c + n @ c
+        yield start + 1, _matrices(cs.reshape((len(cs),) + x.shape[:-2] + (-1,)), gen.dim)
+
+
+def _stacked_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
+    """Blocks of the stack x advanced by :func:`_rk4_step` on the matrices themselves;
+    yields (k, xs) as :func:`_map_blocks` does."""
+    block = max(1, gen.times_per_block(len(thetas)) // 3)
+    xs = np.empty((block,) + x.shape, dtype=complex)
+    for start in range(0, len(grid) - 1, block):
+        t = grid[start : min(start + block, len(grid) - 1)]
+        ops = gen.operators(np.stack([t, t + 0.5 * dt, t + dt], axis=1), thetas)
+        for j in range(len(t)):
+            x = xs[j] = _rk4_step(gen.act, ops[j], x, dt)
+        yield start + 1, xs[: len(t)]
+
+
 def _integrate(
     gen: CompiledGenerator,
     thetas: tuple[float, ...],
@@ -129,25 +238,21 @@ def _integrate(
     x holds (rho, drho_dtheta) for a generator compiled with its derivative,
     else one state per theta.  Steps run in blocks: a block's stacks are
     validated together, then ``visit(k, xs)`` sees them, ``xs[j]`` being the
-    stack at grid point k + j.  Returns the smallest eigenvalue of the
+    stack at grid point k + j.  Step maps in real coordinates advance the
+    stack when the unit map and one block of them fit ``COEFFICIENT_BYTES``,
+    else RK4 steps on the matrices.  Returns the smallest eigenvalue of the
     validated states.
     """
     states = slice(None, None, 2 if gen.derivative else 1)
     times = grid.tolist()
     lam_min = _validated(x[None], times, states, tol)
     visit(0, x[None])
-    block = max(1, gen.times_per_block(len(thetas)) // 3)
-    xs = np.empty((block,) + x.shape, dtype=complex)
+    blocks = _map_blocks if gen.map_steps_per_block(len(thetas)) else _stacked_blocks
     # Overflow leaves a non-finite state, which the gate reports with its time.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(times) - 1, block):
-            t = grid[start : min(start + block, len(times) - 1)]
-            ops = gen.operators(np.stack([t, t + 0.5 * dt, t + dt], axis=1), thetas)
-            for j in range(len(t)):
-                x = xs[j] = _rk4_step(gen.act, ops[j], x, dt)
-            k = start + 1
-            lam_min = min(lam_min, _validated(xs[: len(t)], times[k : k + len(t)], states, tol))
-            visit(k, xs[: len(t)])
+        for k, xs in blocks(gen, thetas, x, grid, dt):
+            lam_min = min(lam_min, _validated(xs, times[k : k + len(xs)], states, tol))
+            visit(k, xs)
     return lam_min
 
 

@@ -42,7 +42,8 @@ def operators(draw, d, hermitian=False, min_terms=0):
 @st.composite
 def models(draw):
     """Random GKSL models: multi-term operators, several channels, rates of either
-    sign, and declared derivatives (not required to match the ingredients)."""
+    sign, declared derivatives (not required to match the ingredients) and a
+    random full-rank initial-state family."""
     d = draw(st.integers(2, 4))
     channels = tuple(
         Channel(
@@ -54,12 +55,22 @@ def models(draw):
         )
         for i in range(draw(st.integers(0, 3)))
     )
-    rho0 = np.eye(d, dtype=complex) / d
     return ModelSpec(
         dim=d,
         H=draw(operators(d, hermitian=True)),
         dH_dtheta=draw(operators(d, hermitian=True)),
         channels=channels,
-        rho0_family=LinearStateFamily(rho0, np.zeros((d, d), complex), 0.0),
+        rho0_family=draw(state_families(d)),
         theta=0.0,
     )
+
+
+@st.composite
+def state_families(draw, d):
+    """A full-rank initial state at theta = 0 and a traceless Hermitian theta-slope."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T + 0.1 * np.eye(d)
+    slope = hermitize(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    slope -= np.trace(slope) / d * np.eye(d)
+    return LinearStateFamily(hermitize(rho / np.trace(rho)), 0.1 * slope, 0.0)

@@ -19,6 +19,7 @@ from qfiflow.model import (
     ScalarPoleError,
     SinusoidalScalar,
     ThetaScaledScalar,
+    _jc_pieces,
     apply_generator,
     apply_generator_theta_derivative,
     builtin_model,
@@ -29,6 +30,7 @@ from qfiflow.model import (
     scalar_from_config,
     scalar_is_zero,
     scalar_to_config,
+    scalar_values,
     scan_scalar_poles,
     validate_model,
     zero_operator,
@@ -103,6 +105,41 @@ class TestScalars:
             scan_scalar_poles(s, np.arange(0, 5.001, 1e-3))
         scan_scalar_poles(s, np.arange(0, 3.0, 1e-3))  # pole-free prefix passes
         scan_scalar_poles(JcLorentzianScalar(1.0, 3.0), np.arange(0, 10.0, 1e-2))
+
+    @pytest.mark.parametrize(
+        "g0, lam, t_end",
+        [
+            (1.0, 3.0, 5.0),  # ad-jc
+            # strong coupling, up to 4.5: past that the denominator's
+            # cancellation near the pole at 4.84 magnifies last-bit differences
+            (1.0, 0.5, 4.5),
+        ],
+    )
+    def test_jc_vectorised_values_match_scalar_form(self, g0, lam, t_end):
+        s = JcLorentzianScalar(g0, lam)
+        grid = np.arange(int(round(t_end / 1e-3)) + 1) * 1e-3
+        times = np.sort(np.r_[grid, grid[:-1] + 0.5e-3])  # the RK4 half grid
+        values = scalar_values(s, times, 0.0)
+        ref = np.array([s(t) for t in times.tolist()])
+        assert np.all(np.abs(values - ref) <= 1e-15 * np.abs(ref))
+        den = _jc_pieces(s, times)[1].real
+        ref_den = np.array([s.denominator(t) for t in times.tolist()])
+        assert np.all(np.abs(den - ref_den) <= 1e-15 * np.abs(ref_den))
+
+    def test_jc_vectorised_falls_back_to_the_scalar_errors(self):
+        s = JcLorentzianScalar(1.0, 0.5)
+        om = math.sqrt(2 * 1.0 * 0.5 - 0.25)
+        t_pole = 2.0 * (math.pi - math.atan(om / 0.5)) / om
+        times = np.r_[np.arange(0.0, 4.8, 1e-3), t_pole, t_pole + 1e-3]
+        with pytest.raises(ScalarPoleError) as err:
+            s(t_pole)
+        with pytest.raises(ScalarPoleError) as vec_err:
+            scalar_values(s, times, 0.0)
+        assert str(vec_err.value) == str(err.value) and vec_err.value.t == t_pole
+        with pytest.raises(OverflowError):  # cmath.sinh and cosh overflow at t = 2000
+            scalar_values(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]), 0.0)
+        with pytest.raises(OverflowError):
+            scan_scalar_poles(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]))
 
     def test_theta_scaled(self):
         g = ThetaScaledScalar(SinusoidalScalar(1.0, 0.5, 2.0))

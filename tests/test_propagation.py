@@ -1,12 +1,18 @@
 import dataclasses
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from strategies import models
 
+from qfiflow import model as model_module
 from qfiflow import propagation
+from qfiflow.cli import parse_config
 from qfiflow.model import (
     Channel,
     ConstantScalar,
@@ -300,3 +306,91 @@ class TestFdThetaConsistency:
         traj = propagate(model, model.theta, 0.1, 1e-3)
         with pytest.raises(ValueError):
             fd_theta_consistency(traj, 0.0)
+
+
+def _spy_paths(mp):
+    """Count the calls into each integration path of ``propagation``."""
+    calls = {"maps": 0, "stacked": 0}
+    maps, step = propagation._generator_maps, propagation._rk4_step
+
+    def counting_maps(*args):
+        calls["maps"] += 1
+        return maps(*args)
+
+    def counting_step(*args):
+        calls["stacked"] += 1
+        return step(*args)
+
+    mp.setattr(propagation, "_generator_maps", counting_maps)
+    mp.setattr(propagation, "_rk4_step", counting_step)
+    return calls
+
+
+# The gate accepts every finite state, so random models with rates of either
+# sign compare over the whole run.
+ANY_FINITE_STATE = ToleranceConfig(herm=math.inf, trace=math.inf, positivity=math.inf)
+
+
+class TestStepMapPath:
+    def test_path_is_chosen_by_bytes(self, monkeypatch):
+        model = builtin_model("ad-nm")
+        calls = _spy_paths(monkeypatch)
+        propagate(model, model.theta, 0.01, 1e-3)
+        assert calls["maps"] > 0 and calls["stacked"] == 0
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from workloads import qubit_model
+
+        config = parse_config(json.dumps({"model": qubit_model(0), "t_end": 0.002, "dt": 1e-3}))
+        # checked first: on the map path this model's unit map alone would take 1.6 GB
+        assert model_module.compile_generator(config.model).map_steps_per_block(1) == 0
+        calls.update(maps=0, stacked=0)
+        propagate(config.model, config.theta, 0.002, 1e-3)
+        assert calls["maps"] == 0 and calls["stacked"] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(models())
+    def test_paths_agree_on_random_models(self, model):
+        # delta = 0.05 keeps the central difference's rounding (eps / delta per
+        # state) well below the 1e-12 bound; at 1e-4 it alone reaches ~1e-12
+        def run(budget, path):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model_module, "COEFFICIENT_BYTES", budget)
+                calls = _spy_paths(mp)
+                traj = propagate(model, model.theta, 0.02, 1e-3, ANY_FINITE_STATE)
+                deviation = fd_theta_consistency(traj, 0.05)
+            assert calls[path] > 0 and sum(calls.values()) == calls[path]
+            return traj, deviation
+
+        maps, maps_dev = run(2**26, "maps")
+        ref, ref_dev = run(0, "stacked")
+        for got, want in ((maps.rho, ref.rho), (maps.drho_dtheta, ref.drho_dtheta)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert abs(maps_dev - ref_dev) <= 1e-12 * max(1.0, ref_dev)
+
+    def test_states_exactly_hermitian(self):
+        for name in ("ad-nm", "phase-dephasing"):
+            model = builtin_model(name)
+            traj = propagate(model, model.theta, 1.0, 1e-3)
+            for stack in (traj.rho, traj.drho_dtheta):
+                assert np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) == 0.0
+
+    def test_non_finite_operator_mid_block_aborts_at_next_grid_time(self, monkeypatch):
+        # an inf rate at the half-grid time t_j + dt/2 spoils step j only, so
+        # the first non-finite state is the one at t_(j+1)
+        model = builtin_model("ad-nm")
+        block = model_module.compile_generator(model).map_steps_per_block(1)
+        j = block + block // 2
+        grid = np.arange(3 * block + 1) * 1e-3
+        bad = grid[j] + 0.5e-3
+        values = model_module.scalar_values
+
+        def inf_at_bad(s, times, theta):
+            return np.where(times == bad, np.inf, values(s, times, theta))
+
+        monkeypatch.setattr(model_module, "scalar_values", inf_at_bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError, match="non-finite entries") as err:
+                propagate(model, model.theta, grid[-1], 1e-3)
+        assert err.value.t == grid.tolist()[j + 1]
