@@ -10,10 +10,8 @@ quantifies when that decomposition is exact.
 
 from .estimation import SldResult, qfi, sld
 from .flow import (
-    ChannelFlow,
-    FlowRecord,
+    FlowTable,
     IntervalReport,
-    channel_decomposition,
     classify_intervals,
     fd_flow_oracle,
     flow_records,

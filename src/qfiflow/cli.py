@@ -24,7 +24,7 @@ import numpy as np
 from .estimation import DEFAULT_EPS_RANK
 from .flow import (
     SIGN_THRESHOLD,
-    FlowRecord,
+    FlowTable,
     IntervalReport,
     classify_intervals,
     flow_records,
@@ -40,10 +40,11 @@ from .model import (
     TimeDependentOperator,
     builtin_model,
     constant_operator,
+    matrix_to_config,
+    model_to_config,
     probe_theta_dependence,
     scalar_from_config,
     scalar_is_zero,
-    scalar_to_config,
     validate_model,
     zero_operator,
 )
@@ -199,6 +200,15 @@ def _positive(v, ptr: str, name: str) -> float:
     return x
 
 
+def _check_grid(t_end: float, dt: float) -> None:
+    """The grid t_k = k dt up to t_end needs 3 points for the finite-difference oracle."""
+    if t_end / dt < 1.5:
+        raise ConfigError(
+            f"the grid needs at least 3 points, so t_end >= 1.5 dt (t_end / dt = {t_end / dt:.6g})",
+            "/t_end",
+        )
+
+
 def _boolean(v, ptr: str) -> bool:
     if not isinstance(v, bool):
         raise ConfigError(f"expected a boolean, got {type(v).__name__}", ptr)
@@ -230,42 +240,6 @@ def matrix_from_config(v, ptr: str) -> np.ndarray:
             im = _number(pair[1], f"{ptr}/{i}/{j}/1")
             out[i, j] = complex(re, im)
     return out
-
-
-def matrix_to_config(m: np.ndarray) -> list:
-    """Inverse of :func:`matrix_from_config`."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-def operator_to_config(op: TimeDependentOperator) -> list:
-    """Operator as an array of {"matrix", "modulation"} terms."""
-    return [
-        {"matrix": matrix_to_config(term.base), "modulation": scalar_to_config(term.modulation)}
-        for term in op.terms
-    ]
-
-
-def channel_to_config(ch: Channel) -> dict:
-    return {
-        "label": ch.label,
-        "A": operator_to_config(ch.A),
-        "gamma": scalar_to_config(ch.gamma),
-        "dA_dtheta": operator_to_config(ch.dA_dtheta),
-        "dgamma_dtheta": scalar_to_config(ch.dgamma_dtheta),
-    }
-
-
-def model_to_config(model: ModelSpec) -> dict:
-    """Inline-model JSON representation; parses back to an equivalent ModelSpec."""
-    return {
-        "dim": model.dim,
-        "hamiltonian": operator_to_config(model.H),
-        "dH_dtheta": operator_to_config(model.dH_dtheta),
-        "channels": [channel_to_config(ch) for ch in model.channels],
-        "rho0_family": model.rho0_family.to_config(),
-        "theta": model.theta,
-    }
 
 
 def _scalar_from_config(v, ptr: str):
@@ -409,6 +383,7 @@ def parse_config(text: bytes | str) -> RunConfig:
     theta = _number(d["theta"], "/theta") if "theta" in d else model.theta
     t_end = _positive(d["t_end"], "/t_end", "t_end")
     dt = _positive(d["dt"], "/dt", "dt")
+    _check_grid(t_end, dt)
     delta_theta = (
         _positive(d["delta_theta"], "/delta_theta", "delta_theta")
         if "delta_theta" in d
@@ -499,17 +474,13 @@ def run_simulate(config: RunConfig) -> RunSummary:
     theta = config.theta
     validate_model(model, theta, tol=config.tolerances, delta_theta=config.delta_theta)
     traj = propagate(model, theta, config.t_end, config.dt, config.tolerances)
-    records = flow_records(traj)
-    qfis = np.array([r.qfi for r in records])
-    flow_accept = FLOW_ACCEPT_FACTOR * max(1.0, float(np.max(qfis)))
-    interior = records[1:-1] if len(records) > 2 else records
-    max_completeness = max(abs(r.flow_fd - r.full_flow) for r in interior)
-    max_decomposition = max(
-        abs(r.flow_fd - sum(cf.I for cf in r.subflows)) for r in interior
-    )
-    max_ham = max(abs(r.ham_term) for r in records)
-    max_residual = max(abs(r.residual_T) for r in records)
-    cut_times = [r.t for r in records if r.thresholded_pairs]
+    table = flow_records(traj)
+    flow_accept = FLOW_ACCEPT_FACTOR * max(1.0, float(np.max(table.qfi)))
+    max_completeness = float(np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]))
+    max_decomposition = float(np.max(np.abs(table.flow_fd - sum(table.I))[1:-1]))
+    max_ham = float(np.max(np.abs(table.ham_term)))
+    max_residual = float(np.max(np.abs(table.residual_T)))
+    cuts = np.flatnonzero(table.thresholded_pairs)
 
     probe_times = tuple(float(x) for x in np.linspace(0.0, config.t_end, 5))
     probes = probe_theta_dependence(model, theta, probe_times, config.delta_theta)
@@ -524,7 +495,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
         if dependent == probe.declared_zero:
             declarations_consistent = False
 
-    interval_reports = tuple(classify_intervals(records))
+    interval_reports = tuple(classify_intervals(table))
 
     checks: dict[str, CheckOutcome] = {}
     if config.checks.oracle:
@@ -571,9 +542,9 @@ def run_simulate(config: RunConfig) -> RunSummary:
         max_abs_residual_t=max_residual,
         max_trace_drift=traj.max_trace_drift,
         min_rho_eigenvalue=traj.min_eigenvalue,
-        sld_support_cut_points=len(cut_times),
-        sld_support_cut_max_pairs=max(r.thresholded_pairs for r in records),
-        sld_support_cut_first_t=cut_times[0] if cut_times else None,
+        sld_support_cut_points=len(cuts),
+        sld_support_cut_max_pairs=int(np.max(table.thresholded_pairs)),
+        sld_support_cut_first_t=float(table.t[cuts[0]]) if len(cuts) else None,
         interval_reports=interval_reports,
         theta_independence=verdicts,
         checks=checks,
@@ -590,7 +561,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     )
     for target in config.outputs:
         if target.csv_path:
-            emit_csv(records, target.csv_path)
+            emit_csv(table, target.csv_path)
         if target.json_summary_path:
             emit_summary(summary, target.json_summary_path)
     return summary
@@ -601,26 +572,22 @@ def run_simulate(config: RunConfig) -> RunSummary:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def emit_csv(records: list[FlowRecord], path: str) -> None:
+def emit_csv(table: FlowTable, path: str) -> None:
     """Time series CSV: base columns then gamma/J/I triplets per channel, in
     channel declaration order; 17-significant-digit decimals, LF endings."""
-    if not records:
-        raise ValueError("no records to emit")
+    if not len(table):
+        raise ValueError("empty flow table")
     header = ["t", "F", "flow_fd", "full_flow", "ham_term", "residual_T"]
-    for cf in records[0].subflows:
-        header += [f"gamma_{cf.label}", f"J_{cf.label}", f"I_{cf.label}"]
-    lines = [",".join(header)]
-    for r in records:
-        vals = [r.t, r.qfi, r.flow_fd, r.full_flow, r.ham_term, r.residual_T]
-        for cf in r.subflows:
-            vals += [cf.gamma, cf.J, cf.I]
-        lines.append(",".join(_fmt(v) for v in vals))
+    for label in table.labels:
+        header += [f"gamma_{label}", f"J_{label}", f"I_{label}"]
+    triplets = np.stack([table.gamma, table.J, table.I], axis=1).reshape(-1, len(table))
+    columns = np.vstack(
+        [table.t, table.qfi, table.flow_fd, table.full_flow, table.ham_term, table.residual_T, triplets]
+    )
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.write(row * len(table) % tuple(columns.T.ravel().tolist()))
 
 
 def _interval_report_to_dict(rep: IntervalReport) -> dict:
@@ -689,6 +656,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         if args.t_end <= 0.0:
             raise ConfigError("invariant violation: t_end > 0", "/t_end")
         updates["t_end"] = args.t_end
+    _check_grid(updates.get("t_end", config.t_end), updates.get("dt", config.dt))
     if args.out is not None or args.summary is not None:
         updates["outputs"] = (OutputTarget(args.out, args.summary),)
     if args.check is not None:

@@ -15,9 +15,10 @@ of the decay rate -- negative rates show up as positive subflows.
 :func:`flow_records` is columnar: it works on bounded blocks of grid points
 as ``(n, d, d)`` stacks (one batched SLD eigendecomposition, stacked
 products for J_i, the Hamiltonian term and the full flow, an array stencil
-for the finite-difference oracle).  The one-point functions
-(:func:`subflow_J`, :func:`channel_decomposition`, :func:`hamiltonian_term`,
-:func:`full_flow`, :func:`fd_flow_oracle`) stay public as its references.
+for the finite-difference oracle) and returns one :class:`FlowTable` of
+arrays over the grid.  The one-point functions (:func:`subflow_J`,
+:func:`hamiltonian_term`, :func:`full_flow`, :func:`fd_flow_oracle`) stay
+public as its references.
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ from .operators import DimensionMismatchError, commutator, dagger
 from .propagation import Trajectory
 
 __all__ = [
-    "ChannelFlow",
-    "FlowRecord",
+    "FlowTable",
     "IntervalReport",
     "SIGN_THRESHOLD",
     "subflow_J",
-    "channel_decomposition",
     "hamiltonian_term",
     "full_flow",
     "residual_T",
@@ -60,28 +59,30 @@ SIGN_THRESHOLD = 1e-10
 _IMAG_WARN = 1e-10
 
 
-@dataclass(frozen=True)
-class ChannelFlow:
-    """Rate, subflow factor, and subflow I = gamma * J for one channel."""
-
-    label: str
-    gamma: float
-    J: float
-    I: float
-
-
 @dataclass(frozen=True, eq=False)
-class FlowRecord:
-    """All flow quantities at one grid point."""
+class FlowTable:
+    """All flow quantities on the grid, one array per column.
 
-    t: float
-    qfi: float
-    flow_fd: float
-    subflows: tuple[ChannelFlow, ...]
-    ham_term: float
-    full_flow: float
-    residual_T: float
-    thresholded_pairs: int = 0  # eigenvalue pairs the SLD support convention cut
+    Grid columns have shape ``(N,)``; the per-channel columns ``gamma``,
+    ``J`` and ``I = gamma * J`` have shape ``(n_channels, N)``, one row per
+    channel in declaration order, labelled by ``labels``; ``sum(table.I)``
+    is the subflow sum, added channel by channel.
+    """
+
+    t: np.ndarray
+    qfi: np.ndarray
+    flow_fd: np.ndarray
+    full_flow: np.ndarray
+    ham_term: np.ndarray
+    residual_T: np.ndarray
+    thresholded_pairs: np.ndarray  # eigenvalue pairs the SLD support convention cut
+    labels: tuple[str, ...]
+    gamma: np.ndarray
+    J: np.ndarray
+    I: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -118,25 +119,6 @@ def subflow_J(rho: np.ndarray, L: np.ndarray, A: np.ndarray) -> float:
         )
     C = commutator(np.asarray(L, dtype=complex), np.asarray(A, dtype=complex))
     return -_real_trace(rho @ dagger(C) @ C, "subflow")
-
-
-def channel_decomposition(
-    model: ModelSpec,
-    theta: float,
-    t: float,
-    rho: np.ndarray,
-    L: np.ndarray,
-) -> tuple[tuple[ChannelFlow, ...], float]:
-    """Per-channel (gamma_i, J_i, I_i = gamma_i * J_i) and the subflow sum."""
-    flows = []
-    total = 0.0
-    for ch in model.channels:
-        g = ch.gamma(t, theta)
-        J = subflow_J(rho, L, ch.A.evaluate(t, theta))
-        I = g * J
-        total += I
-        flows.append(ChannelFlow(label=ch.label, gamma=g, J=J, I=I))
-    return tuple(flows), total
 
 
 def hamiltonian_term(
@@ -221,7 +203,7 @@ def _fd_series(f: np.ndarray, dt: float) -> np.ndarray:
 def flow_records(
     traj: Trajectory,
     eps_rank: float = DEFAULT_EPS_RANK,
-) -> list[FlowRecord]:
+) -> FlowTable:
     """SLD, QFI, and all flow quantities at every grid point of a trajectory.
 
     Works on blocks of grid points (bounded by the compiled generator's
@@ -258,45 +240,29 @@ def flow_records(
         dots = gen.act(gen.operators(times, (theta,)), np.stack([rho, sig], axis=1))
         full[block] = _real_traces(L @ (2.0 * dots[:, 1] - L @ dots[:, 0]), "full flow")
     Is = gammas * Js
-    residual = residual_T(full, ham, sum(Is))
-    fd = _fd_series(qfi, traj.dt)
-    columns = zip(
-        traj.grid.tolist(), qfi.tolist(), fd.tolist(), ham.tolist(), full.tolist(),
-        residual.tolist(), thresholded.tolist(), gammas.T.tolist(), Js.T.tolist(), Is.T.tolist(),
+    return FlowTable(
+        t=traj.grid,
+        qfi=qfi,
+        flow_fd=_fd_series(qfi, traj.dt),
+        full_flow=full,
+        ham_term=ham,
+        residual_T=residual_T(full, ham, sum(Is)),
+        thresholded_pairs=thresholded,
+        labels=tuple(ch.label for ch in model.channels),
+        gamma=gammas,
+        J=Js,
+        I=Is,
     )
-    labels = [ch.label for ch in model.channels]
-    return [
-        FlowRecord(
-            t=t,
-            qfi=F,
-            flow_fd=flow_fd,
-            subflows=tuple(map(ChannelFlow, labels, g, J, I)),
-            ham_term=h,
-            full_flow=f,
-            residual_T=r,
-            thresholded_pairs=c,
-        )
-        for t, F, flow_fd, h, f, r, c, g, J, I in columns
-    ]
 
 
 def _mask_intervals(times: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Maximal runs of True in mask, as (t_start, t_end) pairs."""
-    intervals = []
-    start = None
-    for k, flag in enumerate(mask):
-        if flag and start is None:
-            start = k
-        elif not flag and start is not None:
-            intervals.append((float(times[start]), float(times[k - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(times[start]), float(times[-1])))
-    return tuple(intervals)
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return tuple(zip(times[edges[::2]].tolist(), times[edges[1::2] - 1].tolist()))
 
 
 def classify_intervals(
-    records: list[FlowRecord],
+    table: FlowTable,
     threshold: float = SIGN_THRESHOLD,
 ) -> list[IntervalReport]:
     """Per-channel negative-rate and positive-subflow intervals with overlap.
@@ -305,22 +271,17 @@ def classify_intervals(
     subflow is also positive; it is None (not applicable) when the rate never
     goes negative.  Values within ``threshold`` of zero are treated as zero.
     """
-    if not records:
-        raise ValueError("empty record list")
-    times = np.array([r.t for r in records])
+    if not len(table):
+        raise ValueError("empty flow table")
     reports = []
-    for idx, cf in enumerate(records[0].subflows):
-        gammas = np.array([r.subflows[idx].gamma for r in records])
-        subflows = np.array([r.subflows[idx].I for r in records])
-        neg = gammas < -threshold
-        pos = subflows > threshold
+    for label, neg, pos in zip(table.labels, table.gamma < -threshold, table.I > threshold):
         n_neg = int(np.count_nonzero(neg))
         overlap = float(np.count_nonzero(neg & pos) / n_neg) if n_neg else None
         reports.append(
             IntervalReport(
-                channel=cf.label,
-                negative_rate_intervals=_mask_intervals(times, neg),
-                positive_subflow_intervals=_mask_intervals(times, pos),
+                channel=label,
+                negative_rate_intervals=_mask_intervals(table.t, neg),
+                positive_subflow_intervals=_mask_intervals(table.t, pos),
                 overlap_fraction=overlap,
             )
         )

@@ -50,6 +50,8 @@ __all__ = [
     "scalar_is_zero",
     "scalar_from_config",
     "scalar_to_config",
+    "matrix_to_config",
+    "model_to_config",
     "OperatorTerm",
     "TimeDependentOperator",
     "constant_operator",
@@ -266,6 +268,42 @@ def scalar_to_config(s: TimeDependentScalar) -> dict:
     raise TypeError(f"unknown scalar form {type(s).__name__}")
 
 
+def matrix_to_config(m: np.ndarray) -> list:
+    """Square complex matrix as row-major nested arrays of [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def operator_to_config(op: TimeDependentOperator) -> list:
+    """Operator as an array of {"matrix", "modulation"} terms."""
+    return [
+        {"matrix": matrix_to_config(term.base), "modulation": scalar_to_config(term.modulation)}
+        for term in op.terms
+    ]
+
+
+def channel_to_config(ch: Channel) -> dict:
+    return {
+        "label": ch.label,
+        "A": operator_to_config(ch.A),
+        "gamma": scalar_to_config(ch.gamma),
+        "dA_dtheta": operator_to_config(ch.dA_dtheta),
+        "dgamma_dtheta": scalar_to_config(ch.dgamma_dtheta),
+    }
+
+
+def model_to_config(model: ModelSpec) -> dict:
+    """Inline-model JSON representation; parses back to an equivalent ModelSpec."""
+    return {
+        "dim": model.dim,
+        "hamiltonian": operator_to_config(model.H),
+        "dH_dtheta": operator_to_config(model.dH_dtheta),
+        "channels": [channel_to_config(ch) for ch in model.channels],
+        "rho0_family": model.rho0_family.to_config(),
+        "theta": model.theta,
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorTerm:
     base: np.ndarray
@@ -404,8 +442,6 @@ class LinearStateFamily:
         return self.base.shape[0]
 
     def to_config(self) -> dict:
-        from .cli import matrix_to_config  # deferred import: cli depends on this module
-
         return {
             "family": "linear",
             "rho0": matrix_to_config(self.base),
@@ -532,9 +568,16 @@ class CompiledGenerator:
         return 2 * n_thetas if self.derivative else n_thetas
 
     def times_per_block(self, n_thetas: int) -> int:
-        """How many times of operators fit in COEFFICIENT_BYTES (at least one)."""
-        k = self._members(n_thetas)
-        return max(1, COEFFICIENT_BYTES // (16 * k * k * len(self.jumps) * self.dim))
+        """How many times of :meth:`operators` fit in COEFFICIENT_BYTES (at least one).
+
+        Per time: the k x k member blocks of m = 1 + n operators, the factors
+        R_0..R_n of K and of dK/dtheta with the three real products that make
+        each R_0, the m x m coefficient temporaries and the form values.
+        """
+        d, m, k = self.dim, len(self.jumps) // self.dim, self._members(n_thetas)
+        factors = 32 * m * d * d + 48 * d * d
+        per_time = 16 * k * k * m * d * d + factors + 96 * m * m + 16 * (len(self.forms) + 1)
+        return max(1, COEFFICIENT_BYTES // per_time)
 
     def map_steps_per_block(self, n_thetas: int) -> int:
         """How many RK4 step maps in real coordinates fit COEFFICIENT_BYTES next to

@@ -213,15 +213,23 @@ def _map_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray
 
 def _stacked_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
     """Blocks of the stack x advanced by :func:`_rk4_step` on the matrices themselves;
-    yields (k, xs) as :func:`_map_blocks` does."""
-    block = max(1, gen.times_per_block(len(thetas)) // 3)
+    yields (k, xs) as :func:`_map_blocks` does.
+
+    A block of ``times_per_block`` steps goes through the gate at once; within
+    it, the operators at the three stage times of a step are evaluated for a
+    third of that many steps at a time, which fits ``COEFFICIENT_BYTES``.
+    """
+    block = gen.times_per_block(len(thetas))
+    steps = max(1, block // 3)
     xs = np.empty((block,) + x.shape, dtype=complex)
     for start in range(0, len(grid) - 1, block):
-        t = grid[start : min(start + block, len(grid) - 1)]
-        ops = gen.operators(np.stack([t, t + 0.5 * dt, t + dt], axis=1), thetas)
-        for j in range(len(t)):
-            x = xs[j] = _rk4_step(gen.act, ops[j], x, dt)
-        yield start + 1, xs[: len(t)]
+        stop = min(start + block, len(grid) - 1)
+        for first in range(start, stop, steps):
+            t = grid[first : min(first + steps, stop)]
+            ops = gen.operators(np.stack([t, t + 0.5 * dt, t + dt], axis=1), thetas)
+            for j in range(len(t)):
+                x = xs[first - start + j] = _rk4_step(gen.act, ops[j], x, dt)
+        yield start + 1, xs[: stop - start]
 
 
 def _integrate(

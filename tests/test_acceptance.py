@@ -49,8 +49,8 @@ def markovian_run():
     return _run("ad-nm", {"a": 0.5})
 
 
-def _tolerance(records):
-    return 1e-5 * max(1.0, max(r.qfi for r in records))
+def _tolerance(table):
+    return 1e-5 * max(1.0, float(np.max(table.qfi)))
 
 
 def _report(num, name, passed, detail):
@@ -63,11 +63,9 @@ def test_criterion_1_decomposition_validity(runs):
     details = []
     ok = True
     for name in ("ad-nm", "ad-jc"):
-        _, _, records = runs[name]
-        tol = _tolerance(records)
-        worst = max(
-            abs(r.flow_fd - sum(cf.I for cf in r.subflows)) for r in records[1:-1]
-        )
+        _, _, table = runs[name]
+        tol = _tolerance(table)
+        worst = float(np.max(np.abs(table.flow_fd - sum(table.I))[1:-1]))
         ok &= worst <= tol
         details.append(f"{name}: max|flow_fd - sum(gamma_i J_i)| = {worst:.3e} <= {tol:.1e}")
     _report(1, "decomposition validity", ok, "; ".join(details))
@@ -76,22 +74,22 @@ def test_criterion_1_decomposition_validity(runs):
 def test_criterion_2_full_flow_completeness(runs):
     details = []
     ok = True
-    for name, (_, _, records) in runs.items():
-        tol = _tolerance(records)
-        worst = max(abs(r.flow_fd - r.full_flow) for r in records[1:-1])
+    for name, (_, _, table) in runs.items():
+        tol = _tolerance(table)
+        worst = float(np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]))
         ok &= worst <= tol
         details.append(f"{name}: {worst:.3e} <= {tol:.1e}")
     _report(2, "full-flow completeness", ok, "; ".join(details))
 
 
 def test_criterion_3_violation_detection(runs, tmp_path):
-    _, _, phase_records = runs["phase-dephasing"]
-    _, _, rate_records = runs["rate-estimation"]
-    tol_phase = _tolerance(phase_records)
-    tol_rate = _tolerance(rate_records)
-    max_ham = max(abs(r.ham_term) for r in phase_records)
-    max_res_phase = max(abs(r.residual_T) for r in phase_records)
-    max_res_rate = max(abs(r.residual_T) for r in rate_records)
+    _, _, phase = runs["phase-dephasing"]
+    _, _, rate = runs["rate-estimation"]
+    tol_phase = _tolerance(phase)
+    tol_rate = _tolerance(rate)
+    max_ham = float(np.max(np.abs(phase.ham_term)))
+    max_res_phase = float(np.max(np.abs(phase.residual_T)))
+    max_res_rate = float(np.max(np.abs(rate.residual_T)))
     ok = (
         max_ham > 10 * tol_phase
         and max_res_phase <= tol_phase
@@ -149,13 +147,11 @@ def test_criterion_4_subflow_sign_property():
 
 
 def test_criterion_5_analytic_phase_estimation(unitary_phase_run):
-    _, traj, records = unitary_phase_run
-    rel_err = 0.0
-    flow_err = 0.0
-    for r, t in zip(records, traj.grid):
-        if t >= 0.1:
-            rel_err = max(rel_err, abs(r.qfi - t * t) / (t * t))
-            flow_err = max(flow_err, abs(r.full_flow - 2.0 * t))
+    _, _, table = unitary_phase_run
+    late = table.t >= 0.1
+    t = table.t[late]
+    rel_err = float(np.max(np.abs(table.qfi[late] - t * t) / (t * t)))
+    flow_err = float(np.max(np.abs(table.full_flow[late] - 2.0 * t)))
     ok = rel_err <= 1e-6 and flow_err <= 1e-6
     _report(
         5,
@@ -166,8 +162,8 @@ def test_criterion_5_analytic_phase_estimation(unitary_phase_run):
 
 
 def test_criterion_6_markovian_monotonicity(markovian_run):
-    _, _, records = markovian_run
-    worst = max(r.flow_fd for r in records[1:-1])
+    _, _, table = markovian_run
+    worst = float(np.max(table.flow_fd[1:-1]))
     _report(
         6,
         "markovian monotonicity",
@@ -177,8 +173,8 @@ def test_criterion_6_markovian_monotonicity(markovian_run):
 
 
 def test_criterion_7_non_markovian_marker(runs):
-    _, _, records = runs["ad-nm"]
-    (report,) = classify_intervals(records)
+    _, _, table = runs["ad-nm"]
+    (report,) = classify_intervals(table)
     ok = report.overlap_fraction is not None and report.overlap_fraction >= 0.99
     _report(
         7,

@@ -25,7 +25,7 @@ from qfiflow.cli import (
     run_simulate,
     summary_to_dict,
 )
-from qfiflow.flow import ChannelFlow, FlowRecord
+from qfiflow.flow import FlowTable
 from qfiflow.model import apply_generator, builtin_model
 
 AD_NM_CONFIG = {
@@ -67,6 +67,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dt > 0") as err:
             parse_config(_config(dt=-0.1))
         assert err.value.pointer == "/dt"
+
+    def test_grid_of_fewer_than_three_points_rejected(self):
+        # t_end / dt rounds to the number of steps; one step gives two grid points
+        for t_end in (0.001, 0.0014):
+            with pytest.raises(ConfigError, match="at least 3 points") as err:
+                parse_config(_config(t_end=t_end, dt=0.001))
+            assert err.value.pointer == "/t_end"
+        assert parse_config(_config(t_end=0.0015, dt=0.001)).t_end == 0.0015
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ConfigError, match="line 1, column"):
@@ -187,21 +195,21 @@ class TestInlineModel:
             )
 
 
-def _record(t, labels=()):
-    subflows = tuple(
-        ChannelFlow(label=lab, gamma=0.1 * (i + 1), J=-1.0, I=-0.1 * (i + 1))
-        for i, lab in enumerate(labels)
-    )
-    return FlowRecord(
-        t=t, qfi=1.0 + t, flow_fd=1.0, subflows=subflows, ham_term=0.0,
-        full_flow=1.0, residual_T=0.0,
+def _table(times, labels=()):
+    t = np.asarray(times, dtype=float)
+    ones, zeros = np.ones(len(t)), np.zeros(len(t))
+    gamma = np.outer(0.1 * np.arange(1, len(labels) + 1), ones)
+    return FlowTable(
+        t=t, qfi=1.0 + t, flow_fd=ones, full_flow=ones, ham_term=zeros, residual_T=zeros,
+        thresholded_pairs=np.zeros(len(t), dtype=int), labels=tuple(labels),
+        gamma=gamma, J=-np.ones_like(gamma), I=-gamma,
     )
 
 
 class TestEmitCsv:
     def test_no_channels(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv([_record(0.0)], str(path))
+        emit_csv(_table([0.0]), str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "t,F,flow_fd,full_flow,ham_term,residual_T"
@@ -209,7 +217,7 @@ class TestEmitCsv:
 
     def test_two_channels_in_declaration_order(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv([_record(0.0, ("ad", "dz")), _record(0.001, ("ad", "dz"))], str(path))
+        emit_csv(_table([0.0, 0.001], ("ad", "dz")), str(path))
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
         assert header == [
@@ -219,22 +227,22 @@ class TestEmitCsv:
         assert all(len(line.split(",")) == 12 for line in lines[1:])
 
     def test_reemission_is_byte_identical(self, tmp_path):
-        records = [_record(k * 1e-3, ("ad",)) for k in range(5)]
+        table = _table([k * 1e-3 for k in range(5)], ("ad",))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(records, str(p1))
-        emit_csv(records, str(p2))
+        emit_csv(table, str(p1))
+        emit_csv(table, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv([_record(0.0)], str(path))
+        emit_csv(_table([0.0]), str(path))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv([], str(tmp_path / "out.csv"))
+            emit_csv(_table([]), str(tmp_path / "out.csv"))
 
 
 class TestRunSimulate:
@@ -362,6 +370,21 @@ class TestMain:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_library_does_not_import_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qfiflow.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import qfiflow\n"
+            "qfiflow.LinearStateFamily(np.eye(2) / 2, np.zeros((2, 2)), 0.0).to_config()\n"
+            "assert 'qfiflow.cli' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_package_entry_point_simulates(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qfiflow.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -466,6 +489,12 @@ class TestMain:
         emitted = json.loads(summ.read_text())
         assert emitted["t_end"] == 0.2
         assert emitted["checks"]["theta_consistency"]["enabled"] is False
+
+    def test_overrides_leaving_fewer_than_three_points_exit_two(self, tmp_path, capsys):
+        config = self._write_config(tmp_path, dict(AD_NM_CONFIG, t_end=0.2))
+        for flags in (["--t-end", "0.001"], ["--dt", "0.2"]):
+            assert main(["simulate", "--config", config, *flags]) == 2
+            assert "config error: /t_end: the grid needs at least 3 points" in capsys.readouterr().err
 
     def test_unknown_check_name_exit_two(self, tmp_path):
         doc = dict(AD_NM_CONFIG, t_end=0.2)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,7 @@ from strategies import models, real
 
 from qfiflow.estimation import sld
 from qfiflow.flow import (
-    ChannelFlow,
-    FlowRecord,
-    channel_decomposition,
+    FlowTable,
     classify_intervals,
     fd_flow_oracle,
     flow_records,
@@ -107,18 +106,18 @@ class TestChannelDecomposition:
             rho0_family=RyStateFamily(),
             theta=0.0,
         )
-        flows, total = channel_decomposition(model, 0.0, 0.0, IDENTITY_2 / 2, SIGMA_X)
-        assert flows == ()
-        assert total == 0.0
+        table = flow_records(propagate(model, 0.0, 0.01, 1e-3))
+        assert table.labels == ()
+        assert table.gamma.shape == table.J.shape == table.I.shape == (0, len(table))
+        assert sum(table.I) == 0.0
 
     def test_negative_rate_gives_positive_subflow(self):
-        model = _single_channel_model(-0.5)
-        flows, total = channel_decomposition(model, 0.0, 0.0, IDENTITY_2 / 2, SIGMA_X)
-        (cf,) = flows
-        assert cf.gamma == pytest.approx(-0.5)
-        assert cf.J == pytest.approx(-1.0)
-        assert cf.I == pytest.approx(0.5)
-        assert total == pytest.approx(0.5)
+        (ch,) = _single_channel_model(-0.5).channels
+        gamma = ch.gamma(0.0, 0.0)
+        J = subflow_J(IDENTITY_2 / 2, SIGMA_X, ch.A.evaluate(0.0, 0.0))
+        assert gamma == pytest.approx(-0.5)
+        assert J == pytest.approx(-1.0)
+        assert gamma * J == pytest.approx(0.5)
 
     def test_positive_rate_instants_give_nonpositive_subflow(self):
         model = builtin_model("ad-nm", {"a": 1.5})
@@ -127,8 +126,8 @@ class TestChannelDecomposition:
         for t, rho, sig in zip(traj.grid[::100], traj.rho[::100], traj.drho_dtheta[::100]):
             if ch.gamma(t) > 0:
                 res = sld(rho, sig)
-                flows, _ = channel_decomposition(model, model.theta, t, rho, res.L)
-                assert flows[0].I <= 1e-12
+                J = subflow_J(rho, res.L, ch.A.evaluate(t, model.theta))
+                assert ch.gamma(t, model.theta) * J <= 1e-12
 
 
 class TestHamiltonianTerm:
@@ -159,9 +158,9 @@ class TestFullFlow:
             theta=0.4,
         )
         traj = propagate(model, 0.4, 2.0, 1e-3)
-        records = flow_records(traj)
-        assert max(abs(r.full_flow) for r in records) <= 1e-9
-        assert max(abs(r.qfi - records[0].qfi) for r in records) <= 1e-6
+        table = flow_records(traj)
+        assert np.max(np.abs(table.full_flow)) <= 1e-9
+        assert np.max(np.abs(table.qfi - table.qfi[0])) <= 1e-6
         t, rho, sig = traj.grid[500], traj.rho[500], traj.drho_dtheta[500]
         res = sld(rho, sig)
         assert abs(full_flow(model, 0.4, t, rho, sig, res.L)) <= 1e-9
@@ -169,16 +168,16 @@ class TestFullFlow:
     def test_pure_phase_estimation_flow(self):
         model = builtin_model("phase-dephasing", {"gamma0": 0.0})
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        for record, t in zip(flow_records(traj), traj.grid):
-            if t >= 0.1:
-                assert record.full_flow == pytest.approx(2.0 * t, abs=1e-6)
+        table = flow_records(traj)
+        late = table.t >= 0.1
+        npt.assert_allclose(table.full_flow[late], 2.0 * table.t[late], rtol=0, atol=1e-6)
 
     def test_matches_oracle_on_ad_nm(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        records = flow_records(traj)
-        tol = 1e-5 * max(1.0, max(r.qfi for r in records))
-        assert max(abs(r.flow_fd - r.full_flow) for r in records[1:-1]) <= tol
+        table = flow_records(traj)
+        tol = 1e-5 * max(1.0, np.max(table.qfi))
+        assert np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]) <= tol
 
 
 class TestResidual:
@@ -188,31 +187,29 @@ class TestResidual:
     def test_theta_independent_model_residual_vanishes(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        records = flow_records(traj)
-        tau = 1e-6 * max(1.0, max(abs(r.qfi) for r in records))
-        assert max(abs(r.residual_T) for r in records) <= tau
-        assert max(abs(r.ham_term) for r in records) <= tau
+        table = flow_records(traj)
+        tau = 1e-6 * max(1.0, np.max(np.abs(table.qfi)))
+        assert np.max(np.abs(table.residual_T)) <= tau
+        assert np.max(np.abs(table.ham_term)) <= tau
 
     def test_phase_dephasing_residual_vanishes_but_ham_does_not(self):
         # only the Hamiltonian depends on theta: no rate/operator terms
         model = builtin_model("phase-dephasing")
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        records = flow_records(traj)
-        tau = 1e-6 * max(1.0, max(abs(r.qfi) for r in records))
-        assert max(abs(r.residual_T) for r in records) <= tau
-        assert max(abs(r.ham_term) for r in records) > 100 * tau
+        table = flow_records(traj)
+        tau = 1e-6 * max(1.0, np.max(np.abs(table.qfi)))
+        assert np.max(np.abs(table.residual_T)) <= tau
+        assert np.max(np.abs(table.ham_term)) > 100 * tau
 
     def test_rate_estimation_residual_matches_oracle(self):
         model = builtin_model("rate-estimation")
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        records = flow_records(traj)
-        tol = 1e-5 * max(1.0, max(r.qfi for r in records))
-        max_res = 0.0
-        for r in records[1:-1]:
-            sub = sum(cf.I for cf in r.subflows)
-            assert abs(r.residual_T - (r.flow_fd - r.ham_term - sub)) <= tol
-            max_res = max(max_res, abs(r.residual_T))
-        assert max_res > 100 * tol
+        table = flow_records(traj)
+        tol = 1e-5 * max(1.0, np.max(table.qfi))
+        sub = sum(table.I)
+        gap = table.residual_T - (table.flow_fd - table.ham_term - sub)
+        assert np.max(np.abs(gap)[1:-1]) <= tol
+        assert np.max(np.abs(table.residual_T)[1:-1]) > 100 * tol
 
 
 class TestFdFlowOracle:
@@ -243,30 +240,27 @@ class TestFdFlowOracle:
             fd_flow_oracle([1.0, 2.0, 3.0], 0.1, 5)
 
 
-def _synthetic_records(times, gamma, J):
-    records = []
-    for t in times:
-        cf = ChannelFlow(label="x", gamma=gamma, J=J, I=gamma * J)
-        records.append(
-            FlowRecord(
-                t=t, qfi=1.0, flow_fd=0.0, subflows=(cf,), ham_term=0.0,
-                full_flow=0.0, residual_T=0.0,
-            )
-        )
-    return records
+def _synthetic_table(times, gamma, J):
+    n = len(times)
+    zeros = np.zeros(n)
+    return FlowTable(
+        t=np.asarray(times), qfi=np.ones(n), flow_fd=zeros, full_flow=zeros, ham_term=zeros,
+        residual_T=zeros, thresholded_pairs=np.zeros(n, dtype=int), labels=("x",),
+        gamma=np.full((1, n), gamma), J=np.full((1, n), J), I=np.full((1, n), gamma * J),
+    )
 
 
 class TestClassifyIntervals:
     def test_all_positive_rates(self):
-        records = _synthetic_records(np.linspace(0, 1, 11), gamma=0.5, J=-1.0)
-        (report,) = classify_intervals(records)
+        table = _synthetic_table(np.linspace(0, 1, 11), gamma=0.5, J=-1.0)
+        (report,) = classify_intervals(table)
         assert report.negative_rate_intervals == ()
         assert report.overlap_fraction is None
 
     def test_synthetic_negative_rate_spans_run(self):
         times = np.linspace(0, 1, 11)
-        records = _synthetic_records(times, gamma=-1.0, J=-1.0)
-        (report,) = classify_intervals(records)
+        table = _synthetic_table(times, gamma=-1.0, J=-1.0)
+        (report,) = classify_intervals(table)
         assert report.negative_rate_intervals == ((0.0, 1.0),)
         assert report.positive_subflow_intervals == ((0.0, 1.0),)
         assert report.overlap_fraction == 1.0
@@ -285,7 +279,7 @@ class TestClassifyIntervals:
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            classify_intervals([])
+            classify_intervals(_synthetic_table(np.array([]), gamma=0.5, J=-1.0))
 
 
 class TestMultilevelSystem:
@@ -294,14 +288,12 @@ class TestMultilevelSystem:
         # the whole flow; exercises dim > 2 and multiple channels at once
         model = qutrit_model
         traj = propagate(model, 0.0, 2.0, 1e-3)
-        records = flow_records(traj)
-        tol = 1e-5 * max(1.0, max(r.qfi for r in records))
-        assert max(
-            abs(r.flow_fd - sum(cf.I for cf in r.subflows)) for r in records[1:-1]
-        ) <= tol
-        assert max(abs(r.flow_fd - r.full_flow) for r in records[1:-1]) <= tol
-        assert max(cf.J for r in records for cf in r.subflows) <= 1e-12
-        reports = classify_intervals(records)
+        table = flow_records(traj)
+        tol = 1e-5 * max(1.0, np.max(table.qfi))
+        assert np.max(np.abs(table.flow_fd - sum(table.I))[1:-1]) <= tol
+        assert np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]) <= tol
+        assert np.max(table.J) <= 1e-12
+        reports = classify_intervals(table)
         assert [rep.channel for rep in reports] == ["lo01", "lo12"]
         assert reports[0].overlap_fraction == 1.0
         assert reports[1].overlap_fraction is None
@@ -311,16 +303,19 @@ class TestFlowRecords:
     def test_residual_identity_holds_exactly(self):
         model = builtin_model("rate-estimation")
         traj = propagate(model, model.theta, 0.2, 1e-3)
-        for r in flow_records(traj):
-            sub = sum(cf.I for cf in r.subflows)
-            assert r.residual_T == pytest.approx(r.full_flow - r.ham_term - sub, abs=1e-15)
+        table = flow_records(traj)
+        expected = table.full_flow - table.ham_term - sum(table.I)
+        npt.assert_allclose(table.residual_T, expected, rtol=0, atol=1e-15)
 
     def test_record_grid_alignment(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 0.05, 1e-3)
-        records = flow_records(traj)
-        assert len(records) == len(traj.grid)
-        assert all(r.t == t for r, t in zip(records, traj.grid))
+        table = flow_records(traj)
+        assert len(table) == len(traj.grid)
+        npt.assert_array_equal(table.t, traj.grid)
+        for column in (table.qfi, table.flow_fd, table.full_flow, table.ham_term, table.residual_T):
+            assert column.shape == (len(traj.grid),)
+        assert table.gamma.shape == table.J.shape == table.I.shape == (1, len(traj.grid))
 
 
 def _state_pair(rng, d):
@@ -349,24 +344,24 @@ class TestStackedFlowMatchesScalarReferences:
             model=model, theta=theta, grid=np.arange(n) * dt, rho=rho, drho_dtheta=sig,
             dt=dt, tolerances=DEFAULT_TOLERANCES, max_trace_drift=0.0, min_eigenvalue=0.0,
         )
-        records = flow_records(traj)
+        table = flow_records(traj)
         refs = [sld(r, s) for r, s in zip(rho, sig)]
         qfis = [ref.qfi for ref in refs]
 
         def close(got, ref):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
-        assert len(records) == n
-        for k, (rec, ref, t) in enumerate(zip(records, refs, traj.grid.tolist())):
-            assert rec.t == t
-            assert rec.thresholded_pairs == ref.thresholded_pairs
-            close(rec.qfi, ref.qfi)
-            close(rec.flow_fd, fd_flow_oracle(qfis, dt, k))
-            close(rec.ham_term, hamiltonian_term(model, theta, t, rho[k], ref.L))
-            close(rec.full_flow, full_flow(model, theta, t, rho[k], sig[k], ref.L))
-            assert [cf.label for cf in rec.subflows] == [ch.label for ch in model.channels]
-            for cf, ch in zip(rec.subflows, model.channels):
-                close(cf.gamma, ch.gamma(t, theta))
-                close(cf.J, subflow_J(rho[k], ref.L, ch.A.evaluate(t, theta)))
-                assert cf.I == cf.gamma * cf.J
-            assert rec.residual_T == rec.full_flow - rec.ham_term - sum(cf.I for cf in rec.subflows)
+        assert len(table) == n
+        assert table.labels == tuple(ch.label for ch in model.channels)
+        for k, (ref, t) in enumerate(zip(refs, traj.grid.tolist())):
+            assert table.t[k] == t
+            assert table.thresholded_pairs[k] == ref.thresholded_pairs
+            close(table.qfi[k], ref.qfi)
+            close(table.flow_fd[k], fd_flow_oracle(qfis, dt, k))
+            close(table.ham_term[k], hamiltonian_term(model, theta, t, rho[k], ref.L))
+            close(table.full_flow[k], full_flow(model, theta, t, rho[k], sig[k], ref.L))
+            for i, ch in enumerate(model.channels):
+                close(table.gamma[i, k], ch.gamma(t, theta))
+                close(table.J[i, k], subflow_J(rho[k], ref.L, ch.A.evaluate(t, theta)))
+        npt.assert_array_equal(table.I, table.gamma * table.J)
+        npt.assert_array_equal(table.residual_T, table.full_flow - table.ham_term - sum(table.I))

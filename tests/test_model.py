@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ from strategies import models, real
 
 from qfiflow.model import (
     BUILTIN_MODEL_NAMES,
+    COEFFICIENT_BYTES,
     Channel,
     ConstantScalar,
     FixedRyStateFamily,
@@ -23,6 +25,7 @@ from qfiflow.model import (
     apply_generator,
     apply_generator_theta_derivative,
     builtin_model,
+    compile_generator,
     constant_operator,
     modulated_operator,
     probe_theta_dependence,
@@ -312,6 +315,21 @@ class TestCompiledGenerator:
         ):
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(models(), st.booleans())
+    def test_operators_block_fits_coefficient_bytes(self, model, derivative):
+        # the (rho, drho_dtheta) pair of a run, or the theta +/- delta pair of the theta check
+        thetas = (0.3,) if derivative else (0.3, 0.2)
+        gen = compile_generator(model, derivative=derivative)
+        times = np.linspace(0.0, 1.0, gen.times_per_block(len(thetas)))
+        tracemalloc.start()
+        try:
+            gen.operators(times, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= COEFFICIENT_BYTES
 
 
 class TestBuiltinModels:
