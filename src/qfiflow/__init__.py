@@ -32,8 +32,6 @@ from .model import (
     SinusoidalScalar,
     ThetaScaledScalar,
     TimeDependentOperator,
-    apply_generator,
-    apply_generator_theta_derivative,
     builtin_model,
     constant_operator,
     modulated_operator,
@@ -58,7 +56,6 @@ from .propagation import (
     Trajectory,
     fd_theta_consistency,
     propagate,
-    step_rk4,
 )
 
 __version__ = "0.1.0"

@@ -6,6 +6,14 @@ per-channel flow decomposition, validity checks), and emitted as a CSV time
 series plus a JSON summary.  Numbers are written with 17 significant digits
 so double-precision values round-trip exactly and reruns are byte-identical.
 
+Command-line flags are config fields: ``main`` turns them into a partial
+config document that :func:`parse_config` merges over the file's top-level
+keys (a ``--tol-*`` flag into the file's ``tolerances`` object) before
+validating, so a flag is checked exactly like its field and reported under
+the field's pointer.  The ``checks``, ``tolerances`` and ``outputs`` objects
+are parsed from the fields of their dataclasses, and the summary is
+:class:`RunSummary` itself.
+
 Exit codes: 0 success, 1 enabled check failed, 2 config error, 3 runtime or
 numerical abort.
 """
@@ -15,7 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -31,6 +38,7 @@ from .flow import (
 )
 from .model import (
     Channel,
+    ConfigError,
     FixedRyStateFamily,
     LinearStateFamily,
     ModelSpec,
@@ -39,16 +47,17 @@ from .model import (
     ScalarPoleError,
     TimeDependentOperator,
     builtin_model,
+    check_config_keys,
+    config_number,
     constant_operator,
     matrix_to_config,
     model_to_config,
     probe_theta_dependence,
     scalar_from_config,
-    scalar_is_zero,
     validate_model,
     zero_operator,
 )
-from .operators import DEFAULT_TOLERANCES, ToleranceConfig
+from .operators import ToleranceConfig
 from .propagation import PropagationError, fd_theta_consistency, propagate
 
 __all__ = [
@@ -79,14 +88,6 @@ THETA_DEPENDENCE_EPS = 1e-10
 
 DEFAULT_CSV_PATH = "qfi_flow.csv"
 DEFAULT_SUMMARY_PATH = "qfi_flow_summary.json"
-
-
-class ConfigError(ValueError):
-    """Config rejected; ``pointer`` locates the offending field."""
-
-    def __init__(self, message: str, pointer: str = ""):
-        self.pointer = pointer
-        super().__init__(f"{pointer or '/'}: {message}")
 
 
 @dataclass(frozen=True)
@@ -176,25 +177,9 @@ def _as_list(v, ptr: str) -> list:
     return v
 
 
-def _check_keys(d: dict, allowed: set[str], required: set[str], ptr: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s): {', '.join(unknown)}", f"{ptr}/{unknown[0]}")
-    missing = sorted(required - set(d))
-    if missing:
-        raise ConfigError(f"missing required key(s): {', '.join(missing)}", f"{ptr}/{missing[0]}")
-
-
-def _number(v, ptr: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"expected a number, got {type(v).__name__}", ptr)
-    if not math.isfinite(v):
-        raise ConfigError("number must be finite", ptr)
-    return float(v)
-
-
-def _positive(v, ptr: str, name: str) -> float:
-    x = _number(v, ptr)
+def _positive(v, ptr: str) -> float:
+    name = ptr.rsplit("/", 1)[-1]
+    x = config_number(v, ptr, name)
     if x <= 0.0:
         raise ConfigError(f"invariant violation: {name} > 0", ptr)
     return x
@@ -236,17 +221,10 @@ def matrix_from_config(v, ptr: str) -> np.ndarray:
             pair = _as_list(pair, f"{ptr}/{i}/{j}")
             if len(pair) != 2:
                 raise ConfigError("matrix entry must be a [re, im] pair", f"{ptr}/{i}/{j}")
-            re = _number(pair[0], f"{ptr}/{i}/{j}/0")
-            im = _number(pair[1], f"{ptr}/{i}/{j}/1")
+            re = config_number(pair[0], f"{ptr}/{i}/{j}/0", "matrix entry")
+            im = config_number(pair[1], f"{ptr}/{i}/{j}/1", "matrix entry")
             out[i, j] = complex(re, im)
     return out
-
-
-def _scalar_from_config(v, ptr: str):
-    try:
-        return scalar_from_config(v)
-    except ValueError as exc:
-        raise ConfigError(str(exc), ptr) from exc
 
 
 def _operator_from_config(v, dim: int, ptr: str) -> TimeDependentOperator:
@@ -260,10 +238,10 @@ def _operator_from_config(v, dim: int, ptr: str) -> TimeDependentOperator:
         terms = []
         for i, item in enumerate(items):
             term = _as_object(item, f"{ptr}/{i}")
-            _check_keys(term, {"matrix", "modulation"}, {"matrix"}, f"{ptr}/{i}")
+            check_config_keys(term, ("matrix", "modulation"), ("matrix",), f"{ptr}/{i}")
             base = matrix_from_config(term["matrix"], f"{ptr}/{i}/matrix")
             mod = (
-                _scalar_from_config(term["modulation"], f"{ptr}/{i}/modulation")
+                scalar_from_config(term["modulation"], f"{ptr}/{i}/modulation")
                 if "modulation" in term
                 else scalar_from_config(1.0)
             )
@@ -278,19 +256,20 @@ def _family_from_config(v, dim: int, ptr: str):
     d = _as_object(v, ptr)
     family = _string(d.get("family"), f"{ptr}/family") if "family" in d else None
     if family is None:
-        raise ConfigError("missing required key(s): family", f"{ptr}/family")
+        raise ConfigError("missing key(s) ['family']", f"{ptr}/family")
     if family == "ry":
-        _check_keys(d, {"family"}, {"family"}, ptr)
+        check_config_keys(d, ("family",), (), ptr)
         fam = RyStateFamily()
     elif family == "ry_fixed":
-        _check_keys(d, {"family", "angle"}, {"family", "angle"}, ptr)
-        fam = FixedRyStateFamily(angle=_number(d["angle"], f"{ptr}/angle"))
+        check_config_keys(d, ("family", "angle"), ("angle",), ptr)
+        fam = FixedRyStateFamily(angle=config_number(d["angle"], f"{ptr}/angle", "angle"))
     elif family == "linear":
-        _check_keys(d, {"family", "rho0", "drho0_dtheta", "theta_ref"}, {"family", "rho0", "drho0_dtheta", "theta_ref"}, ptr)
+        fields = ("rho0", "drho0_dtheta", "theta_ref")
+        check_config_keys(d, ("family",) + fields, fields, ptr)
         fam = LinearStateFamily(
             base=matrix_from_config(d["rho0"], f"{ptr}/rho0"),
             slope=matrix_from_config(d["drho0_dtheta"], f"{ptr}/drho0_dtheta"),
-            theta_ref=_number(d["theta_ref"], f"{ptr}/theta_ref"),
+            theta_ref=config_number(d["theta_ref"], f"{ptr}/theta_ref", "theta_ref"),
         )
     else:
         raise ConfigError(
@@ -304,19 +283,19 @@ def _family_from_config(v, dim: int, ptr: str):
 
 def _channel_from_config(v, dim: int, index: int, ptr: str) -> Channel:
     d = _as_object(v, ptr)
-    _check_keys(d, {"label", "A", "gamma", "dA_dtheta", "dgamma_dtheta"}, {"A", "gamma"}, ptr)
+    check_config_keys(d, ("label", "A", "gamma", "dA_dtheta", "dgamma_dtheta"), ("A", "gamma"), ptr)
     label = _string(d["label"], f"{ptr}/label") if "label" in d else f"ch{index}"
     return Channel(
         label=label,
         A=_operator_from_config(d["A"], dim, f"{ptr}/A"),
-        gamma=_scalar_from_config(d["gamma"], f"{ptr}/gamma"),
+        gamma=scalar_from_config(d["gamma"], f"{ptr}/gamma"),
         dA_dtheta=(
             _operator_from_config(d["dA_dtheta"], dim, f"{ptr}/dA_dtheta")
             if "dA_dtheta" in d
             else zero_operator(dim)
         ),
         dgamma_dtheta=(
-            _scalar_from_config(d["dgamma_dtheta"], f"{ptr}/dgamma_dtheta")
+            scalar_from_config(d["dgamma_dtheta"], f"{ptr}/dgamma_dtheta")
             if "dgamma_dtheta" in d
             else scalar_from_config(0.0)
         ),
@@ -326,15 +305,11 @@ def _channel_from_config(v, dim: int, index: int, ptr: str) -> Channel:
 def _model_from_config(v, ptr: str) -> tuple[ModelSpec, str]:
     d = _as_object(v, ptr)
     if "builtin" in d:
-        _check_keys(d, {"builtin", "params"}, {"builtin"}, ptr)
+        check_config_keys(d, ("builtin", "params"), ("builtin",), ptr)
         name = _string(d["builtin"], f"{ptr}/builtin")
-        params = _as_object(d.get("params", {}), f"{ptr}/params")
-        try:
-            return builtin_model(name, params), name
-        except ValueError as exc:
-            raise ConfigError(str(exc), f"{ptr}/builtin") from exc
-    allowed = {"dim", "hamiltonian", "dH_dtheta", "channels", "rho0_family", "theta"}
-    _check_keys(d, allowed, {"dim", "hamiltonian", "rho0_family", "theta"}, ptr)
+        return builtin_model(name, _as_object(d.get("params", {}), f"{ptr}/params"), ptr), name
+    allowed = ("dim", "hamiltonian", "dH_dtheta", "channels", "rho0_family", "theta")
+    check_config_keys(d, allowed, ("dim", "hamiltonian", "rho0_family", "theta"), ptr)
     dim_val = d["dim"]
     if isinstance(dim_val, bool) or not isinstance(dim_val, int) or dim_val < 1:
         raise ConfigError("dim must be a positive integer", f"{ptr}/dim")
@@ -354,17 +329,37 @@ def _model_from_config(v, ptr: str) -> tuple[ModelSpec, str]:
             ),
             channels=channels,
             rho0_family=_family_from_config(d["rho0_family"], dim, f"{ptr}/rho0_family"),
-            theta=_number(d["theta"], f"{ptr}/theta"),
+            theta=config_number(d["theta"], f"{ptr}/theta", "theta"),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc), ptr) from exc
     return model, "inline"
 
 
-def parse_config(text: bytes | str) -> RunConfig:
-    """Validate a UTF-8 JSON run configuration (strict: unknown keys rejected)."""
+def _fields_from_config(cls, v, ptr: str, parse):
+    """The dataclass ``cls`` from a config object of its fields, each read by
+    ``parse(value, pointer)``, in declaration order; absent fields keep their defaults."""
+    d = _as_object(v, ptr)
+    names = [f.name for f in dataclasses.fields(cls)]
+    check_config_keys(d, names, (), ptr)
+    return cls(**{name: parse(d[name], f"{ptr}/{name}") for name in names if name in d})
+
+
+def _output_from_config(v, ptr: str) -> OutputTarget:
+    target = _fields_from_config(OutputTarget, v, ptr, _string)
+    if target == OutputTarget():
+        raise ConfigError("output target needs csv_path and/or json_summary_path", ptr)
+    return target
+
+
+def parse_config(text: bytes | str, flags: dict | None = None) -> RunConfig:
+    """Validate a UTF-8 JSON run configuration (strict: unknown keys rejected).
+
+    ``flags`` is a partial config document, merged over the file's top-level
+    keys before validation; its ``tolerances`` object merges into the file's.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -376,91 +371,40 @@ def parse_config(text: bytes | str) -> RunConfig:
         raise ConfigError(
             f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    d = _as_object(doc, "")
-    allowed = {"model", "theta", "t_end", "dt", "delta_theta", "outputs", "checks", "tolerances"}
-    _check_keys(d, allowed, {"model", "t_end", "dt"}, "")
+    except (ValueError, RecursionError) as exc:  # a too long integer, a too deep nesting
+        raise ConfigError(f"JSON value rejected: {exc}") from exc
+    d = dict(_as_object(doc, ""))
+    for key, value in (flags or {}).items():
+        if key == "tolerances":
+            value = {**_as_object(d.get(key, {}), "/tolerances"), **value}
+        d[key] = value
+    allowed = ("model", "theta", "t_end", "dt", "delta_theta", "outputs", "checks", "tolerances")
+    check_config_keys(d, allowed, ("model", "t_end", "dt"), "")
     model, model_name = _model_from_config(d["model"], "/model")
-    theta = _number(d["theta"], "/theta") if "theta" in d else model.theta
-    t_end = _positive(d["t_end"], "/t_end", "t_end")
-    dt = _positive(d["dt"], "/dt", "dt")
+    theta = config_number(d["theta"], "/theta", "theta") if "theta" in d else model.theta
+    t_end = _positive(d["t_end"], "/t_end")
+    dt = _positive(d["dt"], "/dt")
     _check_grid(t_end, dt)
-    delta_theta = (
-        _positive(d["delta_theta"], "/delta_theta", "delta_theta")
-        if "delta_theta" in d
-        else 1e-4
+    outputs = tuple(
+        _output_from_config(item, f"/outputs/{i}")
+        for i, item in enumerate(_as_list(d.get("outputs", []), "/outputs"))
     )
-    outputs: list[OutputTarget] = []
-    if "outputs" in d:
-        for i, item in enumerate(_as_list(d["outputs"], "/outputs")):
-            o = _as_object(item, f"/outputs/{i}")
-            _check_keys(o, {"csv_path", "json_summary_path"}, set(), f"/outputs/{i}")
-            csv_path = _string(o["csv_path"], f"/outputs/{i}/csv_path") if "csv_path" in o else None
-            summary_path = (
-                _string(o["json_summary_path"], f"/outputs/{i}/json_summary_path")
-                if "json_summary_path" in o
-                else None
-            )
-            if csv_path is None and summary_path is None:
-                raise ConfigError(
-                    "output target needs csv_path and/or json_summary_path", f"/outputs/{i}"
-                )
-            outputs.append(OutputTarget(csv_path, summary_path))
-    if not outputs:
-        outputs = [OutputTarget(DEFAULT_CSV_PATH, DEFAULT_SUMMARY_PATH)]
-    checks = CheckFlags()
-    if "checks" in d:
-        c = _as_object(d["checks"], "/checks")
-        _check_keys(c, {"oracle", "theta_consistency", "intervals"}, set(), "/checks")
-        checks = CheckFlags(
-            oracle=_boolean(c["oracle"], "/checks/oracle") if "oracle" in c else checks.oracle,
-            theta_consistency=(
-                _boolean(c["theta_consistency"], "/checks/theta_consistency")
-                if "theta_consistency" in c
-                else checks.theta_consistency
-            ),
-            intervals=(
-                _boolean(c["intervals"], "/checks/intervals")
-                if "intervals" in c
-                else checks.intervals
-            ),
-        )
-    tolerances = DEFAULT_TOLERANCES
-    if "tolerances" in d:
-        td = _as_object(d["tolerances"], "/tolerances")
-        _check_keys(td, {"herm", "trace", "positivity"}, set(), "/tolerances")
-        tolerances = ToleranceConfig(
-            herm=_positive(td["herm"], "/tolerances/herm", "herm") if "herm" in td else tolerances.herm,
-            trace=_positive(td["trace"], "/tolerances/trace", "trace") if "trace" in td else tolerances.trace,
-            positivity=(
-                _positive(td["positivity"], "/tolerances/positivity", "positivity")
-                if "positivity" in td
-                else tolerances.positivity
-            ),
-        )
     return RunConfig(
         model=model,
         model_name=model_name,
         theta=theta,
         t_end=t_end,
         dt=dt,
-        delta_theta=delta_theta,
-        outputs=tuple(outputs),
-        checks=checks,
-        tolerances=tolerances,
+        delta_theta=_positive(d["delta_theta"], "/delta_theta") if "delta_theta" in d else 1e-4,
+        outputs=outputs or (OutputTarget(DEFAULT_CSV_PATH, DEFAULT_SUMMARY_PATH),),
+        checks=_fields_from_config(CheckFlags, d.get("checks", {}), "/checks", _boolean),
+        tolerances=_fields_from_config(ToleranceConfig, d.get("tolerances", {}), "/tolerances", _positive),
     )
 
 
 # ---------------------------------------------------------------------------
 # run orchestration
 # ---------------------------------------------------------------------------
-
-
-def _generator_theta_independent(model: ModelSpec) -> bool:
-    return (
-        model.dH_dtheta.is_zero
-        and all(scalar_is_zero(ch.dgamma_dtheta) for ch in model.channels)
-        and all(ch.dA_dtheta.is_zero for ch in model.channels)
-    )
 
 
 def run_simulate(config: RunConfig) -> RunSummary:
@@ -501,7 +445,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     if config.checks.oracle:
         value = max_completeness
         passed = max_completeness <= flow_accept and declarations_consistent
-        if _generator_theta_independent(model):
+        if all(p.declared_zero for p in probes.values()):
             value = max(value, max_decomposition)
             passed = passed and max_decomposition <= flow_accept
         checks["oracle"] = CheckOutcome(True, passed, value, flow_accept)
@@ -549,9 +493,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
         theta_independence=verdicts,
         checks=checks,
         tolerances={
-            "herm": config.tolerances.herm,
-            "trace": config.tolerances.trace,
-            "positivity": config.tolerances.positivity,
+            **dataclasses.asdict(config.tolerances),
             "flow_accept": flow_accept,
             "theta_consistency": THETA_CONSISTENCY_TOL,
             "interval_overlap": INTERVAL_OVERLAP_MIN,
@@ -590,42 +532,15 @@ def emit_csv(table: FlowTable, path: str) -> None:
         fh.write(row * len(table) % tuple(columns.T.ravel().tolist()))
 
 
-def _interval_report_to_dict(rep: IntervalReport) -> dict:
-    return {
-        "channel": rep.channel,
-        "negative_rate_intervals": [[a, b] for a, b in rep.negative_rate_intervals],
-        "positive_subflow_intervals": [[a, b] for a, b in rep.positive_subflow_intervals],
-        "overlap_fraction": rep.overlap_fraction,
-    }
+def _json_native(v):
+    """Tuples as lists, so a summary dict equals its JSON round trip."""
+    return [_json_native(x) for x in v] if isinstance(v, (tuple, list)) else v
 
 
 def summary_to_dict(summary: RunSummary) -> dict:
-    return {
-        "model_name": summary.model_name,
-        "theta": summary.theta,
-        "t_end": summary.t_end,
-        "dt": summary.dt,
-        "delta_theta": summary.delta_theta,
-        "max_abs_flow_fd_minus_full_flow": summary.max_abs_flow_fd_minus_full_flow,
-        "max_abs_flow_fd_minus_subflow_sum": summary.max_abs_flow_fd_minus_subflow_sum,
-        "max_abs_ham_term": summary.max_abs_ham_term,
-        "max_abs_residual_t": summary.max_abs_residual_t,
-        "max_trace_drift": summary.max_trace_drift,
-        "min_rho_eigenvalue": summary.min_rho_eigenvalue,
-        "sld_support_cut_points": summary.sld_support_cut_points,
-        "sld_support_cut_max_pairs": summary.sld_support_cut_max_pairs,
-        "sld_support_cut_first_t": summary.sld_support_cut_first_t,
-        "interval_reports": [_interval_report_to_dict(r) for r in summary.interval_reports],
-        "theta_independence": {
-            key: {"status": v.status, "magnitude": v.magnitude}
-            for key, v in summary.theta_independence.items()
-        },
-        "checks": {
-            name: dataclasses.asdict(outcome) for name, outcome in summary.checks.items()
-        },
-        "tolerances": dict(summary.tolerances),
-        "all_enabled_checks_passed": summary.all_checks_passed,
-    }
+    d = dataclasses.asdict(summary, dict_factory=lambda items: {k: _json_native(v) for k, v in items})
+    d["all_enabled_checks_passed"] = summary.all_checks_passed
+    return d
 
 
 def emit_summary(summary: RunSummary, path: str) -> None:
@@ -638,55 +553,32 @@ def emit_summary(summary: RunSummary, path: str) -> None:
 # command line
 # ---------------------------------------------------------------------------
 
-_CHECK_ALIASES = {
-    "oracle": "oracle",
-    "theta": "theta_consistency",
-    "theta_consistency": "theta_consistency",
-    "intervals": "intervals",
-}
+_CHECK_ALIASES = {"theta": "theta_consistency"}
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    if args.dt is not None:
-        if args.dt <= 0.0:
-            raise ConfigError("invariant violation: dt > 0", "/dt")
-        updates["dt"] = args.dt
-    if args.t_end is not None:
-        if args.t_end <= 0.0:
-            raise ConfigError("invariant violation: t_end > 0", "/t_end")
-        updates["t_end"] = args.t_end
-    _check_grid(updates.get("t_end", config.t_end), updates.get("dt", config.dt))
-    if args.out is not None or args.summary is not None:
-        updates["outputs"] = (OutputTarget(args.out, args.summary),)
+def _given(**values) -> dict:
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _flags(args: argparse.Namespace) -> dict:
+    """The given flags as a partial config document, validated by :func:`parse_config`.
+
+    ``--check`` enables the checks it names and disables the others; a name
+    that is no check stays a key of ``checks`` and is rejected there.
+    """
+    flags = _given(dt=args.dt, t_end=args.t_end)
+    target = _given(csv_path=args.out, json_summary_path=args.summary)
+    if target:
+        flags["outputs"] = [target]
     if args.check is not None:
-        enabled = set()
-        for token in args.check.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token not in _CHECK_ALIASES:
-                raise ConfigError(
-                    f"unknown check {token!r}; expected one of "
-                    f"{sorted(set(_CHECK_ALIASES))}",
-                    "/checks",
-                )
-            enabled.add(_CHECK_ALIASES[token])
-        updates["checks"] = CheckFlags(
-            oracle="oracle" in enabled,
-            theta_consistency="theta_consistency" in enabled,
-            intervals="intervals" in enabled,
-        )
-    tol_updates = {}
-    if args.tol_herm is not None:
-        tol_updates["herm"] = args.tol_herm
-    if args.tol_trace is not None:
-        tol_updates["trace"] = args.tol_trace
-    if args.tol_positivity is not None:
-        tol_updates["positivity"] = args.tol_positivity
-    if tol_updates:
-        updates["tolerances"] = dataclasses.replace(config.tolerances, **tol_updates)
-    return dataclasses.replace(config, **updates) if updates else config
+        enabled = {_CHECK_ALIASES.get(n, n): True for n in map(str.strip, args.check.split(",")) if n}
+        flags["checks"] = dict.fromkeys((f.name for f in dataclasses.fields(CheckFlags)), False) | enabled
+    tolerances = _given(
+        **{f.name: getattr(args, f"tol_{f.name}") for f in dataclasses.fields(ToleranceConfig)}
+    )
+    if tolerances:
+        flags["tolerances"] = tolerances
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -706,11 +598,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--dt", type=float, default=None, help="override time step")
     sim.add_argument("--t-end", dest="t_end", type=float, default=None, help="override end time")
-    sim.add_argument("--tol-herm", type=float, default=None, help="override Hermiticity tolerance")
-    sim.add_argument("--tol-trace", type=float, default=None, help="override trace tolerance")
-    sim.add_argument(
-        "--tol-positivity", type=float, default=None, help="override positivity tolerance"
-    )
+    for f in dataclasses.fields(ToleranceConfig):
+        sim.add_argument(
+            f"--tol-{f.name}", type=float, default=None, help=f"override tolerances/{f.name}"
+        )
     return parser
 
 
@@ -723,10 +614,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(text)
-        config = _apply_overrides(config, args)
+        config = parse_config(text, _flags(args))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {exc.pointer or '/'}: {exc}", file=sys.stderr)
         return 2
     try:
         summary = run_simulate(config)

@@ -31,8 +31,6 @@ import numpy as np
 from .estimation import DEFAULT_EPS_RANK, sld_stack
 from .model import (
     ModelSpec,
-    apply_generator,
-    apply_generator_theta_derivative,
     compile_generator,
     scalar_values,
 )
@@ -144,8 +142,14 @@ def full_flow(
     L: np.ndarray,
 ) -> float:
     """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} from the generator."""
-    rhodot = apply_generator(model, theta, t, rho)
-    sigdot = apply_generator_theta_derivative(model, theta, t, rho, drho_dtheta)
+    pair = [np.asarray(rho, dtype=complex), np.asarray(drho_dtheta, dtype=complex)]
+    for m in pair:
+        if m.shape != (model.dim, model.dim):
+            raise DimensionMismatchError(
+                f"state has shape {m.shape}, model dimension is {model.dim}"
+            )
+    gen = compile_generator(model)
+    rhodot, sigdot = gen.act(gen.operators(t, (theta,)), np.stack(pair))
     return _real_trace(L @ (2.0 * sigdot - L @ rhodot), "full flow")
 
 

@@ -10,9 +10,12 @@ matrix), which keeps configurations serializable and derivative rules exact.
 the constant matrices of the effective Hamiltonian and of the jump
 sandwiches, collected once, and scalar coefficients evaluated per time for
 the generator K and for its theta-derivative dK/dtheta, the latter from the
-declared derivative fields.  ``apply_generator`` (K rho) and
-``apply_generator_theta_derivative`` (d/dtheta of K rho) are thin wrappers
-over it for one state at one time.  Units are dimensionless with hbar = 1.
+declared derivative fields.  Units are dimensionless with hbar = 1.
+
+Config documents are parsed strictly by one set of primitives
+(:class:`ConfigError`, :func:`config_number`, :func:`check_config_keys`),
+shared by :func:`scalar_from_config`, :func:`builtin_model` and the command
+line, so every rejected field is named by its JSON pointer.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ from .operators import (
 )
 
 __all__ = [
+    "ConfigError",
+    "config_number",
+    "check_config_keys",
     "ScalarPoleError",
     "ConstantScalar",
     "SinusoidalScalar",
@@ -66,8 +72,6 @@ __all__ = [
     "COEFFICIENT_BYTES",
     "CompiledGenerator",
     "compile_generator",
-    "apply_generator",
-    "apply_generator_theta_derivative",
     "builtin_model",
     "BUILTIN_MODEL_NAMES",
     "ThetaDependence",
@@ -75,6 +79,40 @@ __all__ = [
     "validate_model",
     "ry_rotation",
 ]
+
+
+class ConfigError(ValueError):
+    """A config document rejected; ``pointer`` is the JSON pointer of the offending
+    field, relative to the document the parsing function was given."""
+
+    def __init__(self, message: str, pointer: str = ""):
+        super().__init__(message)
+        self.pointer = pointer
+
+
+def config_number(v, pointer: str, what: str) -> float:
+    """v as a float if it is a finite JSON number (not a boolean)."""
+    x = math.nan
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {v!r}", pointer)
+    return x
+
+
+def check_config_keys(
+    d: dict, allowed, required, pointer: str, noun: str = "key", where: str = ""
+) -> None:
+    """Reject keys of the object d outside ``allowed`` and keys of ``required`` it lacks."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {noun}(s) {unknown}{where}", f"{pointer}/{unknown[0]}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ConfigError(f"missing {noun}(s) {missing}{where}", f"{pointer}/{missing[0]}")
 
 
 class ScalarPoleError(ArithmeticError):
@@ -213,41 +251,28 @@ _SCALAR_FIELDS = {
 _SCALAR_OPTIONAL = {"phi"}
 
 
-def scalar_from_config(obj) -> TimeDependentScalar:
-    """Build a scalar form from its JSON representation (a bare number means constant)."""
-    if isinstance(obj, bool):
-        raise ValueError("scalar must be a number or an object with a 'form' key")
-    if isinstance(obj, (int, float)):
-        return ConstantScalar(float(obj))
+def scalar_from_config(obj, pointer: str = "") -> TimeDependentScalar:
+    """Build a scalar form from its JSON representation (a bare number means
+    constant); a :class:`ConfigError` points below ``pointer``, the scalar's own."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return ConstantScalar(config_number(obj, pointer, "scalar"))
     if not isinstance(obj, dict):
-        raise ValueError("scalar must be a number or an object with a 'form' key")
+        raise ConfigError("scalar must be a number or an object with a 'form' key", pointer)
     form = obj.get("form")
-    if form not in _SCALAR_FIELDS:
-        raise ValueError(
-            f"unknown scalar form {form!r}; expected one of {sorted(_SCALAR_FIELDS)}"
+    if not isinstance(form, str) or form not in _SCALAR_FIELDS:
+        raise ConfigError(
+            f"unknown scalar form {form!r}; expected one of {sorted(_SCALAR_FIELDS)}",
+            f"{pointer}/form",
         )
-    allowed = set(_SCALAR_FIELDS[form]) | {"form"}
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} for scalar form {form!r}")
-    missing = [
-        k for k in _SCALAR_FIELDS[form] if k not in obj and k not in _SCALAR_OPTIONAL
-    ]
-    if missing:
-        raise ValueError(f"missing key(s) {missing} for scalar form {form!r}")
+    fields = _SCALAR_FIELDS[form]
+    required = [k for k in fields if k not in _SCALAR_OPTIONAL]
+    check_config_keys(obj, ("form",) + fields, required, pointer, where=f" for scalar form {form!r}")
     if form == "theta_scaled":
-        base = scalar_from_config(obj["base"])
+        base = scalar_from_config(obj["base"], f"{pointer}/base")
         if isinstance(base, ThetaScaledScalar):
-            raise ValueError("theta_scaled base must itself be theta-independent")
+            raise ConfigError("theta_scaled base must itself be theta-independent", f"{pointer}/base")
         return ThetaScaledScalar(base)
-    vals = {}
-    for k in _SCALAR_FIELDS[form]:
-        if k in _SCALAR_OPTIONAL and k not in obj:
-            continue
-        v = obj[k]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValueError(f"scalar field {k!r} must be a finite number")
-        vals[k] = float(v)
+    vals = {k: config_number(obj[k], f"{pointer}/{k}", f"scalar field {k!r}") for k in fields if k in obj}
     if form == "constant":
         return ConstantScalar(vals["c"])
     if form == "sinusoidal":
@@ -481,13 +506,6 @@ class ModelSpec:
             )
 
 
-def _check_state_dim(model: ModelSpec, rho: np.ndarray) -> None:
-    if rho.shape != (model.dim, model.dim):
-        raise DimensionMismatchError(
-            f"state has shape {rho.shape}, model dimension is {model.dim}"
-        )
-
-
 # Bytes of generator operators evaluated ahead at once: bounds their storage
 # independently of the run length.
 COEFFICIENT_BYTES = 2**20
@@ -697,52 +715,16 @@ def compile_generator(model: ModelSpec, derivative: bool = True) -> CompiledGene
     )
 
 
-def apply_generator(model: ModelSpec, theta: float, t: float, rho: np.ndarray) -> np.ndarray:
-    """K(t) rho = -i[H, rho] + sum_i gamma_i (A_i rho A_i† - 1/2 {A_i†A_i, rho}).
-
-    Hermitian and traceless output for Hermitian input (the only input the
-    compiled form is defined for).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    _check_state_dim(model, rho)
-    gen = compile_generator(model, derivative=False)
-    return gen.act(gen.operators(t, (theta,)), rho[None])[0]
-
-
-def apply_generator_theta_derivative(
-    model: ModelSpec,
-    theta: float,
-    t: float,
-    rho: np.ndarray,
-    drho_dtheta: np.ndarray,
-) -> np.ndarray:
-    """d/dtheta (K rho) = (dK/dtheta) rho + K drho_dtheta for Hermitian rho and drho_dtheta.
-
-    dK/dtheta is assembled from the declared derivative fields dH_dtheta,
-    dgamma_dtheta and dA_dtheta.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sig = np.asarray(drho_dtheta, dtype=complex)
-    _check_state_dim(model, rho)
-    _check_state_dim(model, sig)
-    gen = compile_generator(model)
-    return gen.act(gen.operators(t, (theta,)), np.stack([rho, sig]))[1]
-
-
 _ZERO_SCALAR = ConstantScalar(0.0)
 
 
-def _number(params: dict, key: str, default: float) -> float:
-    v = params.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ValueError(f"parameter {key!r} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _reject_unknown(params: dict, allowed: set[str], name: str) -> None:
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise ValueError(f"unknown parameter(s) {unknown} for model {name!r}")
+def _params(params: dict, defaults: dict, name: str, pointer: str) -> dict:
+    """The builtin's parameters over their defaults, each a finite number."""
+    check_config_keys(params, defaults, (), pointer, noun="parameter", where=f" for model {name!r}")
+    return {
+        k: config_number(params.get(k, v), f"{pointer}/{k}", f"parameter {k!r}")
+        for k, v in defaults.items()
+    }
 
 
 def _amplitude_damping_channel(gamma: TimeDependentScalar, dgamma: TimeDependentScalar) -> Channel:
@@ -755,60 +737,57 @@ def _amplitude_damping_channel(gamma: TimeDependentScalar, dgamma: TimeDependent
     )
 
 
-def _build_ad_nm(params: dict) -> ModelSpec:
-    _reject_unknown(params, {"gamma0", "a", "omega", "phi", "omega0", "theta"}, "ad-nm")
-    gamma0 = _number(params, "gamma0", 1.0)
-    a = _number(params, "a", 1.5)
-    omega = _number(params, "omega", 2.0)
-    phi = _number(params, "phi", 0.0)
-    omega0 = _number(params, "omega0", 1.0)
-    theta = _number(params, "theta", math.pi / 4)
+def _build_ad_nm(params: dict, pointer: str) -> ModelSpec:
+    p = _params(
+        params,
+        {"gamma0": 1.0, "a": 1.5, "omega": 2.0, "phi": 0.0, "omega0": 1.0, "theta": math.pi / 4},
+        "ad-nm",
+        pointer,
+    )
     return ModelSpec(
         dim=2,
-        H=constant_operator(0.5 * omega0 * SIGMA_Z),
+        H=constant_operator(0.5 * p["omega0"] * SIGMA_Z),
         dH_dtheta=zero_operator(2),
         channels=(
             _amplitude_damping_channel(
-                SinusoidalScalar(gamma0, a, omega, phi), _ZERO_SCALAR
+                SinusoidalScalar(p["gamma0"], p["a"], p["omega"], p["phi"]), _ZERO_SCALAR
             ),
         ),
         rho0_family=RyStateFamily(),
-        theta=theta,
+        theta=p["theta"],
     )
 
 
-def _build_ad_jc(params: dict) -> ModelSpec:
-    _reject_unknown(params, {"gamma0", "lambda", "omega0", "theta"}, "ad-jc")
-    gamma0 = _number(params, "gamma0", 1.0)
-    lam = _number(params, "lambda", 3.0)
-    omega0 = _number(params, "omega0", 1.0)
-    theta = _number(params, "theta", math.pi / 4)
+def _build_ad_jc(params: dict, pointer: str) -> ModelSpec:
+    p = _params(
+        params, {"gamma0": 1.0, "lambda": 3.0, "omega0": 1.0, "theta": math.pi / 4}, "ad-jc", pointer
+    )
     return ModelSpec(
         dim=2,
-        H=constant_operator(0.5 * omega0 * SIGMA_Z),
+        H=constant_operator(0.5 * p["omega0"] * SIGMA_Z),
         dH_dtheta=zero_operator(2),
         channels=(
-            _amplitude_damping_channel(JcLorentzianScalar(gamma0, lam), _ZERO_SCALAR),
+            _amplitude_damping_channel(JcLorentzianScalar(p["gamma0"], p["lambda"]), _ZERO_SCALAR),
         ),
         rho0_family=RyStateFamily(),
-        theta=theta,
+        theta=p["theta"],
     )
 
 
-def _build_phase_dephasing(params: dict) -> ModelSpec:
-    _reject_unknown(params, {"theta", "gamma0", "a", "omega", "phi"}, "phase-dephasing")
-    theta = _number(params, "theta", 0.3)
-    gamma0 = _number(params, "gamma0", 0.2)
-    a = _number(params, "a", 0.5)
-    omega = _number(params, "omega", 2.0)
-    phi = _number(params, "phi", 0.0)
+def _build_phase_dephasing(params: dict, pointer: str) -> ModelSpec:
+    p = _params(
+        params,
+        {"theta": 0.3, "gamma0": 0.2, "a": 0.5, "omega": 2.0, "phi": 0.0},
+        "phase-dephasing",
+        pointer,
+    )
     channels: tuple[Channel, ...] = ()
-    if gamma0 != 0.0:
+    if p["gamma0"] != 0.0:
         channels = (
             Channel(
                 label="dz",
                 A=constant_operator(SIGMA_Z),
-                gamma=SinusoidalScalar(gamma0, a, omega, phi),
+                gamma=SinusoidalScalar(p["gamma0"], p["a"], p["omega"], p["phi"]),
                 dA_dtheta=zero_operator(2),
                 dgamma_dtheta=_ZERO_SCALAR,
             ),
@@ -819,29 +798,30 @@ def _build_phase_dephasing(params: dict) -> ModelSpec:
         dH_dtheta=constant_operator(0.5 * SIGMA_Z),
         channels=channels,
         rho0_family=FixedRyStateFamily(angle=math.pi / 2),
-        theta=theta,
+        theta=p["theta"],
     )
 
 
-def _build_rate_estimation(params: dict) -> ModelSpec:
-    _reject_unknown(params, {"theta", "g", "omega0", "alpha"}, "rate-estimation")
-    theta = _number(params, "theta", 1.0)
-    omega0 = _number(params, "omega0", 1.0)
-    alpha = _number(params, "alpha", math.pi / 2)
-    g_param = params.get("g", 1.0)
+def _build_rate_estimation(params: dict, pointer: str) -> ModelSpec:
+    g_param = params.pop("g", 1.0)
+    p = _params(
+        params, {"theta": 1.0, "omega0": 1.0, "alpha": math.pi / 2}, "rate-estimation", pointer
+    )
     try:
-        g = scalar_from_config(g_param)
-    except ValueError as exc:
-        raise ValueError(f"parameter 'g': {exc}") from exc
+        g = scalar_from_config(g_param, f"{pointer}/g")
+    except ConfigError as exc:
+        raise ConfigError(f"parameter 'g': {exc}", exc.pointer) from exc
     if isinstance(g, ThetaScaledScalar):
-        raise ValueError("parameter 'g' must be theta-independent (theta scaling is implied)")
+        raise ConfigError(
+            "parameter 'g' must be theta-independent (theta scaling is implied)", f"{pointer}/g"
+        )
     return ModelSpec(
         dim=2,
-        H=constant_operator(0.5 * omega0 * SIGMA_Z),
+        H=constant_operator(0.5 * p["omega0"] * SIGMA_Z),
         dH_dtheta=zero_operator(2),
         channels=(_amplitude_damping_channel(ThetaScaledScalar(g), g),),
-        rho0_family=FixedRyStateFamily(angle=alpha),
-        theta=theta,
+        rho0_family=FixedRyStateFamily(angle=p["alpha"]),
+        theta=p["theta"],
     )
 
 
@@ -855,11 +835,18 @@ _BUILTIN_BUILDERS = {
 BUILTIN_MODEL_NAMES = tuple(sorted(_BUILTIN_BUILDERS))
 
 
-def builtin_model(name: str, params: dict | None = None) -> ModelSpec:
-    """Instantiate one of the built-in demonstration models by name."""
+def builtin_model(name: str, params: dict | None = None, pointer: str = "") -> ModelSpec:
+    """Instantiate one of the built-in demonstration models by name.
+
+    ``pointer`` locates the model's config object ``{"builtin", "params"}``;
+    a :class:`ConfigError` points at ``/builtin`` or at a parameter below
+    ``/params``.
+    """
     if name not in _BUILTIN_BUILDERS:
-        raise ValueError(f"unknown model {name!r}; expected one of {BUILTIN_MODEL_NAMES}")
-    return _BUILTIN_BUILDERS[name](dict(params or {}))
+        raise ConfigError(
+            f"unknown model {name!r}; expected one of {BUILTIN_MODEL_NAMES}", f"{pointer}/builtin"
+        )
+    return _BUILTIN_BUILDERS[name](dict(params or {}), f"{pointer}/params")
 
 
 @dataclass(frozen=True)

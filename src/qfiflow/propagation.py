@@ -50,7 +50,6 @@ from .operators import (
 __all__ = [
     "Trajectory",
     "PropagationError",
-    "step_rk4",
     "propagate",
     "fd_theta_consistency",
 ]
@@ -95,28 +94,6 @@ def _rk4_step(act, ops: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
     k3 = act(ops[1], x + 0.5 * dt * k2)
     k4 = act(ops[2], x + dt * k3)
     return hermitize(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def step_rk4(
-    model: ModelSpec,
-    theta: float,
-    t: float,
-    rho: np.ndarray,
-    drho_dtheta: np.ndarray,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One classical fourth-order Runge-Kutta step of the coupled pair from t to t + dt.
-
-    The step acts on the matrices and re-hermitizes, as :func:`propagate`
-    does where step maps in real coordinates do not fit the byte budget;
-    on the step-map path the same step differs from this one by rounding.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    gen = compile_generator(model)
-    ops = gen.operators([t, t + 0.5 * dt, t + dt], (theta,))
-    rho_next, sig_next = _rk4_step(gen.act, ops, np.stack([rho, drho_dtheta]), dt)
-    return rho_next, sig_next
 
 
 def _validated(xs: np.ndarray, times: list[float], states: slice, tol: ToleranceConfig) -> float:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from reference_generator import apply_generator
 
 import qfiflow
 from qfiflow.cli import (
@@ -26,7 +27,7 @@ from qfiflow.cli import (
     summary_to_dict,
 )
 from qfiflow.flow import FlowTable
-from qfiflow.model import apply_generator, builtin_model
+from qfiflow.model import builtin_model, scalar_from_config
 
 AD_NM_CONFIG = {
     "model": {
@@ -67,6 +68,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dt > 0") as err:
             parse_config(_config(dt=-0.1))
         assert err.value.pointer == "/dt"
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="finite number") as err:
+            parse_config(_config(dt=10**400))
+        assert err.value.pointer == "/dt"
+        with pytest.raises(ConfigError, match="JSON value rejected"):
+            parse_config(_config(dt=0).replace('"dt": 0', '"dt": 1' + "0" * 5000))
+
+    def test_nesting_beyond_recursion_limit_rejected(self):
+        with pytest.raises(ConfigError, match="JSON value rejected"):
+            parse_config('{"model": ' + "[" * 200000 + "]" * 200000 + "}")
 
     def test_grid_of_fewer_than_three_points_rejected(self):
         # t_end / dt rounds to the number of steps; one step gives two grid points
@@ -123,6 +135,51 @@ class TestParseConfig:
     def test_not_utf8(self):
         with pytest.raises(ConfigError, match="UTF-8"):
             parse_config(b"\xff\xfe{}")
+
+    @pytest.mark.parametrize(
+        "model, pointer",
+        [
+            ({"builtin": "ad-nm", "params": {"gamma0": "one"}}, "/model/params/gamma0"),
+            ({"builtin": "ad-nm", "params": {"zeta": 1}}, "/model/params/zeta"),
+            (
+                {"builtin": "rate-estimation", "params": {"g": {"form": "sinusoidal", "c0": 1, "a": 0.5, "omega": None}}},
+                "/model/params/g/omega",
+            ),
+            ({"builtin": "rate-estimation", "params": {"g": {"form": "constant"}}}, "/model/params/g/c"),
+        ],
+    )
+    def test_bad_builtin_parameter_pointer(self, model, pointer):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_config(model=model))
+        assert err.value.pointer == pointer
+
+    @pytest.mark.parametrize(
+        "gamma, pointer",
+        [
+            ({"form": "sinusoidal", "c0": 0.2, "a": 0.5, "omega": "fast"}, "/model/channels/0/gamma/omega"),
+            ({"form": "sinusoidal", "c0": 0.2, "a": 0.5}, "/model/channels/0/gamma/omega"),
+            ({"form": "theta_scaled", "base": {"form": "constant", "c": 1e400}}, "/model/channels/0/gamma/base/c"),
+            ({"form": "sawtooth"}, "/model/channels/0/gamma/form"),
+            ({"form": ["constant"]}, "/model/channels/0/gamma/form"),
+            (float("nan"), "/model/channels/0/gamma"),
+        ],
+    )
+    def test_bad_scalar_field_pointer(self, gamma, pointer):
+        model = json.loads(json.dumps(INLINE_MODEL))
+        model["channels"][0]["gamma"] = gamma
+        with pytest.raises(ConfigError) as err:
+            parse_config(_config(model=model))
+        assert err.value.pointer == pointer
+
+    def test_library_errors_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^parameter 'gamma0' must be a finite number, got 'one'$"):
+            builtin_model("ad-nm", {"gamma0": "one"})
+        with pytest.raises(ValueError, match=r"^unknown parameter\(s\) \['zeta'\] for model 'ad-nm'$"):
+            builtin_model("ad-nm", {"zeta": 1})
+        with pytest.raises(ValueError, match=r"^scalar field 'omega' must be a finite number"):
+            scalar_from_config({"form": "sinusoidal", "c0": 1, "a": 0, "omega": "w"})
+        with pytest.raises(ValueError, match=r"^parameter 'g': unknown scalar form 'x'"):
+            builtin_model("rate-estimation", {"g": {"form": "x"}})
 
 
 INLINE_MODEL = {
@@ -506,3 +563,48 @@ class TestMain:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags, pointer",
+        [
+            (["--dt", "nan"], "/dt"),
+            (["--t-end", "inf"], "/t_end"),
+            (["--tol-herm", "-1"], "/tolerances/herm"),
+            (["--tol-positivity", "nan"], "/tolerances/positivity"),
+            (["--check", "oracle,vibes"], "/checks/vibes"),
+        ],
+    )
+    def test_flags_are_validated_like_their_fields(self, tmp_path, capsys, flags, pointer):
+        # a working positivity gate aborts this run at t = 0.348
+        doc = {
+            "model": {"builtin": "ad-nm", "params": {"a": 3.0, "phi": math.pi}},
+            "t_end": 5,
+            "dt": 0.001,
+            "outputs": [{"csv_path": str(tmp_path / "o.csv")}],
+        }
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_flag_replaces_malformed_field(self, tmp_path):
+        summ = tmp_path / "s.json"
+        doc = dict(AD_NM_CONFIG, t_end=0.05, dt="fast", tolerances={"herm": -1, "trace": 1e-8})
+        rc = main(
+            [
+                "simulate",
+                "--config", self._write_config(tmp_path, doc),
+                "--summary", str(summ),
+                "--dt", "0.001",
+                "--tol-herm", "1e-10",
+            ]
+        )
+        assert rc == 0
+        emitted = json.loads(summ.read_text())
+        assert emitted["dt"] == 0.001
+        assert (emitted["tolerances"]["herm"], emitted["tolerances"]["trace"]) == (1e-10, 1e-8)
+
+    def test_malformed_tolerances_object_fails_despite_flag(self, tmp_path, capsys):
+        doc = dict(AD_NM_CONFIG, t_end=0.05, tolerances=[1e-10])
+        rc = main(["simulate", "--config", self._write_config(tmp_path, doc), "--tol-herm", "1e-10"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: /tolerances: expected an object")

@@ -180,6 +180,14 @@ class TestFullFlow:
         assert np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]) <= tol
 
 
+    def test_dimension_mismatch(self):
+        model = builtin_model("ad-nm")
+        rho = IDENTITY_2 / 2
+        for pair in ((np.eye(3) / 3, rho), (rho, np.zeros((3, 3)))):
+            with pytest.raises(DimensionMismatchError):
+                full_flow(model, model.theta, 0.0, *pair, SIGMA_X)
+
+
 class TestResidual:
     def test_arithmetic(self):
         assert residual_T(5.0, 2.0, 1.5) == pytest.approx(1.5)

@@ -6,7 +6,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_generator import reference_generator, reference_generator_theta_derivative
+from reference_generator import (
+    apply_generator,
+    apply_generator_theta_derivative,
+    reference_generator,
+    reference_generator_theta_derivative,
+)
 from strategies import models, real
 
 from qfiflow.model import (
@@ -22,8 +27,6 @@ from qfiflow.model import (
     SinusoidalScalar,
     ThetaScaledScalar,
     _jc_pieces,
-    apply_generator,
-    apply_generator_theta_derivative,
     builtin_model,
     compile_generator,
     constant_operator,

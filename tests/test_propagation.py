@@ -8,7 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
-from strategies import models
+from reference_generator import apply_generator, reference_generator, step_rk4
+from strategies import GKSL_GENERATOR_NORM, gksl_models, models
 
 from qfiflow import model as model_module
 from qfiflow import propagation
@@ -37,7 +38,6 @@ from qfiflow.propagation import (
     PropagationError,
     fd_theta_consistency,
     propagate,
-    step_rk4,
 )
 
 # Taylor polynomial of exp(-0.1) through fourth order: what one RK4 step of
@@ -128,8 +128,6 @@ class TestStepRk4:
 
     def test_pre_hermitize_drift_is_rounding_level(self):
         # the raw RK4 update loses Hermiticity only through floating rounding
-        from qfiflow.model import apply_generator
-
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 0.2, 1e-3)
         t, rho = float(traj.grid[-1]), traj.rho[-1]
@@ -225,6 +223,26 @@ class TestPropagate:
             m.setattr(np, "arange", no_allocation)
             with pytest.raises(ValueError, match="budget"):
                 propagate(model, model.theta, 0.1, 1e-3)
+
+
+class TestGkslIntegrity:
+    # |lambda| dt <= 444 * 2e-4 = 0.089 for every eigenvalue lambda of the
+    # generator: far inside RK4's stability region, which reaches |lambda| dt
+    # of about 2.8 on the real and the imaginary axis.
+    DT = 2e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(gksl_models())
+    def test_short_run_keeps_trace_hermiticity_and_positivity(self, model):
+        d = model.dim
+        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        K = np.stack([reference_generator(model, model.theta, 0.0, e).ravel() for e in basis], axis=1)
+        assert np.max(np.abs(np.linalg.eigvals(K))) * self.DT <= GKSL_GENERATOR_NORM * self.DT <= 0.1
+        tol = DEFAULT_TOLERANCES
+        traj = propagate(model, model.theta, 500 * self.DT, self.DT, tol)
+        assert traj.max_trace_drift <= tol.trace
+        assert traj.min_eigenvalue >= -tol.positivity
+        assert max(hermiticity_defect(rho) for rho in traj.rho) <= tol.herm
 
 
 class TestHealthFigures:
