@@ -14,8 +14,9 @@ the field's pointer.  The ``checks``, ``tolerances`` and ``outputs`` objects
 are parsed from the fields of their dataclasses, and the summary is
 :class:`RunSummary` itself.
 
-Exit codes: 0 success, 1 enabled check failed, 2 config error, 3 runtime or
-numerical abort.
+Exit codes: 0 success, 1 enabled check failed, 2 config error (including an
+output path in a missing directory), 3 runtime or numerical abort, or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -348,9 +350,13 @@ def _fields_from_config(cls, v, ptr: str, parse):
 
 
 def _output_from_config(v, ptr: str) -> OutputTarget:
+    """An output target whose paths lie in existing directories (checked before a run)."""
     target = _fields_from_config(OutputTarget, v, ptr, _string)
     if target == OutputTarget():
         raise ConfigError("output target needs csv_path and/or json_summary_path", ptr)
+    for name, path in dataclasses.asdict(target).items():
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"directory of {path!r} does not exist", f"{ptr}/{name}")
     return target
 
 
@@ -625,6 +631,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 3
     for name, outcome in summary.checks.items():
         if not outcome.enabled:

@@ -210,17 +210,18 @@ def flow_records(
 ) -> FlowTable:
     """SLD, QFI, and all flow quantities at every grid point of a trajectory.
 
-    Works on blocks of grid points (bounded by the compiled generator's
-    ``COEFFICIENT_BYTES``) as stacks: one batched eigendecomposition gives the
-    SLDs, QFIs and support-convention counts (:func:`sld_stack`), and the
-    subflows, Hamiltonian term and full flow are stacked products in the
-    operation order of the scalar :func:`subflow_J`, :func:`hamiltonian_term`
-    and :func:`full_flow`, which stay as their references.
+    Works on blocks of grid points, as many as fit the compiled generator's
+    ``COEFFICIENT_BYTES`` with their operators and sandwiches, as stacks: one
+    batched eigendecomposition gives the SLDs, QFIs and support-convention
+    counts (:func:`sld_stack`), and the subflows, Hamiltonian term and full
+    flow are stacked products in the operation order of the scalar
+    :func:`subflow_J`, :func:`hamiltonian_term` and :func:`full_flow`, which
+    stay as their references.
     """
     model = traj.model
     theta = traj.theta
     gen = compile_generator(model)
-    size = gen.times_per_block(1)
+    size = gen.times_per_block(1, acted=True)
     n = len(traj.grid)
     qfi = np.empty(n)
     ham = np.zeros(n)

@@ -511,10 +511,6 @@ class ModelSpec:
 COEFFICIENT_BYTES = 2**20
 
 
-def _flat(matrices, d: int) -> np.ndarray:
-    return np.array(matrices, dtype=complex).reshape(len(matrices), d * d)
-
-
 def _jc_pieces(s: JcLorentzianScalar, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``JcLorentzianScalar._pieces`` at every time, with numpy's complex functions;
     an overflow gives a non-finite value instead of raising."""
@@ -547,9 +543,10 @@ def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
 class CompiledGenerator:
     """The generator of a model as scalar coefficients on constant matrices.
 
-    With L_0 = 1 and jump operators L_1..L_n -- every term of every channel's
-    A and, with ``derivative``, every term of its dA_dtheta -- a generator
-    acts on a Hermitian X as
+    With L_0 = 1 and jump operators L_1, ..., L_(m-1) -- the distinct bases of
+    every channel's A terms and, with ``derivative``, dA_dtheta terms; bases
+    equal entry for entry are one jump, whatever terms or channels they come
+    from -- a generator acts on a Hermitian X as
 
         K X = T + T†,   T = sum_a L_a X R_a,
 
@@ -557,161 +554,171 @@ class CompiledGenerator:
     G = -i sum_k h_k H_k - 1/2 sum_ab W_ab L_a† L_b, and
     R_a = 1/2 sum_b W_ab L_b† carries half the jump sandwiches; that is
     K X = G X + (G X)† + sum_ab W_ab L_a X L_b†.  Only h and W depend on
-    (theta, t).  For K they are the H modulations and W_ab = gamma_i f_a f_b
-    for terms a, b of channel i; for dK/dtheta they are the dH_dtheta
-    modulations and the theta-derivative of gamma_i f_a f_b, taken from the
-    declared dgamma_dtheta and dA_dtheta.
+    (theta, t).  For K they are the H modulations and W_ab = sum of
+    gamma_i f_a f_b over the terms of each channel i with bases L_a, L_b; for
+    dK/dtheta the dH_dtheta modulations and the theta-derivative of
+    gamma_i f_a f_b, from the declared dgamma_dtheta and dA_dtheta.  Each
+    coefficient is a product of three form values, and the R_a of a block are
+    one real product of its coefficients with constant matrices.
 
-    A stack of members X_s evolves as X_o' = sum_s K_so X_s.  With one state
-    per theta, K_so is K(theta_s) on the diagonal; with ``derivative``, each
-    theta contributes the pair (rho, drho_dtheta) under the block-triangular
-    [[K, 0], [dK/dtheta, K]].
+    A structurally zero term, rate or derivative (``scalar_is_zero``,
+    ``is_zero``) gives no coefficient, so dK/dtheta uses only L_0 and the
+    jumps of channels whose declared dgamma_dtheta or dA_dtheta is non-zero
+    (condition (ii), decided per channel), and is absent if no ingredient of
+    K depends on theta.  ``blocks`` holds the distinct blocks, K and then
+    dK/dtheta, as the columns of the sandwiches [L_0 X, ..., L_(m-1) X] each
+    uses; the jumps are ordered so both are contiguous.  A stack has one
+    state per theta under K(theta) or, with ``derivative``, the pair
+    (rho, drho_dtheta) per theta under [[K, 0], [dK/dtheta, K]], a structure
+    :meth:`act` applies, so no zero or repeated block is ever formed.
     """
 
     dim: int
     derivative: bool
-    jumps: np.ndarray  # ((1 + n) d, d): L_0, ..., L_n stacked vertically
-    ham: np.ndarray  # (n_h, d*d): (-i H_k)†, then (-i dH_k)† with derivative
-    pairs: tuple[np.ndarray, np.ndarray]  # (a, b) of every same-channel pair
-    effective: np.ndarray  # (len(pairs), d*d): (-1/2 L_a† L_b)† for each pair
-    adjoints: np.ndarray  # (n, d*d): L_b†
-    same_channel: np.ndarray  # (n, n) bool
+    jumps: np.ndarray  # (d m, d): row i m + a is row i of L_a
+    blocks: tuple[slice, ...]  # sandwich columns of K, then of dK/dtheta
     forms: tuple[TimeDependentScalar, ...]
-    # Columns of the form values (len(forms) reads 0) giving the h
-    # coefficients, and per jump operator its channel's rate and its term's
-    # modulation: for K (h, rate, f), then for dK/dtheta (dh, drate, g).
-    columns: tuple[np.ndarray, ...]
+    # Per block: the three columns of the form values (column len(forms)
+    # reads 1) whose product is each coefficient, (3, n_c); and the matrices
+    # the coefficients scale, as the real view (n_c, 2 r d) of the block's
+    # r x d operators R_a stacked vertically.
+    factors: tuple[np.ndarray, ...]
+    constants: tuple[np.ndarray, ...]
 
     def _members(self, n_thetas: int) -> int:
         return 2 * n_thetas if self.derivative else n_thetas
 
-    def times_per_block(self, n_thetas: int) -> int:
-        """How many times of :meth:`operators` fit in COEFFICIENT_BYTES (at least one).
+    def _bytes_per_time(self, n_thetas: int) -> int:
+        """Bytes of :meth:`operators` per time: operators, coefficients, form values."""
+        reals = sum(c.shape[1] for c in self.constants)
+        coefficients = sum(f.shape[1] for f in self.factors)
+        return n_thetas * (8 * reals + 40 * coefficients + 16 * len(self.forms) + 256)
 
-        Per time: the k x k member blocks of m = 1 + n operators, the factors
-        R_0..R_n of K and of dK/dtheta with the three real products that make
-        each R_0, the m x m coefficient temporaries and the form values.
-        """
-        d, m, k = self.dim, len(self.jumps) // self.dim, self._members(n_thetas)
-        factors = 32 * m * d * d + 48 * d * d
-        per_time = 16 * k * k * m * d * d + factors + 96 * m * m + 16 * (len(self.forms) + 1)
-        return max(1, COEFFICIENT_BYTES // per_time)
+    def times_per_block(self, n_thetas: int, acted: bool = False) -> int:
+        """How many times of :meth:`operators` fit in COEFFICIENT_BYTES (at least one);
+        ``acted`` adds what :meth:`act` forms at each time: sandwiches, T and K X = T + T†."""
+        acting = 16 * self._members(n_thetas) * self.dim * (len(self.jumps) + 4 * self.dim) if acted else 0
+        return max(1, COEFFICIENT_BYTES // (self._bytes_per_time(n_thetas) + acting))
 
     def map_steps_per_block(self, n_thetas: int) -> int:
         """How many RK4 step maps in real coordinates fit COEFFICIENT_BYTES next to
-        the unit map (0 if not even one does).
+        the unit maps (0 if not even one does).
 
-        Per step: operators at two half-grid times with their m x m
-        coefficient temporaries, k d^2 x k d^2 real maps S and the RK4
-        products of them, coordinates and states.  The unit map
-        is 2 m d^2 x d^4 reals for m = 1 + n jump operators; building it takes
-        eight times that, plus the 2 m d^2 real unit operators.
+        Per step: operators at two half-grid times, k d^2 x k d^2 real maps S
+        and their RK4 products, coordinates and states.  Building the w x d^4
+        unit map of a block of w reals takes 8 w d^4 reals and w x w units.
         """
-        d, m, k = self.dim, len(self.jumps) // self.dim, self._members(n_thetas)
-        n = k * d * d
-        unit = 128 * m * d**6 + 32 * (m * d * d) ** 2
-        step = 64 * n * n + 32 * k * k * m * d * d + 192 * m * m + 64 * n
+        d, n = self.dim, self._members(n_thetas) * self.dim**2
+        unit = sum(64 * c.shape[1] * d**4 + 8 * c.shape[1] ** 2 for c in self.constants)
+        step = 64 * n * n + 2 * self._bytes_per_time(n_thetas) + 64 * n
         return max(0, (COEFFICIENT_BYTES - unit) // step)
 
-    def _factors(self, h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """R_0 (T, d, d) and R_1..R_n (T, n, d, d) from h (T, n_h) and W (T, n, n)."""
-        d, n = self.dim, len(self.adjoints)
-        # real coefficients times complex matrices, as real products on the (re, im) views
-        w_pairs = w[:, self.pairs[0], self.pairs[1]]
-        r0 = h @ self.ham.view(float) + w_pairs @ self.effective.view(float)
-        rj = (0.5 * w).reshape(len(w) * n, n) @ self.adjoints.view(float)
-        return r0.view(complex).reshape(len(w), d, d), rj.view(complex).reshape(len(w), n, d, d)
-
     def operators(self, times, thetas) -> np.ndarray:
-        """The stack's generator at every time, shape ``times.shape + (k, k (1+n) d, d)``.
-
-        For each output member o, rows run over (member s, jump a, index) and
-        hold R_0..R_n of K_so.  One matrix product per output member keeps
-        each product small, below where a threaded BLAS splits it.
-        """
+        """The distinct blocks of the stack's generator at every time, shape
+        ``times.shape + (n_thetas, r, d)``: per theta, the R_a of K stacked
+        vertically, then those of dK/dtheta; the form values are evaluated once."""
         times = np.asarray(times, dtype=float)
         ts = times.ravel()
-        d, m = self.dim, len(self.jumps) // self.dim
-        k = self._members(len(thetas))
-        out = np.zeros((len(ts), k, k, m, d, d), dtype=complex)
-        v = np.zeros((len(ts), len(self.forms) + 1))
+        v = np.ones((len(ts), len(thetas), len(self.forms) + 1))
         for i, theta in enumerate(thetas):
             for j, form in enumerate(self.forms):
-                v[:, j] = scalar_values(form, ts, theta)
-            h, rate, f, dh, drate, g = (v[:, c] for c in self.columns)
-            ff = self.same_channel * f[:, :, None] * f[:, None, :]
-            k_factors = self._factors(h, rate[:, :, None] * ff)
-            if self.derivative:
-                gf = self.same_channel * g[:, :, None] * f[:, None, :]
-                dw = drate[:, :, None] * ff + rate[:, :, None] * (gf + gf.swapaxes(1, 2))
-                s = 2 * i
-                blocks = [
-                    (s, s, k_factors),
-                    (s, s + 1, self._factors(dh, dw)),
-                    (s + 1, s + 1, k_factors),
-                ]
-            else:
-                blocks = [(i, i, k_factors)]
-            for s, o, (r0, rj) in blocks:
-                out[:, o, s, 0] = r0
-                out[:, o, s, 1:] = rj
-        return out.reshape(times.shape + (k, k * m * d, d))
+                v[:, i, j] = scalar_values(form, ts, theta)
+        v = v.reshape(-1, v.shape[-1])
+        widths = [c.shape[1] for c in self.constants]
+        out = np.empty((len(v), sum(widths)))
+        start = 0
+        for (f, g, h), constant, width in zip(self.factors, self.constants, widths):
+            np.matmul(v[:, f] * (v[:, g] * v[:, h]), constant, out=out[:, start : start + width])
+            start += width
+        return out.view(complex).reshape(times.shape + (len(thetas), sum(widths) // (2 * self.dim), self.dim))
+
+    def sandwiches(self, x: np.ndarray) -> np.ndarray:
+        """[L_0 X, ..., L_(m-1) X] side by side for every matrix X of x (..., d, d):
+        shape (..., d, m d)."""
+        return (self.jumps @ x).reshape(x.shape[:-1] + (len(self.jumps),))
 
     def act(self, operators: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The stack's time derivative for Hermitian x of shape (..., k, d, d).
-
-        ``operators`` comes from :meth:`operators` at the matching times.
-        """
+        """The stack's time derivative for Hermitian x of shape (..., k, d, d), from
+        :meth:`operators` at the matching times: every member through K in one
+        product, plus dK/dtheta on rho for each drho_dtheta."""
         d = self.dim
-        lead = x.shape[:-3]
-        p = (self.jumps @ x).reshape(x.shape[:-2] + (-1, d, d))  # L_a X_s: (..., k, 1+n, d, d)
-        p = p.swapaxes(-2, -3).swapaxes(-3, -4).reshape(lead + (1, d, -1))
-        t = p @ operators
+        per = 2 if self.derivative else 1
+        p = self.sandwiches(x)
+        p = p.reshape(x.shape[:-3] + (x.shape[-3] // per, per * d, p.shape[-1]))
+        k = self.blocks[0]
+        t = p[..., k] @ operators[..., : k.stop - k.start, :]
+        for dk in self.blocks[1:]:
+            t[..., d:, :] += p[..., :d, dk] @ operators[..., k.stop - k.start :, :]
+        t = t.reshape(x.shape)
         return t + t.conj().swapaxes(-1, -2)
 
 
 def compile_generator(model: ModelSpec, derivative: bool = True) -> CompiledGenerator:
-    """Collect the model's constant matrices once; ``derivative`` adds what dK/dtheta needs."""
+    """Collect the model's constant matrices once; ``derivative`` adds what dK/dtheta needs.
+
+    Only forms and bases that a non-zero coefficient uses are kept, each once.
+    """
     d = model.dim
-    h_terms = list(model.H.terms)
-    dh_terms = list(model.dH_dtheta.terms) if derivative else []
-    channels = list(enumerate(model.channels))
-    a_terms = [(i, t) for i, ch in channels for t in ch.A.terms]
-    c_terms = [(i, t) for i, ch in channels for t in ch.dA_dtheta.terms] if derivative else []
-    terms = a_terms + c_terms
-    ops = [t.base for _, t in terms]
-    channel = np.array([i for i, _ in terms], dtype=int)
-    n_ch = len(model.channels)
-    forms = [t.modulation for t in h_terms + dh_terms] + [ch.gamma for ch in model.channels]
-    if derivative:
-        forms += [ch.dgamma_dtheta for ch in model.channels]
-    forms += [t.modulation for _, t in terms]
-    zero = len(forms)
-    n_h, n_dh = len(h_terms), len(dh_terms)
-    rate = n_h + n_dh + channel
-    term = zero - len(terms) + np.arange(len(terms))
-    is_a = np.arange(len(terms)) < len(a_terms)
-    columns = (
-        np.r_[np.arange(n_h), np.full(n_dh, zero)],
-        rate,
-        np.where(is_a, term, zero),
-        np.r_[np.full(n_h, zero), n_h + np.arange(n_dh)],
-        rate + n_ch if derivative else np.full(len(terms), zero),
-        np.where(is_a, zero, term),
-    )
-    same_channel = channel[:, None] == channel[None, :]
-    pair_a, pair_b = np.nonzero(same_channel)
+    forms: dict = {}
+    bases = [np.eye(d, dtype=complex)]
+
+    def column(form) -> int:
+        return forms.setdefault(form, len(forms))
+
+    def jump(base) -> int:
+        j = next((j for j, b in enumerate(bases) if j and np.array_equal(b, base)), len(bases))
+        if j == len(bases):
+            bases.append(base)
+        return j
+
+    def live(op: TimeDependentOperator) -> list:
+        return [(t.base, t.modulation) for t in op.terms if not scalar_is_zero(t.modulation) and np.any(t.base)]
+
+    def hamiltonian(op: TimeDependentOperator) -> list:
+        return [((column(f), -1, -1), {0: 1j * dagger(h)}) for h, f in live(op)]
+
+    def sandwich(rate, left: list, right: list) -> list:
+        # rate f_a f_b for every a of left and b of right: -1/2 L_b† L_a in R_0, 1/2 L_b† in R_a
+        return [
+            ((column(rate), column(fa), column(fb)), {0: -0.5 * dagger(lb) @ la, jump(la): 0.5 * dagger(lb)})
+            for la, fa in left
+            for lb, fb in right
+        ]
+
+    k_terms = hamiltonian(model.H)
+    dk_terms = hamiltonian(model.dH_dtheta) if derivative else []
+    for ch in model.channels:
+        a = live(ch.A)
+        if not scalar_is_zero(ch.gamma):
+            k_terms += sandwich(ch.gamma, a, a)
+        if derivative and not scalar_is_zero(ch.dgamma_dtheta):
+            dk_terms += sandwich(ch.dgamma_dtheta, a, a)
+        if derivative and not scalar_is_zero(ch.gamma):
+            c = live(ch.dA_dtheta)
+            dk_terms += sandwich(ch.gamma, c, a) + sandwich(ch.gamma, a, c)
+    # jumps of dK/dtheta alone, then shared ones (L_0 among them), then those of K alone
+    k_used, dk_used = ({j for _, mats in terms for j in mats} for terms in (k_terms, dk_terms))
+    order = sorted(dk_used - k_used) + sorted(dk_used & k_used) + sorted(k_used - dk_used)
+    position = {j: i for i, j in enumerate(order)}
+    spans = [(len(dk_used - k_used), len(order))] + ([(0, len(dk_used))] if dk_terms else [])
+
+    def constants(terms: list, lo: int, hi: int) -> np.ndarray:
+        out = np.zeros((len(terms), hi - lo, d, d), dtype=complex)
+        for i, (_, mats) in enumerate(terms):
+            for j, m in mats.items():
+                out[i, position[j] - lo] = m
+        return out.reshape(len(terms), (hi - lo) * d * d).view(float)
+
+    blocks = list(zip((k_terms, dk_terms), spans))
+    jumps = np.array([bases[j] for j in order], dtype=complex).reshape(len(order), d, d)
     return CompiledGenerator(
         dim=d,
         derivative=derivative,
-        jumps=np.concatenate([np.eye(d, dtype=complex)] + ops, axis=0),
-        ham=_flat([1j * dagger(t.base) for t in h_terms + dh_terms], d),
-        pairs=(pair_a, pair_b),
-        effective=_flat([-0.5 * dagger(ops[b]) @ ops[a] for a, b in zip(pair_a, pair_b)], d),
-        adjoints=_flat([dagger(op) for op in ops], d),
-        same_channel=same_channel,
+        jumps=jumps.transpose(1, 0, 2).reshape(len(order) * d, d),
+        blocks=tuple(slice(lo * d, hi * d) for _, (lo, hi) in blocks),
         forms=tuple(forms),
-        columns=columns,
+        factors=tuple(np.array([f for f, _ in terms], dtype=int).reshape(-1, 3).T for terms, _ in blocks),
+        constants=tuple(constants(terms, lo, hi) for terms, (lo, hi) in blocks),
     )
 
 

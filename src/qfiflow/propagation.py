@@ -8,16 +8,19 @@ measures the residual disagreement against an independent central
 difference over theta, evolving rho(theta + delta) and rho(theta - delta)
 together in one pass.
 
-The equation is linear, so one RK4 step is a fixed real matrix in real
-Hermitian coordinates (per member: the diagonal, then the real parts of the
-upper triangle, then its imaginary parts).  Where the unit map (from the
-compiled operators at one time to the generator S(t) in these coordinates)
-and one block of step maps fit ``COEFFICIENT_BYTES``, a block's maps come
-from batched matrix products on the half grid t_k, t_k + dt/2, t_(k+1), a
-chain of matrix-vector products advances the coordinates, and the states
-rebuilt from them are exactly Hermitian.  Otherwise (large d) RK4 steps act
-on the matrices themselves and re-hermitize after every step.  The choice
-depends on sizes alone; the two paths agree to rounding.
+Both paths evaluate the generator's distinct blocks (K, and dK/dtheta where
+theta enters it; see :class:`~qfiflow.model.CompiledGenerator`) once per
+block of steps, on the half grid t_k, t_k + dt/2, t_(k+1) taken from the
+grid.  The equation is linear, so one RK4 step is a fixed real matrix in
+real Hermitian coordinates (per member: the diagonal, then the real parts of
+the upper triangle, then its imaginary parts).  Where the unit maps (from a
+block's operators at one time to its matrix in these coordinates) and one
+block of step maps fit ``COEFFICIENT_BYTES``, S(t) is assembled from those
+matrices, the step maps come from batched matrix products, a chain of
+matrix-vector products advances the coordinates, and the states rebuilt
+from them are exactly Hermitian.  Otherwise (large d) RK4 steps act on the
+matrices themselves and re-hermitize after every step.  The choice depends
+on sizes alone; the two paths agree to rounding.
 
 Every density matrix in the stack passes validation at every grid point:
 steps run in blocks, and each block's states go through one stacked
@@ -88,7 +91,7 @@ class PropagationError(RuntimeError):
 
 
 def _rk4_step(act, ops: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of the stack x; ops holds the generator at t, t + dt/2, t + dt."""
+    """One classical RK4 step of the stack x; ops holds the generator at t_k, t_k + dt/2, t_(k+1)."""
     k1 = act(ops[0], x)
     k2 = act(ops[1], x + 0.5 * dt * k1)
     k3 = act(ops[1], x + 0.5 * dt * k2)
@@ -136,27 +139,46 @@ def _matrices(c: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(c.shape[:-1] + (d, d))
 
 
-def _unit_map(gen: CompiledGenerator) -> np.ndarray:
-    """The real-linear map from one (output, input) member block of the generator's
-    operators to its d^2 x d^2 block of S, shape (2 m d^2, d^4).
-
-    Row r is ``gen.act`` on the r-th real unit of the operator block (the real,
-    then the imaginary part of each entry), applied to the Hermitian basis
-    whose coordinates are unit vectors.
-    """
-    d, rows = gen.dim, len(gen.jumps)
-    units = np.eye(2 * rows * d).view(complex).reshape(-1, 1, rows, d)
-    out = gen.act(units, _matrices(np.eye(d * d), d)[:, None, None])
-    return _coordinates(out[:, :, 0]).transpose(1, 2, 0).reshape(len(units), d**4)
+def _half_grid(t: np.ndarray, dt: float) -> np.ndarray:
+    """The grid points t_0, ..., t_n with the midpoint t_k + dt/2 after each but the last."""
+    half = np.empty(2 * len(t) - 1)
+    half[0::2] = t
+    half[1::2] = t[:-1] + 0.5 * dt
+    return half
 
 
-def _generator_maps(ops: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """S(t) at every time of the stack's operators: the k d^2 x k d^2 real matrix
-    of the generator in coordinates, one gemm over all member blocks."""
-    n_times, k = ops.shape[:2]
-    dd = ops.shape[-1] ** 2
-    s = ops.reshape(n_times * k * k, -1).view(float) @ unit
-    return s.reshape(n_times, k, k, dd, dd).transpose(0, 1, 3, 2, 4).reshape(n_times, k * dd, k * dd)
+def _unit_maps(gen: CompiledGenerator) -> list[np.ndarray]:
+    """Per distinct block of the generator (K, then dK/dtheta), the real-linear map
+    from its w reals of operators at one time to its d^2 x d^2 matrix in
+    coordinates, shape (w, d^4): row r is the block's action, through the
+    sandwiches of the Hermitian basis, with the r-th real unit as operators."""
+    d = gen.dim
+    p = gen.sandwiches(_matrices(np.eye(d * d), d))[:, None]
+    maps = []
+    for block in gen.blocks:
+        rows = block.stop - block.start
+        t = p[..., block] @ np.eye(2 * rows * d).view(complex).reshape(2 * rows * d, rows, d)
+        maps.append(_coordinates(t + t.conj().swapaxes(-1, -2)).transpose(1, 2, 0).reshape(-1, d**4))
+    return maps
+
+
+def _generator_maps(ops: np.ndarray, units: list[np.ndarray], per: int) -> np.ndarray:
+    """S(t) at every time of the stack's operators, the k d^2 x k d^2 real matrix of
+    the generator in coordinates: one gemm per distinct block gives S_K and S_dK,
+    placed per theta as [[S_K, 0], [S_dK, S_K]] for a pair (per = 2), else S_K."""
+    n_times, n_thetas, _, d = ops.shape
+    flat = ops.reshape(n_times * n_thetas, -1).view(float)
+    ends = np.cumsum([len(u) for u in units])
+    s_k, *s_dk = (
+        (flat[:, end - len(u) : end] @ u).reshape(n_times, n_thetas, d * d, d * d) for u, end in zip(units, ends)
+    )
+    s = np.zeros((n_times, n_thetas, per, d * d, n_thetas, per, d * d))
+    for i in range(n_thetas):
+        for r in range(per):
+            s[:, i, r, :, i, r] = s_k[:, i]
+        for m in s_dk:
+            s[:, i, 1, :, i, 0] = m[:, i]
+    return s.reshape(n_times, n_thetas * per * d * d, -1)
 
 
 def _rk4_increments(s: np.ndarray, dt: float) -> np.ndarray:
@@ -172,15 +194,13 @@ def _rk4_increments(s: np.ndarray, dt: float) -> np.ndarray:
 def _map_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
     """Blocks of the stack x advanced by RK4 step maps in real Hermitian coordinates:
     yields (k, xs), ``xs[j]`` being the stack at grid point k + j."""
-    unit = _unit_map(gen)
+    units = _unit_maps(gen)
+    per = 2 if gen.derivative else 1
     block = gen.map_steps_per_block(len(thetas))
     c = _coordinates(hermitize(x)).ravel()
     for start in range(0, len(grid) - 1, block):
-        t = grid[start : start + block + 1]
-        half = np.empty(2 * len(t) - 1)
-        half[0::2] = t
-        half[1::2] = t[:-1] + 0.5 * dt
-        increments = _rk4_increments(_generator_maps(gen.operators(half, thetas), unit), dt)
+        ops = gen.operators(_half_grid(grid[start : start + block + 1], dt), thetas)
+        increments = _rk4_increments(_generator_maps(ops, units, per), dt)
         cs = np.empty((len(increments), len(c)))
         # c + N c rather than (I + N) c: the identity would round N's diagonal to ulp(1)
         for j, n in enumerate(increments):
@@ -192,21 +212,18 @@ def _stacked_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.nda
     """Blocks of the stack x advanced by :func:`_rk4_step` on the matrices themselves;
     yields (k, xs) as :func:`_map_blocks` does.
 
-    A block of ``times_per_block`` steps goes through the gate at once; within
-    it, the operators at the three stage times of a step are evaluated for a
-    third of that many steps at a time, which fits ``COEFFICIENT_BYTES``.
+    A block takes as many steps as the operators on its half grid fit
+    ``times_per_block``; they are evaluated in one call, and the block's
+    states go through the gate together.
     """
-    block = gen.times_per_block(len(thetas))
-    steps = max(1, block // 3)
-    xs = np.empty((block,) + x.shape, dtype=complex)
-    for start in range(0, len(grid) - 1, block):
-        stop = min(start + block, len(grid) - 1)
-        for first in range(start, stop, steps):
-            t = grid[first : min(first + steps, stop)]
-            ops = gen.operators(np.stack([t, t + 0.5 * dt, t + dt], axis=1), thetas)
-            for j in range(len(t)):
-                x = xs[first - start + j] = _rk4_step(gen.act, ops[j], x, dt)
-        yield start + 1, xs[: stop - start]
+    steps = max(1, (gen.times_per_block(len(thetas)) - 1) // 2)
+    xs = np.empty((steps,) + x.shape, dtype=complex)
+    for start in range(0, len(grid) - 1, steps):
+        t = grid[start : start + steps + 1]
+        ops = gen.operators(_half_grid(t, dt), thetas)
+        for j in range(len(t) - 1):
+            x = xs[j] = _rk4_step(gen.act, ops[2 * j : 2 * j + 3], x, dt)
+        yield start + 1, xs[: len(t) - 1]
 
 
 def _integrate(

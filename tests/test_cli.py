@@ -608,3 +608,38 @@ class TestMain:
         rc = main(["simulate", "--config", self._write_config(tmp_path, doc), "--tol-herm", "1e-10"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: /tolerances: expected an object")
+
+    @pytest.mark.parametrize(
+        "flags, outputs, pointer",
+        [
+            (["--out", "{missing}/o.csv"], None, "/outputs/0/csv_path"),
+            (["--summary", "{missing}/s.json"], None, "/outputs/0/json_summary_path"),
+            ([], [{"csv_path": "{tmp}/o.csv"}, {"json_summary_path": "{missing}/s.json"}], "/outputs/1/json_summary_path"),
+        ],
+    )
+    def test_output_in_missing_directory_exit_two_before_running(
+        self, tmp_path, capsys, monkeypatch, flags, outputs, pointer
+    ):
+        def fill(path):
+            return path.format(missing=tmp_path / "missing", tmp=tmp_path)
+
+        doc = dict(AD_NM_CONFIG, t_end=0.05)
+        if outputs is not None:
+            doc["outputs"] = [{k: fill(v) for k, v in target.items()} for target in outputs]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated despite a bad output path")
+
+        monkeypatch.setattr(qfiflow.cli, "propagate", no_run)
+        rc = main(["simulate", "--config", self._write_config(tmp_path, doc), *map(fill, flags)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {pointer}: directory of ")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_unwritable_output_exit_three(self, tmp_path, capsys):
+        # the path's directory exists, so only opening the file fails
+        (tmp_path / "o.csv").mkdir()
+        config = self._write_config(tmp_path, dict(AD_NM_CONFIG, t_end=0.05))
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "Traceback" not in err

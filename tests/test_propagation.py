@@ -412,3 +412,61 @@ class TestStepMapPath:
             with pytest.raises(PropagationError, match="non-finite entries") as err:
                 propagate(model, model.theta, grid[-1], 1e-3)
         assert err.value.t == grid.tolist()[j + 1]
+
+
+def _qubit_model(monkeypatch):
+    """Model 0 of the benchmark's 4-qubit pool (d = 16), whose unit map alone
+    exceeds COEFFICIENT_BYTES: it runs on the stacked path."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import qubit_model
+
+    model = parse_config(json.dumps({"model": qubit_model(0), "t_end": 0.01, "dt": 1e-3})).model
+    gen = model_module.compile_generator(model)
+    assert gen.map_steps_per_block(1) == 0
+    return model, gen
+
+
+class TestStackedPath:
+    def test_generator_evaluated_once_per_half_grid_time(self, monkeypatch):
+        model, gen = _qubit_model(monkeypatch)
+        seen = []
+        operators = model_module.CompiledGenerator.operators
+
+        def spy(self, times, thetas):
+            seen.append(np.asarray(times, dtype=float).ravel())
+            return operators(self, times, thetas)
+
+        monkeypatch.setattr(model_module.CompiledGenerator, "operators", spy)
+        n = 40
+        traj = propagate(model, model.theta, n * 1e-3, 1e-3)
+        half = np.concatenate([traj.grid, traj.grid[:-1] + 0.5e-3])
+        times = np.concatenate(seen)
+        assert len(seen) > 1  # several blocks of several steps
+        assert len(np.unique(times)) == 2 * n + 1
+        assert np.array_equal(np.unique(times), np.unique(half))
+        # consecutive blocks share only their boundary grid point
+        assert len(times) == 2 * n + len(seen)
+
+    def test_non_finite_operator_mid_block_aborts_at_next_grid_time(self, monkeypatch):
+        # the stacked-path twin of TestStepMapPath's test: an inf rate at the
+        # half-grid time t_j + dt/2 spoils step j only, inside a block of steps
+        model, gen = _qubit_model(monkeypatch)
+        steps = (gen.times_per_block(1) - 1) // 2
+        assert steps > 1
+        j = steps + steps // 2
+        grid = np.arange(3 * steps + 1) * 1e-3
+        bad = grid[j] + 0.5e-3
+        values = model_module.scalar_values
+
+        def inf_at_bad(s, times, theta):
+            return np.where(times == bad, np.inf, values(s, times, theta))
+
+        monkeypatch.setattr(model_module, "scalar_values", inf_at_bad)
+        calls = _spy_paths(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError, match="non-finite entries") as err:
+                propagate(model, model.theta, grid[-1], 1e-3)
+        assert err.value.t == grid.tolist()[j + 1]
+        # the gate runs once the second block has taken all its steps
+        assert calls["stacked"] == 2 * steps and calls["maps"] == 0
