@@ -8,16 +8,14 @@ decomposes the QFI time-derivative into per-channel subflows, and
 quantifies when that decomposition is exact.
 """
 
-from .estimation import SldResult, qfi, sld
+from .estimation import sld_stack
 from .flow import (
     FlowTable,
     IntervalReport,
     classify_intervals,
-    fd_flow_oracle,
     flow_records,
     full_flow,
     hamiltonian_term,
-    residual_T,
     subflow_J,
 )
 from .model import (
@@ -46,7 +44,6 @@ from .operators import (
     NotHermitianError,
     ToleranceConfig,
     TraceDeviationError,
-    anticommutator,
     commutator,
     hermitize,
     validate_density,

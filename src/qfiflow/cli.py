@@ -15,8 +15,9 @@ are parsed from the fields of their dataclasses, and the summary is
 :class:`RunSummary` itself.
 
 Exit codes: 0 success, 1 enabled check failed, 2 config error (including an
-output path in a missing directory), 3 runtime or numerical abort, or an
-output file that cannot be written.
+output path in a missing directory, an output path that is a directory, and
+one path used twice across the outputs), 3 runtime or numerical abort, or
+an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -349,14 +350,22 @@ def _fields_from_config(cls, v, ptr: str, parse):
     return cls(**{name: parse(d[name], f"{ptr}/{name}") for name in names if name in d})
 
 
-def _output_from_config(v, ptr: str) -> OutputTarget:
-    """An output target whose paths lie in existing directories (checked before a run)."""
+def _output_from_config(v, ptr: str, seen: set) -> OutputTarget:
+    """An output target whose paths are files in existing directories, none of them
+    in ``seen``, the resolved paths of earlier targets (checked before a run)."""
     target = _fields_from_config(OutputTarget, v, ptr, _string)
     if target == OutputTarget():
         raise ConfigError("output target needs csv_path and/or json_summary_path", ptr)
     for name, path in dataclasses.asdict(target).items():
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"directory of {path!r} does not exist", f"{ptr}/{name}")
+        if os.path.isdir(path):
+            raise ConfigError(f"{path!r} is a directory", f"{ptr}/{name}")
+        if os.path.realpath(path) in seen:
+            raise ConfigError(f"{path!r} is already an output path", f"{ptr}/{name}")
+        seen.add(os.path.realpath(path))
     return target
 
 
@@ -391,8 +400,9 @@ def parse_config(text: bytes | str, flags: dict | None = None) -> RunConfig:
     t_end = _positive(d["t_end"], "/t_end")
     dt = _positive(d["dt"], "/dt")
     _check_grid(t_end, dt)
+    seen: set[str] = set()
     outputs = tuple(
-        _output_from_config(item, f"/outputs/{i}")
+        _output_from_config(item, f"/outputs/{i}", seen)
         for i, item in enumerate(_as_list(d.get("outputs", []), "/outputs"))
     )
     return RunConfig(

@@ -5,79 +5,20 @@ assembled in the eigenbasis of rho as L_jk = 2 (drho)_jk / (p_j + p_k).
 Near-singular states are the main numerical hazard: eigenvalue pairs whose
 sum falls below a relative rank cutoff are zeroed (support convention) and
 counted, so callers can see when the convention engaged.  :func:`sld_stack`
-does the same for a stack of states with one batched eigendecomposition.
+does this for a stack of states with one batched eigendecomposition.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_TOLERANCES,
-    DimensionMismatchError,
-    ToleranceConfig,
-    as_operator,
-    hermiticity_defect,
-    hermitize,
-)
+from .operators import DEFAULT_TOLERANCES, DimensionMismatchError, ToleranceConfig, hermitize
 
-__all__ = ["SldResult", "sld", "sld_stack", "qfi", "DEFAULT_EPS_RANK"]
+__all__ = ["sld_stack", "DEFAULT_EPS_RANK"]
 
 DEFAULT_EPS_RANK = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SldResult:
-    """SLD operator with the diagnostics needed to audit the support convention."""
-
-    L: np.ndarray
-    qfi: float
-    eigenvalues_rho: np.ndarray
-    thresholded_pairs: int
-
-
-def sld(
-    rho: np.ndarray,
-    drho_dtheta: np.ndarray,
-    eps_rank: float = DEFAULT_EPS_RANK,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> SldResult:
-    """Solve the SLD equation in the eigenbasis of rho.
-
-    Eigenvalues slightly negative (within the positivity tolerance) are
-    clamped to zero for the pair denominators only; rho itself is untouched.
-    ``eps_rank`` is relative to the largest eigenvalue.
-    """
-    if eps_rank <= 0.0:
-        raise ValueError(f"eps_rank must be positive, got {eps_rank!r}")
-    rho = as_operator(rho)
-    sig = as_operator(drho_dtheta)
-    if rho.shape != sig.shape:
-        raise DimensionMismatchError(
-            f"rho has shape {rho.shape}, drho_dtheta has shape {sig.shape}"
-        )
-    defect = hermiticity_defect(sig)
-    if defect > 10.0 * tol.herm * max(1.0, float(np.max(np.abs(sig)))):
-        raise ValueError(f"drho_dtheta is not Hermitian: defect {defect:.3e}")
-    p, U = np.linalg.eigh(hermitize(rho))
-    p_max = float(p[-1])
-    if p_max <= 0.0:
-        raise ValueError("rho has no positive eigenvalues")
-    p_clamped = np.clip(p, 0.0, None)
-    denom = p_clamped[:, None] + p_clamped[None, :]
-    keep = denom > eps_rank * p_max
-    sig_eig = U.conj().T @ hermitize(sig) @ U
-    L_eig = np.where(keep, 2.0 * sig_eig / np.where(keep, denom, 1.0), 0.0)
-    L = hermitize(U @ L_eig @ U.conj().T)
-    return SldResult(
-        L=L,
-        qfi=qfi(rho, L),
-        eigenvalues_rho=p,
-        thresholded_pairs=int(np.count_nonzero(~keep)),
-    )
 
 
 def sld_stack(
@@ -86,12 +27,16 @@ def sld_stack(
     eps_rank: float = DEFAULT_EPS_RANK,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`sld` for every matrix of two ``(n, d, d)`` stacks, with one batched
-    eigendecomposition.
+    """Solve the SLD equation in the eigenbasis of rho for every matrix of two
+    ``(n, d, d)`` stacks, with one batched eigendecomposition.
 
-    Returns the SLDs ``(n, d, d)``, the QFIs ``(n,)`` and the thresholded-pair
-    counts ``(n,)``.  Each matrix goes through sld's checks, arithmetic and
-    support convention; the scalar :func:`sld` is the reference for them.
+    Returns the SLDs ``(n, d, d)``, the QFIs Tr[L^2 rho] ``(n,)`` and the
+    thresholded-pair counts ``(n,)``.  Eigenvalues slightly negative (within
+    the positivity tolerance) are clamped to zero for the pair denominators
+    only; rho itself is untouched.  ``eps_rank`` is relative to each state's
+    largest eigenvalue.  Raises ValueError for non-finite entries, a
+    non-Hermitian drho_dtheta or a state without positive eigenvalues, and
+    warns when a QFI trace has a non-rounding imaginary residue.
     """
     if eps_rank <= 0.0:
         raise ValueError(f"eps_rank must be positive, got {eps_rank!r}")
@@ -132,22 +77,3 @@ def sld_stack(
         )
     return L, vals.real, np.count_nonzero(~keep, axis=(1, 2))
 
-
-def qfi(rho: np.ndarray, L: np.ndarray) -> float:
-    """Tr[L^2 rho], real part; warns if the imaginary residue is non-rounding."""
-    rho = np.asarray(rho, dtype=complex)
-    L = np.asarray(L, dtype=complex)
-    if rho.shape != L.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(
-            f"incompatible shapes {rho.shape} and {L.shape}"
-        )
-    val = complex(np.trace(L @ L @ rho))
-    scale = max(1.0, abs(val.real))
-    if abs(val.imag) > 1e-12 * scale:
-        warnings.warn(
-            f"QFI trace has imaginary residue {val.imag:.3e} (scale {scale:.3e}); "
-            "inputs may have lost Hermiticity",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return float(val.real)

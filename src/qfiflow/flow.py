@@ -16,9 +16,8 @@ of the decay rate -- negative rates show up as positive subflows.
 as ``(n, d, d)`` stacks (one batched SLD eigendecomposition, stacked
 products for J_i, the Hamiltonian term and the full flow, an array stencil
 for the finite-difference oracle) and returns one :class:`FlowTable` of
-arrays over the grid.  The one-point functions (:func:`subflow_J`,
-:func:`hamiltonian_term`, :func:`full_flow`, :func:`fd_flow_oracle`) stay
-public as its references.
+arrays over the grid.  :func:`subflow_J`, :func:`hamiltonian_term` and
+:func:`full_flow` are those stacked products, public on their own.
 """
 
 from __future__ import annotations
@@ -29,12 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import DEFAULT_EPS_RANK, sld_stack
-from .model import (
-    ModelSpec,
-    compile_generator,
-    scalar_values,
-)
-from .operators import DimensionMismatchError, commutator, dagger
+from .model import compile_generator, scalar_values
+from .operators import DimensionMismatchError
 from .propagation import Trajectory
 
 __all__ = [
@@ -44,8 +39,6 @@ __all__ = [
     "subflow_J",
     "hamiltonian_term",
     "full_flow",
-    "residual_T",
-    "fd_flow_oracle",
     "flow_records",
     "classify_intervals",
 ]
@@ -95,91 +88,9 @@ class IntervalReport:
     overlap_fraction: float | None
 
 
-def _real_trace(m: np.ndarray, what: str) -> float:
-    val = complex(np.trace(m))
-    scale = max(1.0, abs(val.real))
-    if abs(val.imag) > _IMAG_WARN * scale:
-        warnings.warn(
-            f"{what} has imaginary residue {val.imag:.3e}; "
-            "likely Hermiticity loss upstream",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return val.real
-
-
-def subflow_J(rho: np.ndarray, L: np.ndarray, A: np.ndarray) -> float:
-    """-Tr{rho [L,A]† [L,A]}; nonpositive because rho and [L,A]†[L,A] are PSD."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != np.shape(L) or rho.shape != np.shape(A):
-        raise DimensionMismatchError(
-            f"incompatible shapes {rho.shape}, {np.shape(L)}, {np.shape(A)}"
-        )
-    C = commutator(np.asarray(L, dtype=complex), np.asarray(A, dtype=complex))
-    return -_real_trace(rho @ dagger(C) @ C, "subflow")
-
-
-def hamiltonian_term(
-    model: ModelSpec,
-    theta: float,
-    t: float,
-    rho: np.ndarray,
-    L: np.ndarray,
-) -> float:
-    """-2i Tr(L [dH/dtheta, rho]); exactly zero for theta-independent H."""
-    if model.dH_dtheta.is_zero:
-        return 0.0
-    dH = model.dH_dtheta.evaluate(t, theta)
-    return _real_trace(-2.0j * (L @ commutator(dH, np.asarray(rho, dtype=complex))), "hamiltonian term")
-
-
-def full_flow(
-    model: ModelSpec,
-    theta: float,
-    t: float,
-    rho: np.ndarray,
-    drho_dtheta: np.ndarray,
-    L: np.ndarray,
-) -> float:
-    """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} from the generator."""
-    pair = [np.asarray(rho, dtype=complex), np.asarray(drho_dtheta, dtype=complex)]
-    for m in pair:
-        if m.shape != (model.dim, model.dim):
-            raise DimensionMismatchError(
-                f"state has shape {m.shape}, model dimension is {model.dim}"
-            )
-    gen = compile_generator(model)
-    rhodot, sigdot = gen.act(gen.operators(t, (theta,)), np.stack(pair))
-    return _real_trace(L @ (2.0 * sigdot - L @ rhodot), "full flow")
-
-
-def residual_T(full_flow_value: float, ham_term_value: float, sum_subflows: float) -> float:
-    """Lumped remainder of the flow beyond the Hamiltonian term and the subflows."""
-    return full_flow_value - ham_term_value - sum_subflows
-
-
-def fd_flow_oracle(qfi_series, dt: float, k: int) -> float:
-    """Second-order finite-difference time derivative of the QFI series at index k.
-
-    Central difference at interior points, one-sided three-point stencils at
-    the endpoints.  Independent of the generator-based flow computation.
-    """
-    n = len(qfi_series)
-    if n < 3:
-        raise ValueError(f"need at least 3 samples, got {n}")
-    if not 0 <= k < n:
-        raise IndexError(f"index {k} outside series of length {n}")
-    f = qfi_series
-    if k == 0:
-        return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dt)
-    if k == n - 1:
-        return (3.0 * f[n - 1] - 4.0 * f[n - 2] + f[n - 3]) / (2.0 * dt)
-    return (f[k + 1] - f[k - 1]) / (2.0 * dt)
-
-
 def _real_traces(m: np.ndarray, what: str) -> np.ndarray:
-    """Real parts of the traces of a stack; warns as :func:`_real_trace` does, once,
-    for the first matrix whose imaginary residue is not rounding."""
+    """Real parts of the traces of a stack; warns once, for the first matrix whose
+    imaginary residue is not rounding."""
     vals = np.trace(m, axis1=1, axis2=2)
     residue = np.abs(vals.imag) > _IMAG_WARN * np.maximum(1.0, np.abs(vals.real))
     if residue.any():
@@ -192,8 +103,42 @@ def _real_traces(m: np.ndarray, what: str) -> np.ndarray:
     return vals.real
 
 
+def _stacks(*ms) -> list[np.ndarray]:
+    """Complex ``(n, d, d)`` stacks of one shape, or DimensionMismatchError."""
+    out = [np.asarray(m, dtype=complex) for m in ms]
+    shape = out[0].shape
+    if len(shape) != 3 or shape[1] != shape[2] or any(m.shape != shape for m in out):
+        raise DimensionMismatchError(f"incompatible shapes {', '.join(str(m.shape) for m in out)}")
+    return out
+
+
+def subflow_J(rho: np.ndarray, L: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """-Tr{rho [L,A]† [L,A]} per matrix of ``(n, d, d)`` stacks; nonpositive because
+    rho and [L,A]†[L,A] are PSD."""
+    rho, L, A = _stacks(rho, L, A)
+    C = L @ A - A @ L
+    return -_real_traces(rho @ C.conj().swapaxes(1, 2) @ C, "subflow")
+
+
+def hamiltonian_term(dH: np.ndarray, rho: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """-2i Tr(L [dH/dtheta, rho]) per matrix of ``(n, d, d)`` stacks."""
+    dH, rho, L = _stacks(dH, rho, L)
+    return _real_traces(-2.0j * (L @ (dH @ rho - rho @ dH)), "hamiltonian term")
+
+
+def full_flow(L: np.ndarray, rhodot: np.ndarray, sigdot: np.ndarray) -> np.ndarray:
+    """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} per matrix of
+    ``(n, d, d)`` stacks, from the generator's drho/dt and d/dt(drho_dtheta)."""
+    L, rhodot, sigdot = _stacks(L, rhodot, sigdot)
+    return _real_traces(L @ (2.0 * sigdot - L @ rhodot), "full flow")
+
+
 def _fd_series(f: np.ndarray, dt: float) -> np.ndarray:
-    """:func:`fd_flow_oracle` at every index of the series f at once."""
+    """Second-order finite-difference time derivative of the series f at every index.
+
+    Central differences at interior points, one-sided three-point stencils at
+    the endpoints.  Independent of the generator-based flow computation.
+    """
     n = len(f)
     if n < 3:
         raise ValueError(f"need at least 3 samples, got {n}")
@@ -213,10 +158,10 @@ def flow_records(
     Works on blocks of grid points, as many as fit the compiled generator's
     ``COEFFICIENT_BYTES`` with their operators and sandwiches, as stacks: one
     batched eigendecomposition gives the SLDs, QFIs and support-convention
-    counts (:func:`sld_stack`), and the subflows, Hamiltonian term and full
-    flow are stacked products in the operation order of the scalar
-    :func:`subflow_J`, :func:`hamiltonian_term` and :func:`full_flow`, which
-    stay as their references.
+    counts (:func:`sld_stack`), and :func:`subflow_J`,
+    :func:`hamiltonian_term` and :func:`full_flow` give the subflows, the
+    Hamiltonian term and the full flow of the block.  The residual is
+    ``full_flow - ham_term - sum(I)``.
     """
     model = traj.model
     theta = traj.theta
@@ -236,14 +181,11 @@ def flow_records(
         L, qfi[block], thresholded[block] = sld_stack(rho, sig, eps_rank=eps_rank, tol=traj.tolerances)
         for i, ch in enumerate(model.channels):
             gammas[i, block] = scalar_values(ch.gamma, times, theta)
-            A = ch.A.evaluate_many(times, theta)
-            C = L @ A - A @ L
-            Js[i, block] = -_real_traces(rho @ C.conj().swapaxes(1, 2) @ C, "subflow")
+            Js[i, block] = subflow_J(rho, L, ch.A.evaluate_many(times, theta))
         if not model.dH_dtheta.is_zero:
-            dH = model.dH_dtheta.evaluate_many(times, theta)
-            ham[block] = _real_traces(-2.0j * (L @ (dH @ rho - rho @ dH)), "hamiltonian term")
+            ham[block] = hamiltonian_term(model.dH_dtheta.evaluate_many(times, theta), rho, L)
         dots = gen.act(gen.operators(times, (theta,)), np.stack([rho, sig], axis=1))
-        full[block] = _real_traces(L @ (2.0 * dots[:, 1] - L @ dots[:, 0]), "full flow")
+        full[block] = full_flow(L, dots[:, 0], dots[:, 1])
     Is = gammas * Js
     return FlowTable(
         t=traj.grid,
@@ -251,7 +193,7 @@ def flow_records(
         flow_fd=_fd_series(qfi, traj.dt),
         full_flow=full,
         ham_term=ham,
-        residual_T=residual_T(full, ham, sum(Is)),
+        residual_T=full - ham - sum(Is),
         thresholded_pairs=thresholded,
         labels=tuple(ch.label for ch in model.channels),
         gamma=gammas,

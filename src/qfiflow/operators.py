@@ -33,11 +33,8 @@ __all__ = [
     "NegativeEigenvalueError",
     "dagger",
     "commutator",
-    "anticommutator",
     "hermitize",
     "hermiticity_defect",
-    "trace_deviation",
-    "min_eigenvalue",
     "validate_density",
     "as_operator",
 ]
@@ -101,11 +98,6 @@ def as_operator(data) -> np.ndarray:
     return m
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
@@ -113,14 +105,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] = ab - ba."""
-    _check_same_dim(a, b)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
     return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """{a, b} = ab + ba."""
-    _check_same_dim(a, b)
-    return a @ b + b @ a
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -132,16 +119,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |m - m†| entrywise."""
     return float(np.max(np.abs(m - m.conj().T)))
-
-
-def trace_deviation(m: np.ndarray) -> float:
-    """|Tr m - 1|."""
-    return float(abs(np.trace(m) - 1.0))
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the hermitized input."""
-    return float(np.linalg.eigvalsh(hermitize(m))[0])
 
 
 def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:

@@ -1,0 +1,82 @@
+"""One-point forms of the flow quantities: the references for the stacked library.
+
+Each function works on one grid point with plain matrices, the way the
+library did before its flow quantities were stacked.  ``sld`` solves the
+SLD equation with its own eigendecomposition, and ``full_flow`` takes its
+time derivatives from the hand-written generator loops of
+``reference_generator``, so it shares no code path with the compiled
+generator that ``flow_records`` uses.
+"""
+
+import warnings
+from typing import NamedTuple
+
+import numpy as np
+from reference_generator import reference_generator, reference_generator_theta_derivative
+
+from qfiflow.estimation import DEFAULT_EPS_RANK
+from qfiflow.operators import DimensionMismatchError, as_operator, commutator, dagger, hermitize
+
+_IMAG_WARN = 1e-10
+
+
+class SldResult(NamedTuple):
+    L: np.ndarray
+    qfi: float
+    thresholded_pairs: int
+
+
+def _real_trace(m: np.ndarray, what: str) -> float:
+    val = complex(np.trace(m))
+    if abs(val.imag) > _IMAG_WARN * max(1.0, abs(val.real)):
+        warnings.warn(f"{what} has imaginary residue {val.imag:.3e}", RuntimeWarning, stacklevel=3)
+    return val.real
+
+
+def sld(rho: np.ndarray, drho_dtheta: np.ndarray, eps_rank: float = DEFAULT_EPS_RANK) -> SldResult:
+    """L_jk = 2 (drho)_jk / (p_j + p_k) in the eigenbasis of rho, with pairs whose
+    clamped sum is at most eps_rank * p_max zeroed and counted."""
+    rho = as_operator(rho)
+    sig = as_operator(drho_dtheta)
+    if rho.shape != sig.shape:
+        raise DimensionMismatchError(f"rho has shape {rho.shape}, drho_dtheta has shape {sig.shape}")
+    p, U = np.linalg.eigh(hermitize(rho))
+    p_clamped = np.clip(p, 0.0, None)
+    denom = p_clamped[:, None] + p_clamped[None, :]
+    keep = denom > eps_rank * p[-1]
+    sig_eig = U.conj().T @ hermitize(sig) @ U
+    L_eig = np.where(keep, 2.0 * sig_eig / np.where(keep, denom, 1.0), 0.0)
+    L = hermitize(U @ L_eig @ U.conj().T)
+    return SldResult(L, _real_trace(L @ L @ rho, "QFI"), int(np.count_nonzero(~keep)))
+
+
+def subflow_J(rho: np.ndarray, L: np.ndarray, A: np.ndarray) -> float:
+    """-Tr{rho [L,A]† [L,A]}."""
+    C = commutator(np.asarray(L, dtype=complex), np.asarray(A, dtype=complex))
+    return -_real_trace(np.asarray(rho, dtype=complex) @ dagger(C) @ C, "subflow")
+
+
+def hamiltonian_term(model, theta: float, t: float, rho: np.ndarray, L: np.ndarray) -> float:
+    """-2i Tr(L [dH/dtheta, rho]); exactly zero for theta-independent H."""
+    if model.dH_dtheta.is_zero:
+        return 0.0
+    dH = model.dH_dtheta.evaluate(t, theta)
+    return _real_trace(-2.0j * (L @ commutator(dH, np.asarray(rho, dtype=complex))), "hamiltonian term")
+
+
+def full_flow(model, theta: float, t: float, rho: np.ndarray, drho_dtheta: np.ndarray, L: np.ndarray) -> float:
+    """Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} with both derivatives from the generator loops."""
+    rhodot = reference_generator(model, theta, t, rho)
+    sigdot = reference_generator_theta_derivative(model, theta, t, rho, drho_dtheta)
+    return _real_trace(L @ (2.0 * sigdot - L @ rhodot), "full flow")
+
+
+def fd_flow_oracle(qfi_series, dt: float, k: int) -> float:
+    """Second-order finite-difference derivative of the series at index k."""
+    f = qfi_series
+    n = len(f)
+    if k == 0:
+        return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dt)
+    if k == n - 1:
+        return (3.0 * f[n - 1] - 4.0 * f[n - 2] + f[n - 3]) / (2.0 * dt)
+    return (f[k + 1] - f[k - 1]) / (2.0 * dt)

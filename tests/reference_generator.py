@@ -12,8 +12,15 @@ which the tests use to probe it point by point.
 import numpy as np
 
 from qfiflow.model import ModelSpec, compile_generator
-from qfiflow.operators import DimensionMismatchError, anticommutator, commutator, dagger
+from qfiflow.operators import DimensionMismatchError, commutator, dagger
 from qfiflow.propagation import _rk4_step
+
+
+def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """{a, b} = ab + ba."""
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
+    return a @ b + b @ a
 
 
 def _check_state_dim(model: ModelSpec, rho: np.ndarray) -> None:

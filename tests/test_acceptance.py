@@ -128,8 +128,8 @@ def test_criterion_3_violation_detection(runs, tmp_path):
 
 def test_criterion_4_subflow_sign_property():
     rng = np.random.default_rng(2024)
-    worst = -np.inf
     n_trials = 10_000
+    draws = {2: [], 3: [], 4: []}  # (rho, L, A) per dimension, in draw order
     for _ in range(n_trials):
         n = int(rng.integers(2, 5))
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -137,7 +137,9 @@ def test_criterion_4_subflow_sign_property():
         rho /= np.trace(rho).real
         L = hermitize(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        worst = max(worst, subflow_J(rho, L, A))
+        draws[n].append((rho, L, A))
+    stacks = (map(np.array, zip(*triples)) for triples in draws.values())
+    worst = max(float(np.max(subflow_J(*stack))) for stack in stacks)
     _report(
         4,
         "subflow sign property",

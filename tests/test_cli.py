@@ -636,9 +636,38 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"config error: {pointer}: directory of ")
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, outputs, pointer, message",
+        [
+            (["--out", "{tmp}"], None, "/outputs/0/csv_path", "is a directory"),
+            (["--summary", "{tmp}/"], None, "/outputs/0/json_summary_path", "is a directory"),
+            (["--out", "{tmp}/x", "--summary", "{tmp}/x"], None, "/outputs/0/json_summary_path", "is already an output path"),
+            ([], [{"csv_path": "{tmp}/o.csv"}, {"csv_path": "{tmp}/./o.csv"}], "/outputs/1/csv_path", "is already an output path"),
+        ],
+    )
+    def test_directory_or_repeated_output_exit_two_before_running(
+        self, tmp_path, capsys, monkeypatch, flags, outputs, pointer, message
+    ):
+        def fill(path):
+            return path.format(tmp=tmp_path)
+
+        doc = dict(AD_NM_CONFIG, t_end=0.05)
+        if outputs is not None:
+            doc["outputs"] = [{k: fill(v) for k, v in target.items()} for target in outputs]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated despite a bad output path")
+
+        monkeypatch.setattr(qfiflow.cli, "propagate", no_run)
+        rc = main(["simulate", "--config", self._write_config(tmp_path, doc), *map(fill, flags)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {pointer}: ") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_unwritable_output_exit_three(self, tmp_path, capsys):
-        # the path's directory exists, so only opening the file fails
-        (tmp_path / "o.csv").mkdir()
+        # the path's directory exists, so only opening the file fails (a symlink loop)
+        (tmp_path / "o.csv").symlink_to("o.csv")
         config = self._write_config(tmp_path, dict(AD_NM_CONFIG, t_end=0.05))
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err

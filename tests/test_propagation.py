@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from exact_qubit import damped_min_eigenvalue, sinusoid_integral, sinusoid_integral_first_root
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from reference_generator import apply_generator, reference_generator, step_rk4
 from strategies import GKSL_GENERATOR_NORM, gksl_models, models
 
@@ -31,8 +33,7 @@ from qfiflow.operators import (
     SIGMA_Z,
     ToleranceConfig,
     hermiticity_defect,
-    min_eigenvalue,
-    trace_deviation,
+    hermitize,
 )
 from qfiflow.propagation import (
     PropagationError,
@@ -43,6 +44,16 @@ from qfiflow.propagation import (
 # Taylor polynomial of exp(-0.1) through fourth order: what one RK4 step of
 # y' = -y must produce for dt = 0.1.
 RK4_DECAY_ONE_STEP = sum((-0.1) ** k / math.factorial(k) for k in range(5))
+
+
+def trace_deviation(m):
+    """|Tr m - 1|."""
+    return float(abs(np.trace(m) - 1.0))
+
+
+def min_eigenvalue(m):
+    """Smallest eigenvalue of the hermitized input."""
+    return float(np.linalg.eigvalsh(hermitize(m))[0])
 
 
 def _unitary_model():
@@ -243,6 +254,42 @@ class TestGkslIntegrity:
         assert traj.max_trace_drift <= tol.trace
         assert traj.min_eigenvalue >= -tol.positivity
         assert max(hermiticity_defect(rho) for rho in traj.rho) <= tol.herm
+
+
+class TestPositivityGateTiming:
+    """ad-nm in closed form: the excited population P = exp(-int gamma) passes 1,
+    and rho leaves the state space, at the first root t* of int gamma; the gate
+    must abort at the first grid time after t*."""
+
+    DT = 1e-3
+    T_END = 2.0
+
+    def _check(self, gamma0, a, omega, phi):
+        model = builtin_model("ad-nm", {"gamma0": gamma0, "a": a, "omega": omega, "phi": phi})
+        t_star = sinusoid_integral_first_root(gamma0, a, omega, phi, self.T_END)
+        with pytest.raises(PropagationError, match="minimum eigenvalue") as err:
+            propagate(model, model.theta, self.T_END, self.DT)
+        assert t_star < err.value.t <= t_star + self.DT
+        return t_star, err.value.t
+
+    def test_reference_case(self):
+        t_star, t_abort = self._check(1.0, 3.0, 2.0, math.pi)
+        assert t_star == pytest.approx(0.34705, abs=1e-5)
+        assert t_abort == pytest.approx(0.348, abs=1e-12)
+
+    # about three draws in four have no root in (2 dt, t_end] and are filtered out
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.floats(0.5, 2.0), st.floats(1.0, 5.0), st.floats(0.5, 4.0), st.floats(0.0, 2.0 * math.pi))
+    def test_random_sinusoidal_rates(self, gamma0, a, omega, phi):
+        t_star = sinusoid_integral_first_root(gamma0, a, omega, phi, self.T_END)
+        assume(t_star is not None and 2 * self.DT <= t_star <= self.T_END - self.DT)
+        # a transversal root, not a tangent one
+        assume(gamma0 * (1.0 + a * math.sin(omega * t_star + phi)) <= -0.1 * gamma0)
+        # the state at the first grid time after t* is already past the gate's tolerance
+        t_next = math.ceil(t_star / self.DT) * self.DT
+        P = math.exp(-sinusoid_integral(t_next, gamma0, a, omega, phi))
+        assume(damped_min_eigenvalue(P, math.pi / 4) < -2.0 * DEFAULT_TOLERANCES.positivity)
+        self._check(gamma0, a, omega, phi)
 
 
 class TestHealthFigures:
