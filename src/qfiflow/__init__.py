@@ -13,7 +13,6 @@ from .flow import (
     FlowTable,
     IntervalReport,
     classify_intervals,
-    flow_records,
     full_flow,
     hamiltonian_term,
     subflow_J,

@@ -37,7 +37,6 @@ from .flow import (
     FlowTable,
     IntervalReport,
     classify_intervals,
-    flow_records,
 )
 from .model import (
     Channel,
@@ -434,7 +433,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     theta = config.theta
     validate_model(model, theta, tol=config.tolerances, delta_theta=config.delta_theta)
     traj = propagate(model, theta, config.t_end, config.dt, config.tolerances)
-    table = flow_records(traj)
+    table = traj.flow
     flow_accept = FLOW_ACCEPT_FACTOR * max(1.0, float(np.max(table.qfi)))
     max_completeness = float(np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]))
     max_decomposition = float(np.max(np.abs(table.flow_fd - sum(table.I))[1:-1]))

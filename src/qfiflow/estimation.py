@@ -5,7 +5,8 @@ assembled in the eigenbasis of rho as L_jk = 2 (drho)_jk / (p_j + p_k).
 Near-singular states are the main numerical hazard: eigenvalue pairs whose
 sum falls below a relative rank cutoff are zeroed (support convention) and
 counted, so callers can see when the convention engaged.  :func:`sld_stack`
-does this for a stack of states with one batched eigendecomposition.
+does this for a stack of states with one batched eigendecomposition, which
+a propagation takes from its density gate (``density_eigh``).
 """
 
 from __future__ import annotations
@@ -46,14 +47,22 @@ def sld_stack(
         raise DimensionMismatchError(
             f"rho has shape {rho.shape}, drho_dtheta has shape {sig.shape}"
         )
-    if not (np.isfinite(rho).all() and np.isfinite(sig).all()):
+    if not np.isfinite(rho).all():
         raise ValueError("matrix contains non-finite entries")
-    sig_h = sig.conj().swapaxes(1, 2)
-    defect = np.abs(sig - sig_h).max(axis=(1, 2))
+    return _sld_in_eigenbasis(rho, sig, *np.linalg.eigh(hermitize(rho)), eps_rank, tol)
+
+
+def _sld_in_eigenbasis(
+    rho: np.ndarray, sig: np.ndarray, p: np.ndarray, U: np.ndarray, eps_rank: float, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sld_stack` from the eigendecomposition (p, U) of the hermitized states,
+    which the propagation's density gate has already made; checks drho_dtheta."""
+    if not np.isfinite(sig).all():
+        raise ValueError("matrix contains non-finite entries")
+    defect = np.abs(sig - sig.conj().swapaxes(1, 2)).max(axis=(1, 2))
     bound = 10.0 * tol.herm * np.maximum(1.0, np.abs(sig).max(axis=(1, 2)))
     if np.any(defect > bound):
         raise ValueError(f"drho_dtheta is not Hermitian: defect {defect[np.argmax(defect > bound)]:.3e}")
-    p, U = np.linalg.eigh(hermitize(rho))
     p_max = p[:, -1]
     if np.any(p_max <= 0.0):
         raise ValueError("rho has no positive eigenvalues")
@@ -73,7 +82,6 @@ def sld_stack(
             f"QFI trace has imaginary residue {vals.imag[k]:.3e} (scale {scale[k]:.3e}); "
             "inputs may have lost Hermiticity",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return L, vals.real, np.count_nonzero(~keep, axis=(1, 2))
-

@@ -12,12 +12,11 @@ Sign convention: J_i = -Tr{rho [L,A_i]† [L,A_i]} is nonpositive for any
 valid state, so the sign of the subflow I_i = gamma_i * J_i follows the sign
 of the decay rate -- negative rates show up as positive subflows.
 
-:func:`flow_records` is columnar: it works on bounded blocks of grid points
-as ``(n, d, d)`` stacks (one batched SLD eigendecomposition, stacked
-products for J_i, the Hamiltonian term and the full flow, an array stencil
-for the finite-difference oracle) and returns one :class:`FlowTable` of
-arrays over the grid.  :func:`subflow_J`, :func:`hamiltonian_term` and
-:func:`full_flow` are those stacked products, public on their own.
+:func:`flow_block` is columnar: it takes a block of grid points as
+``(n, d, d)`` stacks, with the eigendecomposition and time derivatives the
+propagation already formed, and :func:`flow_table` joins a run's blocks into
+one :class:`FlowTable` of arrays over the grid.  :func:`subflow_J`,
+:func:`hamiltonian_term` and :func:`full_flow` are its stacked products.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import DEFAULT_EPS_RANK, sld_stack
-from .model import compile_generator, scalar_values
-from .operators import DimensionMismatchError
-from .propagation import Trajectory
+from .estimation import DEFAULT_EPS_RANK, _sld_in_eigenbasis
+from .model import ModelSpec, scalar_values
+from .operators import DimensionMismatchError, ToleranceConfig
 
 __all__ = [
     "FlowTable",
@@ -39,7 +37,8 @@ __all__ = [
     "subflow_J",
     "hamiltonian_term",
     "full_flow",
-    "flow_records",
+    "flow_block",
+    "flow_table",
     "classify_intervals",
 ]
 
@@ -88,14 +87,12 @@ class IntervalReport:
     overlap_fraction: float | None
 
 
-def _real_traces(m: np.ndarray, what: str) -> np.ndarray:
-    """Real parts of the traces of a stack; warns once, for the first matrix whose
-    imaginary residue is not rounding."""
-    vals = np.trace(m, axis1=1, axis2=2)
+def _real_parts(vals: np.ndarray, what: str) -> np.ndarray:
+    """Real parts of traces; warns once, for the first with a non-rounding imaginary residue."""
     residue = np.abs(vals.imag) > _IMAG_WARN * np.maximum(1.0, np.abs(vals.real))
     if residue.any():
         warnings.warn(
-            f"{what} has imaginary residue {vals.imag[np.argmax(residue)]:.3e}; "
+            f"{what} has imaginary residue {vals.imag.flat[np.argmax(residue)]:.3e}; "
             "likely Hermiticity loss upstream",
             RuntimeWarning,
             stacklevel=3,
@@ -104,33 +101,34 @@ def _real_traces(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def _stacks(*ms) -> list[np.ndarray]:
-    """Complex ``(n, d, d)`` stacks of one shape, or DimensionMismatchError."""
+    """Complex ``(..., n, d, d)`` stacks sharing their last three axes, or DimensionMismatchError."""
     out = [np.asarray(m, dtype=complex) for m in ms]
-    shape = out[0].shape
-    if len(shape) != 3 or shape[1] != shape[2] or any(m.shape != shape for m in out):
+    shape = out[0].shape[-3:]
+    if len(shape) != 3 or shape[1] != shape[2] or any(m.shape[-3:] != shape for m in out):
         raise DimensionMismatchError(f"incompatible shapes {', '.join(str(m.shape) for m in out)}")
     return out
 
 
 def subflow_J(rho: np.ndarray, L: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """-Tr{rho [L,A]† [L,A]} per matrix of ``(n, d, d)`` stacks; nonpositive because
-    rho and [L,A]†[L,A] are PSD."""
+    """-Tr{rho [L,A]† [L,A]} per matrix of ``(n, d, d)`` stacks, shape ``(n,)``, or
+    ``(c, n)`` for one A stack per channel, ``(c, n, d, d)``; nonpositive because
+    rho and [L,A]†[L,A] are PSD.  Taken as -sum conj(C) * (C rho), C = [L, A]."""
     rho, L, A = _stacks(rho, L, A)
     C = L @ A - A @ L
-    return -_real_traces(rho @ C.conj().swapaxes(1, 2) @ C, "subflow")
+    return -_real_parts(np.einsum("...ij,...ij->...", C.conj(), C @ rho), "subflow")
 
 
 def hamiltonian_term(dH: np.ndarray, rho: np.ndarray, L: np.ndarray) -> np.ndarray:
     """-2i Tr(L [dH/dtheta, rho]) per matrix of ``(n, d, d)`` stacks."""
     dH, rho, L = _stacks(dH, rho, L)
-    return _real_traces(-2.0j * (L @ (dH @ rho - rho @ dH)), "hamiltonian term")
+    return _real_parts(np.trace(-2.0j * (L @ (dH @ rho - rho @ dH)), axis1=-2, axis2=-1), "hamiltonian term")
 
 
 def full_flow(L: np.ndarray, rhodot: np.ndarray, sigdot: np.ndarray) -> np.ndarray:
     """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} per matrix of
     ``(n, d, d)`` stacks, from the generator's drho/dt and d/dt(drho_dtheta)."""
     L, rhodot, sigdot = _stacks(L, rhodot, sigdot)
-    return _real_traces(L @ (2.0 * sigdot - L @ rhodot), "full flow")
+    return _real_parts(np.trace(L @ (2.0 * sigdot - L @ rhodot), axis1=-2, axis2=-1), "full flow")
 
 
 def _fd_series(f: np.ndarray, dt: float) -> np.ndarray:
@@ -149,48 +147,39 @@ def _fd_series(f: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def flow_records(
-    traj: Trajectory,
-    eps_rank: float = DEFAULT_EPS_RANK,
-) -> FlowTable:
-    """SLD, QFI, and all flow quantities at every grid point of a trajectory.
+def flow_block(
+    model: ModelSpec, theta: float, times: np.ndarray, pairs: np.ndarray, dots: np.ndarray, eig, tol: ToleranceConfig
+) -> tuple[np.ndarray, ...]:
+    """The QFIs, thresholded pairs, full flow and Hamiltonian term ``(n,)``, and the
+    rates and J_i ``(n_channels, n)``, of a block of grid points, for :func:`flow_table`.
 
-    Works on blocks of grid points, as many as fit the compiled generator's
-    ``COEFFICIENT_BYTES`` with their operators and sandwiches, as stacks: one
-    batched eigendecomposition gives the SLDs, QFIs and support-convention
-    counts (:func:`sld_stack`), and :func:`subflow_J`,
-    :func:`hamiltonian_term` and :func:`full_flow` give the subflows, the
-    Hamiltonian term and the full flow of the block.  The residual is
-    ``full_flow - ham_term - sum(I)``.
+    ``pairs[j]`` is (rho, drho_dtheta) at ``times[j]``, ``dots[j]`` its time
+    derivative and ``eig`` the eigendecomposition ``(p, U)`` of the hermitized
+    states, which gives the SLDs as ``sld_stack`` would; :func:`subflow_J`
+    takes every channel in one stack.
     """
-    model = traj.model
-    theta = traj.theta
-    gen = compile_generator(model)
-    size = gen.times_per_block(1, acted=True)
-    n = len(traj.grid)
-    qfi = np.empty(n)
-    ham = np.zeros(n)
-    full = np.empty(n)
-    thresholded = np.empty(n, dtype=int)
-    gammas = np.empty((len(model.channels), n))
-    Js = np.empty((len(model.channels), n))
-    for start in range(0, n, size):
-        block = slice(start, start + size)
-        times = traj.grid[block]
-        rho, sig = traj.rho[block], traj.drho_dtheta[block]
-        L, qfi[block], thresholded[block] = sld_stack(rho, sig, eps_rank=eps_rank, tol=traj.tolerances)
-        for i, ch in enumerate(model.channels):
-            gammas[i, block] = scalar_values(ch.gamma, times, theta)
-            Js[i, block] = subflow_J(rho, L, ch.A.evaluate_many(times, theta))
-        if not model.dH_dtheta.is_zero:
-            ham[block] = hamiltonian_term(model.dH_dtheta.evaluate_many(times, theta), rho, L)
-        dots = gen.act(gen.operators(times, (theta,)), np.stack([rho, sig], axis=1))
-        full[block] = full_flow(L, dots[:, 0], dots[:, 1])
+    rho, sig = pairs[:, 0], pairs[:, 1]
+    L, qfi, thresholded = _sld_in_eigenbasis(rho, sig, *eig, DEFAULT_EPS_RANK, tol)
+    gammas = np.empty((len(model.channels), len(times)))
+    A = np.empty((len(model.channels),) + rho.shape, dtype=complex)
+    for i, ch in enumerate(model.channels):
+        gammas[i] = scalar_values(ch.gamma, times, theta)
+        A[i] = ch.A.evaluate_many(times, theta)
+    dH = model.dH_dtheta
+    ham = np.zeros(len(times)) if dH.is_zero else hamiltonian_term(dH.evaluate_many(times, theta), rho, L)
+    return qfi, thresholded, full_flow(L, dots[:, 0], dots[:, 1]), ham, gammas, subflow_J(rho, L, A)
+
+
+def flow_table(model: ModelSpec, grid: np.ndarray, dt: float, blocks: list[tuple[np.ndarray, ...]]) -> FlowTable:
+    """The :class:`FlowTable` of a run from its :func:`flow_block` results in grid
+    order: the finite-difference oracle is the stencil of the QFI column, and
+    the residual ``full_flow - ham_term - sum(I)``."""
+    qfi, thresholded, full, ham, gammas, Js = (np.concatenate(c, axis=-1) for c in zip(*blocks))
     Is = gammas * Js
     return FlowTable(
-        t=traj.grid,
+        t=grid,
         qfi=qfi,
-        flow_fd=_fd_series(qfi, traj.dt),
+        flow_fd=_fd_series(qfi, dt),
         full_flow=full,
         ham_term=ham,
         residual_T=full - ham - sum(Is),

@@ -585,20 +585,15 @@ class CompiledGenerator:
     factors: tuple[np.ndarray, ...]
     constants: tuple[np.ndarray, ...]
 
-    def _members(self, n_thetas: int) -> int:
-        return 2 * n_thetas if self.derivative else n_thetas
-
     def _bytes_per_time(self, n_thetas: int) -> int:
         """Bytes of :meth:`operators` per time: operators, coefficients, form values."""
         reals = sum(c.shape[1] for c in self.constants)
         coefficients = sum(f.shape[1] for f in self.factors)
         return n_thetas * (8 * reals + 40 * coefficients + 16 * len(self.forms) + 256)
 
-    def times_per_block(self, n_thetas: int, acted: bool = False) -> int:
-        """How many times of :meth:`operators` fit in COEFFICIENT_BYTES (at least one);
-        ``acted`` adds what :meth:`act` forms at each time: sandwiches, T and K X = T + T†."""
-        acting = 16 * self._members(n_thetas) * self.dim * (len(self.jumps) + 4 * self.dim) if acted else 0
-        return max(1, COEFFICIENT_BYTES // (self._bytes_per_time(n_thetas) + acting))
+    def times_per_block(self, n_thetas: int) -> int:
+        """How many times of :meth:`operators` fit in COEFFICIENT_BYTES (at least one)."""
+        return max(1, COEFFICIENT_BYTES // self._bytes_per_time(n_thetas))
 
     def map_steps_per_block(self, n_thetas: int) -> int:
         """How many RK4 step maps in real coordinates fit COEFFICIENT_BYTES next to
@@ -608,7 +603,7 @@ class CompiledGenerator:
         and their RK4 products, coordinates and states.  Building the w x d^4
         unit map of a block of w reals takes 8 w d^4 reals and w x w units.
         """
-        d, n = self.dim, self._members(n_thetas) * self.dim**2
+        d, n = self.dim, (2 * n_thetas if self.derivative else n_thetas) * self.dim**2
         unit = sum(64 * c.shape[1] * d**4 + 8 * c.shape[1] ** 2 for c in self.constants)
         step = 64 * n * n + 2 * self._bytes_per_time(n_thetas) + 64 * n
         return max(0, (COEFFICIENT_BYTES - unit) // step)

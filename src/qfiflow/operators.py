@@ -36,6 +36,7 @@ __all__ = [
     "hermitize",
     "hermiticity_defect",
     "validate_density",
+    "density_eigh",
     "as_operator",
 ]
 
@@ -133,6 +134,16 @@ def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
     matrix).  Only matrices before the first non-finite, non-Hermitian or
     off-trace one reach the (single, batched) eigenvalue solver.
     """
+    return float(_gate(m, tol, vectors=False)[:, 0].min())
+
+
+def density_eigh(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`validate_density` with ``eigh`` for ``eigvalsh``: the eigenvalues ``(n, d)``
+    and eigenvectors ``(n, d, d)`` of the hermitized stack, for the SLD to reuse."""
+    return _gate(m, tol, vectors=True)
+
+
+def _gate(m: np.ndarray, tol: ToleranceConfig, vectors: bool):
     m = np.asarray(m, dtype=complex)
     stack = m if m.ndim == 3 else m[None]
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
@@ -144,7 +155,8 @@ def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
     tr = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
     off = (herm > tol.herm) | (tr > tol.trace)
     n_checked = int(np.argmax(off)) if off.any() else n_finite
-    lam = np.linalg.eigvalsh(hermitize(stack[:n_checked]))[:, 0]
+    eig = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(hermitize(stack[:n_checked]))
+    lam = (eig.eigenvalues if vectors else eig)[:, 0]
     negative = lam < -tol.positivity
     if negative.any():
         k = int(np.argmax(negative))
@@ -161,6 +173,6 @@ def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
         k = n_finite
         exc = ValueError("matrix contains non-finite entries")
     else:
-        return float(lam.min())
+        return eig
     exc.index = k
     raise exc

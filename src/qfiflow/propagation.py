@@ -3,40 +3,43 @@
 Classical RK4 advances a stack of states under the compiled generator.
 :func:`propagate` evolves the pair (rho, drho_dtheta) under the
 block-triangular [[K, 0], [dK/dtheta, K]], so the mixed t/theta derivatives
-of the trajectory agree by construction; :func:`fd_theta_consistency`
-measures the residual disagreement against an independent central
-difference over theta, evolving rho(theta + delta) and rho(theta - delta)
-together in one pass.
+of the trajectory agree by construction, and forms the QFI flow in the same
+pass; :func:`fd_theta_consistency` measures the residual disagreement
+against an independent central difference over theta, evolving
+rho(theta +/- delta) together in one pass.
 
 Both paths evaluate the generator's distinct blocks (K, and dK/dtheta where
 theta enters it; see :class:`~qfiflow.model.CompiledGenerator`) once per
-block of steps, on the half grid t_k, t_k + dt/2, t_(k+1) taken from the
-grid.  The equation is linear, so one RK4 step is a fixed real matrix in
-real Hermitian coordinates (per member: the diagonal, then the real parts of
-the upper triangle, then its imaginary parts).  Where the unit maps (from a
+block of steps, on the half grid t_k + dt/2, t_(k+1) taken from the grid
+(t_k is carried over from the block before, so no time is evaluated twice).
+The equation is linear, so one RK4 step is a fixed real matrix in real
+Hermitian coordinates (per member: the diagonal, then the real parts of the
+upper triangle, then its imaginary parts).  Where the unit maps (from a
 block's operators at one time to its matrix in these coordinates) and one
 block of step maps fit ``COEFFICIENT_BYTES``, S(t) is assembled from those
 matrices, the step maps come from batched matrix products, a chain of
 matrix-vector products advances the coordinates, and the states rebuilt
 from them are exactly Hermitian.  Otherwise (large d) RK4 steps act on the
 matrices themselves and re-hermitize after every step.  The choice depends
-on sizes alone; the two paths agree to rounding.
+on sizes alone; the two paths agree to rounding.  Each state's time
+derivative is formed once: S(t) c, or the first RK4 stage of its step.
 
-Every density matrix in the stack passes validation at every grid point:
-steps run in blocks, and each block's states go through one stacked
-``validate_density`` call, whose first failing state is reported with its
-time.  The trace is *not* renormalized: drift is measured and reported so
-integrator defects stay visible.  A trajectory whose two ``(N + 1, d, d)``
-stacks would exceed ``TRAJECTORY_BYTES`` is rejected before anything is
-allocated.
+Every state passes a stacked density gate per block, whose first failing
+state is reported with its time: ``density_eigh``, whose eigendecomposition
+the flow's SLD reuses, or for the theta check ``validate_density``.  The
+trace is *not* renormalized: drift is measured and reported so integrator
+defects stay visible.  A trajectory whose two ``(N + 1, d, d)`` stacks
+would exceed ``TRAJECTORY_BYTES`` is rejected before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .flow import FlowTable, flow_block, flow_table
 from .model import (
     CompiledGenerator,
     ModelSpec,
@@ -46,6 +49,7 @@ from .model import (
 from .operators import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    density_eigh,
     hermitize,
     validate_density,
 )
@@ -67,7 +71,7 @@ class Trajectory:
     """Uniform-grid RK4 solution with integrator metadata and health measures.
 
     ``rho[k]`` and ``drho_dtheta[k]`` are the state and its theta-derivative
-    at ``grid[k]``; both stacks have shape ``(len(grid), d, d)``.
+    at ``grid[k]``, stacks of shape ``(len(grid), d, d)``; ``flow`` the QFI flow.
     """
 
     model: ModelSpec
@@ -79,6 +83,7 @@ class Trajectory:
     tolerances: ToleranceConfig
     max_trace_drift: float
     min_eigenvalue: float
+    flow: FlowTable
 
 
 class PropagationError(RuntimeError):
@@ -90,25 +95,13 @@ class PropagationError(RuntimeError):
         self.cause = cause
 
 
-def _rk4_step(act, ops: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of the stack x; ops holds the generator at t_k, t_k + dt/2, t_(k+1)."""
-    k1 = act(ops[0], x)
-    k2 = act(ops[1], x + 0.5 * dt * k1)
-    k3 = act(ops[1], x + 0.5 * dt * k2)
-    k4 = act(ops[2], x + dt * k3)
+def _rk4_step(act, ops: np.ndarray, x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of the stack x from its derivative k1 at t_k; ops holds
+    the generator at t_k + dt/2 and t_(k+1)."""
+    k2 = act(ops[0], x + 0.5 * dt * k1)
+    k3 = act(ops[0], x + 0.5 * dt * k2)
+    k4 = act(ops[1], x + dt * k3)
     return hermitize(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def _validated(xs: np.ndarray, times: list[float], states: slice, tol: ToleranceConfig) -> float:
-    """Smallest eigenvalue of the states of a block of stacks xs, ``xs[j]`` at
-    ``times[j]``, in one gate; the first invalid (or non-finite) state aborts
-    with its time stamp."""
-    block = xs[:, states]
-    try:
-        return validate_density(block.reshape((-1,) + block.shape[-2:]), tol)
-    except ValueError as exc:
-        t = times[exc.index // block.shape[1]]
-        raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
 
 
 def _hermitian_positions(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,69 +186,71 @@ def _rk4_increments(s: np.ndarray, dt: float) -> np.ndarray:
 
 def _map_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
     """Blocks of the stack x advanced by RK4 step maps in real Hermitian coordinates:
-    yields (k, xs), ``xs[j]`` being the stack at grid point k + j."""
+    yields (k, xs, dots), ``xs[j]`` being the stack at grid point k + j and
+    ``dots[j]`` its time derivative, S(t) c, which only a pair's flow reads
+    (None without ``gen.derivative``); the first block is x alone."""
     units = _unit_maps(gen)
     per = 2 if gen.derivative else 1
     block = gen.map_steps_per_block(len(thetas))
     c = _coordinates(hermitize(x)).ravel()
+    ops = gen.operators(grid[:1], thetas)
+    yield 0, x[None], gen.act(ops[0], x)[None] if gen.derivative else None
     for start in range(0, len(grid) - 1, block):
-        ops = gen.operators(_half_grid(grid[start : start + block + 1], dt), thetas)
-        increments = _rk4_increments(_generator_maps(ops, units, per), dt)
+        ops = np.concatenate([ops[-1:], gen.operators(_half_grid(grid[start : start + block + 1], dt)[1:], thetas)])
+        s = _generator_maps(ops, units, per)
+        increments = _rk4_increments(s, dt)
         cs = np.empty((len(increments), len(c)))
         # c + N c rather than (I + N) c: the identity would round N's diagonal to ulp(1)
         for j, n in enumerate(increments):
             c = cs[j] = c + n @ c
-        yield start + 1, _matrices(cs.reshape((len(cs),) + x.shape[:-2] + (-1,)), gen.dim)
+        shape = (len(cs),) + x.shape[:-2] + (-1,)
+        dots = _matrices((s[2::2] @ cs[..., None]).reshape(shape), gen.dim) if gen.derivative else None
+        yield start + 1, _matrices(cs.reshape(shape), gen.dim), dots
 
 
 def _stacked_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
     """Blocks of the stack x advanced by :func:`_rk4_step` on the matrices themselves;
-    yields (k, xs) as :func:`_map_blocks` does.
-
-    A block takes as many steps as the operators on its half grid fit
-    ``times_per_block``; they are evaluated in one call, and the block's
-    states go through the gate together.
-    """
+    yields (k, xs, dots) as :func:`_map_blocks` does, ``dots[j]`` being the
+    first stage of the step that leaves ``xs[j]``.  A block takes as many
+    steps as its half grid's operators, evaluated in one call, fit ``times_per_block``."""
     steps = max(1, (gen.times_per_block(len(thetas)) - 1) // 2)
-    xs = np.empty((steps,) + x.shape, dtype=complex)
+    k1 = gen.act(gen.operators(grid[:1], thetas)[0], x)
+    yield 0, x[None], k1[None]
+    xs = np.empty((2, steps) + x.shape, dtype=complex)
     for start in range(0, len(grid) - 1, steps):
         t = grid[start : start + steps + 1]
-        ops = gen.operators(_half_grid(t, dt), thetas)
+        ops = gen.operators(_half_grid(t, dt)[1:], thetas)
         for j in range(len(t) - 1):
-            x = xs[j] = _rk4_step(gen.act, ops[2 * j : 2 * j + 3], x, dt)
-        yield start + 1, xs[: len(t) - 1]
+            x = xs[0, j] = _rk4_step(gen.act, ops[2 * j : 2 * j + 2], x, k1, dt)
+            k1 = xs[1, j] = gen.act(ops[2 * j + 1], x)
+        del ops  # the flow runs on the yielded block: free its largest array first
+        yield start + 1, *xs[:, : len(t) - 1]
 
 
-def _integrate(
-    gen: CompiledGenerator,
-    thetas: tuple[float, ...],
-    x: np.ndarray,
-    grid: np.ndarray,
-    dt: float,
-    tol: ToleranceConfig,
-    visit,
-) -> float:
+def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.ndarray, dt: float, gate, visit) -> None:
     """Advance the stack x over the grid with RK4, validating its states at every point.
 
     x holds (rho, drho_dtheta) for a generator compiled with its derivative,
-    else one state per theta.  Steps run in blocks: a block's stacks are
-    validated together, then ``visit(k, xs)`` sees them, ``xs[j]`` being the
-    stack at grid point k + j.  Step maps in real coordinates advance the
-    stack when the unit map and one block of them fit ``COEFFICIENT_BYTES``,
-    else RK4 steps on the matrices.  Returns the smallest eigenvalue of the
-    validated states.
+    else one state per theta.  Per block of grid points (the first is x
+    alone), ``gate`` checks the states as one ``(n, d, d)`` stack (the first
+    invalid one aborts with its time stamp), then ``visit(k, xs, dots,
+    gated)`` sees ``xs[j]``, the stack at grid point k + j, its derivative
+    ``dots[j]`` and what the gate returned.  Step maps in real coordinates
+    advance the stack when they fit ``COEFFICIENT_BYTES``, else RK4 steps.
     """
     states = slice(None, None, 2 if gen.derivative else 1)
     times = grid.tolist()
-    lam_min = _validated(x[None], times, states, tol)
-    visit(0, x[None])
     blocks = _map_blocks if gen.map_steps_per_block(len(thetas)) else _stacked_blocks
     # Overflow leaves a non-finite state, which the gate reports with its time.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, xs in blocks(gen, thetas, x, grid, dt):
-            lam_min = min(lam_min, _validated(xs, times[k : k + len(xs)], states, tol))
-            visit(k, xs)
-    return lam_min
+        for k, xs, dots in blocks(gen, thetas, x, grid, dt):
+            block = xs[:, states]
+            try:
+                gated = gate(block.reshape((-1,) + block.shape[-2:]))
+            except ValueError as exc:
+                t = times[k + exc.index // block.shape[1]]
+                raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
+            visit(k, xs, dots, gated)
 
 
 def propagate(
@@ -265,20 +260,19 @@ def propagate(
     dt: float = 1e-3,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> Trajectory:
-    """Integrate from t=0 to t_end on the uniform grid t_k = k*dt.
+    """Integrate from t=0 to t_end on the uniform grid t_k = k*dt, with the QFI flow.
 
     The initial derivative comes from the initial-state family's analytic
     theta-derivative.  Every stored rho must pass density validation at the
     run tolerances; a violation (including a non-finite state) aborts with
-    the offending time stamp.
+    the offending time stamp.  Each block of validated states then goes
+    through :func:`~qfiflow.flow.flow_block`.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        n_steps = 1
+    n_steps = max(1, int(round(t_end / dt)))
     nbytes = 2 * (n_steps + 1) * model.dim**2 * np.dtype(complex).itemsize
     if nbytes > TRAJECTORY_BYTES:
         raise ValueError(
@@ -291,12 +285,15 @@ def propagate(
     rho = np.empty((n_steps + 1, model.dim, model.dim), dtype=complex)
     sig = np.empty_like(rho)
     x = np.stack([model.rho0_family.rho0(theta), model.rho0_family.drho0_dtheta(theta)])
+    lams, flows = [], []
 
-    def store(k, xs):
-        rho[k : k + len(xs)] = xs[:, 0]
-        sig[k : k + len(xs)] = xs[:, 1]
+    def store(k, xs, dots, eig):
+        block = slice(k, k + len(xs))
+        rho[block], sig[block] = xs[:, 0], xs[:, 1]
+        lams.append(eig[0][:, 0].min())
+        flows.append(flow_block(model, theta, grid[block], xs, dots, eig, tol))
 
-    lam_min = _integrate(compile_generator(model), (theta,), x, grid, dt, tol, store)
+    _integrate(compile_generator(model), (theta,), x, grid, dt, partial(density_eigh, tol=tol), store)
     return Trajectory(
         model=model,
         theta=theta,
@@ -306,7 +303,8 @@ def propagate(
         dt=dt,
         tolerances=tol,
         max_trace_drift=float(np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))),
-        min_eigenvalue=lam_min,
+        min_eigenvalue=float(min(lams)),
+        flow=flow_table(model, grid, dt, flows),
     )
 
 
@@ -324,11 +322,11 @@ def fd_theta_consistency(traj: Trajectory, delta_theta: float = 1e-4) -> float:
     x = np.stack([traj.model.rho0_family.rho0(theta) for theta in thetas])
     deviation = 0.0
 
-    def compare(k, xs):
+    def compare(k, xs, dots, lam_min):
         nonlocal deviation
         fd = (xs[:, 0] - xs[:, 1]) / (2.0 * delta_theta)
         deviation = max(deviation, float(np.max(np.abs(traj.drho_dtheta[k : k + len(xs)] - fd))))
 
     gen = compile_generator(traj.model, derivative=False)
-    _integrate(gen, thetas, x, traj.grid, traj.dt, traj.tolerances, compare)
+    _integrate(gen, thetas, x, traj.grid, traj.dt, partial(validate_density, tol=traj.tolerances), compare)
     return deviation

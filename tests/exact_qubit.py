@@ -83,17 +83,31 @@ def _damped(P, dP, alpha, dalpha):
     return qubit_qfi(r, dr, 4.0 * P * s * s * (1.0 - P))
 
 
-def exact_qfi(name, t, theta):
-    """The QFI of builtin ``name`` at its default parameters, at times t."""
+# The builtins' documented defaults for the parameters their QFI depends on;
+# omega0, and theta of phase-dephasing, leave it unchanged.
+DEFAULTS = {
+    "ad-nm": {"gamma0": 1.0, "a": 1.5, "omega": 2.0, "phi": 0.0, "theta": math.pi / 4},
+    "ad-jc": {"gamma0": 1.0, "lambda": 3.0, "theta": math.pi / 4},
+    "phase-dephasing": {"gamma0": 0.2, "a": 0.5, "omega": 2.0, "phi": 0.0},
+    "rate-estimation": {"theta": 1.0, "g": 1.0, "alpha": math.pi / 2},
+}
+
+
+def exact_qfi(name, t, params=None):
+    """The QFI of builtin ``name`` at times t, with ``params`` over its defaults
+    (``g`` of rate-estimation a number)."""
+    if name not in DEFAULTS:
+        raise ValueError(f"no closed form for {name!r}")
+    p = {**DEFAULTS[name], **(params or {})}
     t = np.asarray(t, dtype=float)
     zero = np.zeros_like(t)
     if name == "ad-nm":
-        return _damped(np.exp(-sinusoid_integral(t, 1.0, 1.5, 2.0, 0.0)), zero, theta, 1.0)
+        P = np.exp(-sinusoid_integral(t, p["gamma0"], p["a"], p["omega"], p["phi"]))
+        return _damped(P, zero, p["theta"], 1.0)
     if name == "ad-jc":
-        return _damped(np.abs(jc_amplitude(t, 1.0, 3.0)) ** 2, zero, theta, 1.0)
+        return _damped(np.abs(jc_amplitude(t, p["gamma0"], p["lambda"])) ** 2, zero, p["theta"], 1.0)
     if name == "phase-dephasing":
-        return t * t * np.exp(-4.0 * sinusoid_integral(t, 0.2, 0.5, 2.0, 0.0))
-    if name == "rate-estimation":
-        P = np.exp(-theta * t)
-        return _damped(P, -t * P, math.pi / 2, 0.0)
-    raise ValueError(f"no closed form for {name!r}")
+        return t * t * np.exp(-4.0 * sinusoid_integral(t, p["gamma0"], p["a"], p["omega"], p["phi"]))
+    G = p["g"] * t
+    P = np.exp(-p["theta"] * G)
+    return _damped(P, -G * P, p["alpha"], 0.0)

@@ -1,11 +1,17 @@
-"""One-point forms of the flow quantities: the references for the stacked library.
+"""References for the library's flow: one-point forms, and the flow of stored states.
 
-Each function works on one grid point with plain matrices, the way the
-library did before its flow quantities were stacked.  ``sld`` solves the
-SLD equation with its own eigendecomposition, and ``full_flow`` takes its
-time derivatives from the hand-written generator loops of
+Each one-point function works on one grid point with plain matrices, the
+way the library did before its flow quantities were stacked.  ``sld``
+solves the SLD equation with its own eigendecomposition, and ``full_flow``
+takes its time derivatives from the hand-written generator loops of
 ``reference_generator``, so it shares no code path with the compiled
-generator that ``flow_records`` uses.
+generator that ``propagate`` uses.
+
+``flow_records`` is the flow of a trajectory computed after the fact, as the
+library did before ``propagate`` formed it in its own pass: the time
+derivatives of every stored state from the compiled generator, one more
+eigendecomposition per state, then the library's ``flow_block`` and
+``flow_table``.
 """
 
 import warnings
@@ -15,6 +21,8 @@ import numpy as np
 from reference_generator import reference_generator, reference_generator_theta_derivative
 
 from qfiflow.estimation import DEFAULT_EPS_RANK
+from qfiflow.flow import flow_block, flow_table
+from qfiflow.model import compile_generator
 from qfiflow.operators import DimensionMismatchError, as_operator, commutator, dagger, hermitize
 
 _IMAG_WARN = 1e-10
@@ -80,3 +88,16 @@ def fd_flow_oracle(qfi_series, dt: float, k: int) -> float:
     if k == n - 1:
         return (3.0 * f[n - 1] - 4.0 * f[n - 2] + f[n - 3]) / (2.0 * dt)
     return (f[k + 1] - f[k - 1]) / (2.0 * dt)
+
+
+def flow_records(traj):
+    """The FlowTable of a trajectory's stored states, in one block: their time
+    derivatives from ``act`` on the generator at the grid times, and ``eigh`` of
+    every state."""
+    model, theta = traj.model, traj.theta
+    gen = compile_generator(model)
+    pairs = np.stack([traj.rho, traj.drho_dtheta], axis=1)
+    dots = gen.act(gen.operators(traj.grid, (theta,)), pairs)
+    eig = np.linalg.eigh(hermitize(traj.rho))
+    block = flow_block(model, theta, traj.grid, pairs, dots, eig, traj.tolerances)
+    return flow_table(model, traj.grid, traj.dt, [block])

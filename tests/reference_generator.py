@@ -79,8 +79,9 @@ def step_rk4(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     gen = compile_generator(model)
-    ops = gen.operators([t, t + 0.5 * dt, t + dt], (theta,))
-    rho_next, sig_next = _rk4_step(gen.act, ops, np.stack([rho, drho_dtheta]), dt)
+    t0, *ops = gen.operators([t, t + 0.5 * dt, t + dt], (theta,))
+    x = np.stack([rho, drho_dtheta])
+    rho_next, sig_next = _rk4_step(gen.act, ops, x, gen.act(t0, x), dt)
     return rho_next, sig_next
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qfiflow.cli import parse_config, run_simulate
-from qfiflow.flow import classify_intervals, flow_records, subflow_J
+from qfiflow.flow import classify_intervals, subflow_J
 from qfiflow.model import builtin_model
 from qfiflow.operators import hermitize
 from qfiflow.propagation import fd_theta_consistency, propagate
@@ -31,7 +31,7 @@ MODEL_PARAMS = {
 def _run(name, params, t_end=T_END):
     model = builtin_model(name, params)
     traj = propagate(model, model.theta, t_end, DT)
-    return model, traj, flow_records(traj)
+    return model, traj, traj.flow
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -10,12 +12,13 @@ from hypothesis import strategies as st
 from reference_generator import reference_generator, reference_generator_theta_derivative
 from strategies import models, real
 
+from qfiflow import model as model_module
+from qfiflow.cli import parse_config
 from qfiflow.estimation import sld_stack
 from qfiflow.flow import (
     FlowTable,
     _fd_series,
     classify_intervals,
-    flow_records,
     full_flow,
     hamiltonian_term,
     subflow_J,
@@ -27,11 +30,13 @@ from qfiflow.model import (
     ModelSpec,
     RyStateFamily,
     builtin_model,
+    compile_generator,
     constant_operator,
     zero_operator,
 )
 from qfiflow.operators import (
     DEFAULT_TOLERANCES,
+    ToleranceConfig,
     IDENTITY_2,
     SIGMA_MINUS,
     SIGMA_X,
@@ -43,6 +48,10 @@ from qfiflow.operators import (
 from qfiflow.propagation import Trajectory, propagate
 
 PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
+
+# The gate accepts every finite state, so random models with rates of either
+# sign run to the end.
+ANY_FINITE_STATE = ToleranceConfig(herm=math.inf, trace=math.inf, positivity=math.inf)
 
 
 def random_density(rng, n):
@@ -123,7 +132,7 @@ class TestChannelDecomposition:
             rho0_family=RyStateFamily(),
             theta=0.0,
         )
-        table = flow_records(propagate(model, 0.0, 0.01, 1e-3))
+        table = propagate(model, 0.0, 0.01, 1e-3).flow
         assert table.labels == ()
         assert table.gamma.shape == table.J.shape == table.I.shape == (0, len(table))
         assert sum(table.I) == 0.0
@@ -151,7 +160,7 @@ class TestHamiltonianTerm:
     def test_zero_derivative_is_exactly_zero(self):
         npt.assert_array_equal(hamiltonian_term(*one(np.zeros((2, 2)), IDENTITY_2 / 2, SIGMA_X)), [0.0])
         model = builtin_model("ad-nm")
-        table = flow_records(propagate(model, model.theta, 0.05, 1e-3))
+        table = propagate(model, model.theta, 0.05, 1e-3).flow
         npt.assert_array_equal(table.ham_term, 0.0)
 
     def test_diagonal_pair_vanishes(self):
@@ -183,7 +192,7 @@ class TestFullFlow:
             theta=0.4,
         )
         traj = propagate(model, 0.4, 2.0, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         assert np.max(np.abs(table.full_flow)) <= 1e-9
         assert np.max(np.abs(table.qfi - table.qfi[0])) <= 1e-6
         t, rho, sig = traj.grid[500], traj.rho[500], traj.drho_dtheta[500]
@@ -195,14 +204,14 @@ class TestFullFlow:
     def test_pure_phase_estimation_flow(self):
         model = builtin_model("phase-dephasing", {"gamma0": 0.0})
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         late = table.t >= 0.1
         npt.assert_allclose(table.full_flow[late], 2.0 * table.t[late], rtol=0, atol=1e-6)
 
     def test_matches_oracle_on_ad_nm(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         tol = 1e-5 * max(1.0, np.max(table.qfi))
         assert np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]) <= tol
 
@@ -218,7 +227,7 @@ class TestResidual:
     def test_theta_independent_model_residual_vanishes(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         tau = 1e-6 * max(1.0, np.max(np.abs(table.qfi)))
         assert np.max(np.abs(table.residual_T)) <= tau
         assert np.max(np.abs(table.ham_term)) <= tau
@@ -227,7 +236,7 @@ class TestResidual:
         # only the Hamiltonian depends on theta: no rate/operator terms
         model = builtin_model("phase-dephasing")
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         tau = 1e-6 * max(1.0, np.max(np.abs(table.qfi)))
         assert np.max(np.abs(table.residual_T)) <= tau
         assert np.max(np.abs(table.ham_term)) > 100 * tau
@@ -235,7 +244,7 @@ class TestResidual:
     def test_rate_estimation_residual_matches_oracle(self):
         model = builtin_model("rate-estimation")
         traj = propagate(model, model.theta, 1.0, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         tol = 1e-5 * max(1.0, np.max(table.qfi))
         sub = sum(table.I)
         gap = table.residual_T - (table.flow_fd - table.ham_term - sub)
@@ -294,7 +303,7 @@ class TestClassifyIntervals:
         # gamma(t) = 1 + 1.5 sin 2t < 0 exactly where sin 2t < -2/3
         model = builtin_model("ad-nm", {"a": 1.5})
         traj = propagate(model, model.theta, 5.0, 1e-3)
-        (report,) = classify_intervals(flow_records(traj))
+        (report,) = classify_intervals(traj.flow)
         s = math.asin(2.0 / 3.0)
         expected = ((math.pi + s) / 2.0, (2.0 * math.pi - s) / 2.0)
         ((t0, t1),) = report.negative_rate_intervals
@@ -307,15 +316,110 @@ class TestClassifyIntervals:
             classify_intervals(_synthetic_table(np.array([]), gamma=0.5, J=-1.0))
 
 
+# Builtin parameters, each within its documented range, narrowed to runs that
+# stay valid and away from pure states after t = 0 -- rates that never go
+# negative (a <= 1), a Jaynes-Cummings reservoir without poles
+# (lambda > 2 gamma0), decay no faster than about exp(-13) by t = 5 -- and
+# slow enough that RK4's truncation at dt = 1e-3 stays below the bound
+# (|theta| <= 1 for the phase, lambda <= 5 gamma0: theta = 3 or
+# lambda = 14 gamma0 reach it).
+_ANGLE = st.floats(0.2, math.pi - 0.2)
+BUILTIN_PARAMS = {
+    "ad-nm": st.fixed_dictionaries(
+        {"gamma0": st.floats(0.1, 1.5), "a": st.floats(0.0, 1.0), "omega": st.floats(0.5, 4.0),
+         "phi": st.floats(0.0, 2.0 * math.pi), "omega0": st.floats(0.0, 2.0), "theta": _ANGLE}
+    ),
+    "ad-jc": st.tuples(st.floats(0.1, 1.5), st.floats(2.5, 5.0), st.floats(0.0, 2.0), _ANGLE).map(
+        lambda p: {"gamma0": p[0], "lambda": p[0] * p[1], "omega0": p[2], "theta": p[3]}
+    ),
+    "phase-dephasing": st.fixed_dictionaries(
+        {"gamma0": st.floats(0.0, 1.0), "a": st.floats(0.0, 1.0), "omega": st.floats(0.5, 4.0),
+         "phi": st.floats(0.0, 2.0 * math.pi), "theta": st.floats(-1.0, 1.0)}
+    ),
+    "rate-estimation": st.fixed_dictionaries(
+        {"theta": st.floats(0.2, 1.5), "g": st.floats(0.2, 1.5), "omega0": st.floats(0.0, 2.0), "alpha": _ANGLE}
+    ),
+}
+
+
 class TestExactQubitOracle:
+    # reference settings; the closed form shares no code with propagate,
+    # sld_stack, the flow or the finite-difference stencil
+
     @pytest.mark.parametrize("name", BUILTIN_MODEL_NAMES)
     def test_qfi_matches_closed_form(self, name):
-        # reference settings; the closed form shares no code with propagate,
-        # sld_stack or the finite-difference stencil
         model = builtin_model(name)
-        table = flow_records(propagate(model, model.theta, 5.0, 1e-3))
-        exact = exact_qfi(name, table.t, model.theta)
+        table = propagate(model, model.theta, 5.0, 1e-3).flow
+        exact = exact_qfi(name, table.t)
         assert np.max(np.abs(exact - table.qfi)) <= 1e-12 * max(1.0, np.max(exact))
+
+    @pytest.mark.parametrize("name", BUILTIN_MODEL_NAMES)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_qfi_matches_closed_form_at_drawn_parameters(self, name, data):
+        params = data.draw(BUILTIN_PARAMS[name])
+        model = builtin_model(name, params)
+        table = propagate(model, model.theta, 5.0, 1e-3).flow
+        exact = exact_qfi(name, table.t, params)
+        assert np.max(np.abs(exact - table.qfi)) <= 1e-12 * max(1.0, np.max(exact))
+
+    @pytest.mark.parametrize("name", BUILTIN_MODEL_NAMES)
+    def test_full_flow_matches_closed_form_derivative(self, name):
+        # five-point stencil of the closed form, its truncation included
+        model = builtin_model(name)
+        table = propagate(model, model.theta, 5.0, 1e-3).flow
+        h, late = 1e-3, table.t >= 2e-3
+        t = table.t[late]
+        dF = (-exact_qfi(name, t + 2 * h) + 8 * exact_qfi(name, t + h) - 8 * exact_qfi(name, t - h)
+              + exact_qfi(name, t - 2 * h)) / (12 * h)
+        bound = 1e-10 * max(1.0, np.max(exact_qfi(name, table.t)))
+        assert np.max(np.abs(dF - table.full_flow[late])) <= bound
+
+
+class TestFlowOfThePass:
+    """``propagate``'s flow, from the derivatives and eigendecompositions of its
+    own pass, against the flow recomputed from the stored states."""
+
+    @staticmethod
+    def _check(traj, rtol=1e-12, column_scale=False):
+        want = ref.flow_records(traj)
+        got = traj.flow
+        assert got.labels == want.labels
+        npt.assert_array_equal(got.t, want.t)
+        npt.assert_array_equal(got.thresholded_pairs, want.thresholded_pairs)
+        for column in ("qfi", "flow_fd", "full_flow", "ham_term", "residual_T", "gamma", "J", "I"):
+            g, w = getattr(got, column), getattr(want, column)
+            scale = max(1.0, float(np.max(np.abs(w if column_scale else want.qfi), initial=0.0)))
+            assert np.max(np.abs(g - w), initial=0.0) <= rtol * scale
+
+    @pytest.mark.parametrize("name", BUILTIN_MODEL_NAMES)
+    def test_builtins(self, name):
+        # the step-map path, over several blocks
+        model = builtin_model(name)
+        self._check(propagate(model, model.theta, 1.0, 1e-3))
+
+    def test_qutrit(self, qutrit_model):
+        self._check(propagate(qutrit_model, 0.0, 0.5, 1e-3))
+
+    def test_four_qubits(self, monkeypatch):
+        # d = 16: the stacked path, whose derivatives are carried RK4 stages
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from workloads import qubit_model
+
+        model = parse_config(json.dumps({"model": qubit_model(3), "t_end": 0.05, "dt": 1e-3})).model
+        assert compile_generator(model).map_steps_per_block(1) == 0
+        self._check(propagate(model, model.theta, 0.05, 1e-3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(models(), st.booleans())
+    def test_random_models_on_both_paths(self, model, maps):
+        # States off the positivity boundary give large SLDs, which amplify the
+        # rounding of the derivatives (S c against act) to about 1e-12 of each
+        # column; a derivative of the wrong state or time would be off by O(1).
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "COEFFICIENT_BYTES", 2**26 if maps else 0)
+            traj = propagate(model, model.theta, 0.02, 1e-3, ANY_FINITE_STATE)
+        self._check(traj, rtol=1e-9, column_scale=True)
 
 
 class TestMultilevelSystem:
@@ -324,7 +428,7 @@ class TestMultilevelSystem:
         # the whole flow; exercises dim > 2 and multiple channels at once
         model = qutrit_model
         traj = propagate(model, 0.0, 2.0, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         tol = 1e-5 * max(1.0, np.max(table.qfi))
         assert np.max(np.abs(table.flow_fd - sum(table.I))[1:-1]) <= tol
         assert np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]) <= tol
@@ -339,14 +443,14 @@ class TestFlowRecords:
     def test_residual_identity_holds_exactly(self):
         model = builtin_model("rate-estimation")
         traj = propagate(model, model.theta, 0.2, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         expected = table.full_flow - table.ham_term - sum(table.I)
         npt.assert_allclose(table.residual_T, expected, rtol=0, atol=1e-15)
 
     def test_record_grid_alignment(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 0.05, 1e-3)
-        table = flow_records(traj)
+        table = traj.flow
         assert len(table) == len(traj.grid)
         npt.assert_array_equal(table.t, traj.grid)
         for column in (table.qfi, table.flow_fd, table.full_flow, table.ham_term, table.residual_T):
@@ -378,9 +482,9 @@ class TestStackedFlowMatchesScalarReferences:
         rho, sig = map(np.array, zip(*(_state_pair(rng, model.dim) for _ in range(n))))
         traj = Trajectory(
             model=model, theta=theta, grid=np.arange(n) * dt, rho=rho, drho_dtheta=sig,
-            dt=dt, tolerances=DEFAULT_TOLERANCES, max_trace_drift=0.0, min_eigenvalue=0.0,
+            dt=dt, tolerances=DEFAULT_TOLERANCES, max_trace_drift=0.0, min_eigenvalue=0.0, flow=None,
         )
-        table = flow_records(traj)
+        table = ref.flow_records(traj)
         refs = [ref.sld(r, s) for r, s in zip(rho, sig)]
         qfis = [res.qfi for res in refs]
 

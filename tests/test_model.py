@@ -334,24 +334,6 @@ class TestCompiledGenerator:
             tracemalloc.stop()
         assert peak <= COEFFICIENT_BYTES
 
-    @settings(max_examples=30, deadline=None)
-    @given(models(), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_acted_block_fits_coefficient_bytes(self, model, derivative, seed):
-        # flow_records' block: the operators and act on the stack at all its times at once
-        thetas = (0.3,) if derivative else (0.3, 0.2)
-        gen = compile_generator(model, derivative=derivative)
-        times = np.linspace(0.0, 1.0, gen.times_per_block(len(thetas), acted=True))
-        rng = np.random.default_rng(seed)
-        d, k = model.dim, 2 * len(thetas) if derivative else len(thetas)
-        x = hermitize(rng.normal(size=(len(times), k, d, d)) + 1j * rng.normal(size=(len(times), k, d, d)))
-        tracemalloc.start()
-        try:
-            gen.act(gen.operators(times, thetas), x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= COEFFICIENT_BYTES
-
 
 class TestBuiltinModels:
     def test_registry(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -440,6 +441,13 @@ class TestStepMapPath:
             for stack in (traj.rho, traj.drho_dtheta):
                 assert np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) == 0.0
 
+    def test_generator_evaluated_once_per_half_grid_time(self, monkeypatch):
+        model = builtin_model("ad-nm")
+        block = model_module.compile_generator(model).map_steps_per_block(1)
+        seen = _spy_times(monkeypatch)
+        traj = propagate(model, model.theta, (2 * block + block // 2) * 1e-3, 1e-3)
+        _check_half_grid_once(seen, traj.grid)
+
     def test_non_finite_operator_mid_block_aborts_at_next_grid_time(self, monkeypatch):
         # an inf rate at the half-grid time t_j + dt/2 spoils step j only, so
         # the first non-finite state is the one at t_(j+1)
@@ -473,26 +481,63 @@ def _qubit_model(monkeypatch):
     return model, gen
 
 
+def _spy_times(mp) -> list:
+    """The times of every ``CompiledGenerator.operators`` call, one array per call."""
+    seen = []
+    operators = model_module.CompiledGenerator.operators
+
+    def spy(self, times, thetas):
+        seen.append(np.asarray(times, dtype=float).ravel())
+        return operators(self, times, thetas)
+
+    mp.setattr(model_module.CompiledGenerator, "operators", spy)
+    return seen
+
+
+def _check_half_grid_once(seen, grid):
+    """The generator was evaluated at every grid time and midpoint exactly once."""
+    times = np.concatenate(seen)
+    assert len(seen) > 2  # the initial point and several blocks of several steps
+    assert np.array_equal(np.sort(times), np.sort(np.concatenate([grid, grid[:-1] + 0.5e-3])))
+    # the boundary point of consecutive blocks is carried over, not evaluated twice
+    assert len(times) == 2 * (len(grid) - 1) + 1
+
+
 class TestStackedPath:
     def test_generator_evaluated_once_per_half_grid_time(self, monkeypatch):
         model, gen = _qubit_model(monkeypatch)
-        seen = []
-        operators = model_module.CompiledGenerator.operators
+        seen = _spy_times(monkeypatch)
+        traj = propagate(model, model.theta, 40 * 1e-3, 1e-3)
+        _check_half_grid_once(seen, traj.grid)
 
-        def spy(self, times, thetas):
-            seen.append(np.asarray(times, dtype=float).ravel())
-            return operators(self, times, thetas)
-
-        monkeypatch.setattr(model_module.CompiledGenerator, "operators", spy)
+    def test_four_acts_per_step_and_one_at_the_end(self, monkeypatch):
+        # RK4's four stages per step, the first of them being the previous state's
+        # derivative for the flow; the last state's derivative is the one more
+        model, gen = _qubit_model(monkeypatch)
+        calls = []
+        act = model_module.CompiledGenerator.act
+        monkeypatch.setattr(model_module.CompiledGenerator, "act", lambda *a: calls.append(1) or act(*a))
         n = 40
-        traj = propagate(model, model.theta, n * 1e-3, 1e-3)
-        half = np.concatenate([traj.grid, traj.grid[:-1] + 0.5e-3])
-        times = np.concatenate(seen)
-        assert len(seen) > 1  # several blocks of several steps
-        assert len(np.unique(times)) == 2 * n + 1
-        assert np.array_equal(np.unique(times), np.unique(half))
-        # consecutive blocks share only their boundary grid point
-        assert len(times) == 2 * n + len(seen)
+        propagate(model, model.theta, n * 1e-3, 1e-3)
+        assert len(calls) == 4 * n + 1
+
+    def test_memory_beyond_the_stored_stacks_does_not_grow_with_the_run(self, monkeypatch):
+        # the trajectory stores rho and drho_dtheta only: derivatives and
+        # eigenvectors live one block at a time.  Per grid point the flow keeps
+        # a few scalar columns; one more stored (N, d, d) stack would add
+        # 16 d^2 bytes per point, four times the growth allowed here.
+        model, gen = _qubit_model(monkeypatch)
+        d = model.dim
+        excess = {}
+        for n in (40, 400):
+            tracemalloc.start()
+            try:
+                propagate(model, model.theta, n * 1e-3, 1e-3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess[n] = peak - 2 * (n + 1) * 16 * d * d
+        assert excess[400] - excess[40] <= (400 - 40) * 16 * d * d // 4
 
     def test_non_finite_operator_mid_block_aborts_at_next_grid_time(self, monkeypatch):
         # the stacked-path twin of TestStepMapPath's test: an inf rate at the
@@ -517,3 +562,33 @@ class TestStackedPath:
         assert err.value.t == grid.tolist()[j + 1]
         # the gate runs once the second block has taken all its steps
         assert calls["stacked"] == 2 * steps and calls["maps"] == 0
+
+
+def _record_inputs(mp, name: str) -> list:
+    """The stacks passed to ``numpy.linalg.<name>``, one per call."""
+    seen = []
+    solver = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return solver(a, *args, **kwargs)
+
+    mp.setattr(np.linalg, name, spy)
+    return seen
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("path", ["maps", "stacked"])
+    def test_each_state_decomposed_once(self, monkeypatch, path):
+        # the density gate's eigh feeds the SLD: one eigendecomposition per grid
+        # point, and no eigenvalues-only pass
+        if path == "maps":
+            model = builtin_model("ad-nm")
+            n = 2 * model_module.compile_generator(model).map_steps_per_block(1) + 7
+        else:
+            model, _ = _qubit_model(monkeypatch)
+            n = 40
+        eighs, eigvalshs = _record_inputs(monkeypatch, "eigh"), _record_inputs(monkeypatch, "eigvalsh")
+        traj = propagate(model, model.theta, n * 1e-3, 1e-3)
+        assert eigvalshs == []
+        assert np.array_equal(np.concatenate(eighs), hermitize(traj.rho))
