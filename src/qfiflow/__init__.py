@@ -33,6 +33,7 @@ from .model import (
     constant_operator,
     modulated_operator,
     probe_theta_dependence,
+    scalar_values,
     validate_model,
     zero_operator,
 )

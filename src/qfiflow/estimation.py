@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .operators import DEFAULT_TOLERANCES, DimensionMismatchError, ToleranceConfig, hermitize
+from .operators import DEFAULT_TOLERANCES, DimensionMismatchError, ToleranceConfig, hermiticity_defect, hermitize
 
 __all__ = ["sld_stack", "DEFAULT_EPS_RANK"]
 
@@ -59,7 +59,7 @@ def _sld_in_eigenbasis(
     which the propagation's density gate has already made; checks drho_dtheta."""
     if not np.isfinite(sig).all():
         raise ValueError("matrix contains non-finite entries")
-    defect = np.abs(sig - sig.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    defect = hermiticity_defect(sig)
     bound = 10.0 * tol.herm * np.maximum(1.0, np.abs(sig).max(axis=(1, 2)))
     if np.any(defect > bound):
         raise ValueError(f"drho_dtheta is not Hermitian: defect {defect[np.argmax(defect > bound)]:.3e}")

@@ -3,8 +3,10 @@
 A model bundles the generator ingredients H(theta;t), the dissipative
 channels {gamma_i(theta;t), A_i(theta;t)}, the analytic theta-derivatives of
 all three, and a parametric initial-state family rho0(theta).  Operator
-time/theta dependence is restricted to sums of (scalar function) x (constant
+time/theta dependence is restricted to sums of (scalar form) x (constant
 matrix), which keeps configurations serializable and derivative rules exact.
+The forms are data, evaluated over arrays of times by :func:`scalar_values`
+(operators by ``evaluate_many``) for the run, the probes and the checks alike.
 
 :func:`compile_generator` turns a model into a :class:`CompiledGenerator`:
 the constant matrices of the effective Hamiltonian and of the jump
@@ -23,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -129,9 +132,6 @@ class ConstantScalar:
 
     c: float
 
-    def __call__(self, t: float, theta: float = 0.0) -> float:
-        return self.c
-
 
 @dataclass(frozen=True)
 class SinusoidalScalar:
@@ -142,9 +142,6 @@ class SinusoidalScalar:
     omega: float
     phi: float = 0.0
 
-    def __call__(self, t: float, theta: float = 0.0) -> float:
-        return self.c0 * (1.0 + self.a * math.sin(self.omega * t + self.phi))
-
 
 @dataclass(frozen=True)
 class JcLorentzianScalar:
@@ -153,37 +150,13 @@ class JcLorentzianScalar:
     t |-> 2*gamma0*lam*sinh(d*t/2) / (d*cosh(d*t/2) + lam*sinh(d*t/2)) with
     d = sqrt(lam^2 - 2*gamma0*lam).  For lam < 2*gamma0 the root is imaginary
     and the rate oscillates (sinh(ix) = i sin x), diverging at finite times;
-    evaluation raises :class:`ScalarPoleError` when the denominator is below
-    1e-9 in the pole-free normal form.
+    :func:`scalar_values` raises :class:`ScalarPoleError` when the denominator
+    is below 1e-9 in the pole-free normal form, and ``OverflowError`` where
+    sinh or cosh of d*t/2 overflows.
     """
 
     gamma0: float
     lam: float
-
-    def _pieces(self, t: float) -> tuple[complex, complex]:
-        d = cmath.sqrt(complex(self.lam * self.lam - 2.0 * self.gamma0 * self.lam))
-        z = 0.5 * d * t
-        # sinh(z)/z, series near z=0 so the critically-damped point lam = 2*gamma0 stays finite
-        if abs(z) < 1e-8:
-            sinhc = 1.0 + z * z / 6.0
-        else:
-            sinhc = cmath.sinh(z) / z
-        half_t_sinhc = 0.5 * t * sinhc
-        return half_t_sinhc, cmath.cosh(z) + self.lam * half_t_sinhc
-
-    def denominator(self, t: float) -> float:
-        """Pole-free normal form of the denominator; real for real parameters and
-        vanishing exactly at the true poles of the rate."""
-        return self._pieces(t)[1].real
-
-    def __call__(self, t: float, theta: float = 0.0) -> float:
-        half_t_sinhc, den = self._pieces(t)
-        if abs(den) < 1e-9:
-            raise ScalarPoleError(
-                f"lorentzian rate denominator |{abs(den):.3e}| < 1e-9 at t={t!r}", t
-            )
-        val = 2.0 * self.gamma0 * self.lam * half_t_sinhc / den
-        return float(val.real)
 
 
 @dataclass(frozen=True)
@@ -191,9 +164,6 @@ class ThetaScaledScalar:
     """(theta, t) |-> theta * base(t); the analytic derivative in theta is base."""
 
     base: "TimeDependentScalar"
-
-    def __call__(self, t: float, theta: float = 0.0) -> float:
-        return theta * self.base(t)
 
 
 TimeDependentScalar = Union[
@@ -214,6 +184,48 @@ def scalar_is_zero(s: TimeDependentScalar) -> bool:
     raise TypeError(f"unknown scalar form {type(s).__name__}")
 
 
+def _jc_pieces(s: JcLorentzianScalar, times: np.ndarray, message: str, crossings: bool = False):
+    """Half t sinhc(d t/2) and the pole-free normal form of the denominator of the
+    lorentzian rate at every time.  Raises at the first time where sinh or cosh
+    of d t/2 overflows (``OverflowError``), or where |den| < 1e-9 or, with
+    ``crossings``, den changed sign since the previous time
+    (:class:`ScalarPoleError`, ``message`` formatted with that |den| and t)."""
+    d = cmath.sqrt(complex(s.lam * s.lam - 2.0 * s.gamma0 * s.lam))
+    z = 0.5 * d * times
+    with np.errstate(all="ignore"):
+        sinh, cosh = np.sinh(z), np.cosh(z)
+        # sinh(z)/z, series near z=0 so the critically-damped point lam = 2*gamma0 stays finite
+        sinhc = np.where(np.abs(z) < 1e-8, 1.0 + z * z / 6.0, sinh / z)
+        half_t_sinhc = 0.5 * times * sinhc
+        den = cosh + s.lam * half_t_sinhc
+        overflow = np.isfinite(z) & ~(np.isfinite(sinh) & np.isfinite(cosh))
+        pole = np.abs(den) < 1e-9
+        if crossings:
+            pole[1:] |= den.real[1:] * den.real[:-1] < 0.0
+    bad = overflow | pole
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = float(times[i])
+        if overflow[i]:
+            raise OverflowError(f"lorentzian rate overflows at t={t!r}")
+        raise ScalarPoleError(message.format(den=abs(den[i]), t=t), t)
+    return half_t_sinhc, den
+
+
+def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
+    """s at every time of a 1-d array (one number if constant), the library's one
+    evaluation of a scalar form; a lorentzian rate raises at its first pole or overflow."""
+    if isinstance(s, ConstantScalar):
+        return s.c
+    if isinstance(s, SinusoidalScalar):
+        return s.c0 * (1.0 + s.a * np.sin(s.omega * times + s.phi))
+    if isinstance(s, ThetaScaledScalar):
+        return theta * scalar_values(s.base, times, theta)
+    half_t_sinhc, den = _jc_pieces(s, times, "lorentzian rate denominator |{den:.3e}| < 1e-9 at t={t!r}")
+    with np.errstate(all="ignore"):
+        return (2.0 * s.gamma0 * s.lam * half_t_sinhc / den).real
+
+
 def scan_scalar_poles(scalar: TimeDependentScalar, times) -> None:
     """Reject a run interval containing a pole of a lorentzian-form rate.
 
@@ -223,22 +235,9 @@ def scan_scalar_poles(scalar: TimeDependentScalar, times) -> None:
     """
     if isinstance(scalar, ThetaScaledScalar):
         scan_scalar_poles(scalar.base, times)
-        return
-    if not isinstance(scalar, JcLorentzianScalar):
-        return
-    den = _jc_pieces(scalar, np.asarray(times, dtype=float))[1].real
-    if np.all(np.isfinite(den) & (np.abs(den) >= 1e-9)) and not np.any(den[1:] * den[:-1] < 0.0):
-        return
-    # point by point, to raise at the first failing time with the scalar's message
-    prev: float | None = None
-    for t in times:
-        den = scalar.denominator(float(t))
-        if abs(den) < 1e-9 or (prev is not None and den * prev < 0.0):
-            raise ScalarPoleError(
-                f"run interval contains a pole of the lorentzian rate near t={t!r}",
-                float(t),
-            )
-        prev = den
+    elif isinstance(scalar, JcLorentzianScalar):
+        message = "run interval contains a pole of the lorentzian rate near t={t!r}"
+        _jc_pieces(scalar, np.asarray(times, dtype=float), message, crossings=True)
 
 
 _SCALAR_FIELDS = {
@@ -349,14 +348,8 @@ class TimeDependentOperator:
                     f"operator term has shape {term.base.shape}, expected ({self.dim}, {self.dim})"
                 )
 
-    def evaluate(self, t: float, theta: float = 0.0) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for term in self.terms:
-            out += term.modulation(t, theta) * term.base
-        return out
-
     def evaluate_many(self, times: np.ndarray, theta: float = 0.0) -> np.ndarray:
-        """The operator at every time, shape ``(len(times), dim, dim)``, summed as in evaluate."""
+        """The operator at every time, shape ``(len(times), dim, dim)``: its terms in order."""
         out = np.zeros((len(times), self.dim, self.dim), dtype=complex)
         for term in self.terms:
             out += np.multiply.outer(scalar_values(term.modulation, times, theta), term.base)
@@ -509,34 +502,6 @@ class ModelSpec:
 # Bytes of generator operators evaluated ahead at once: bounds their storage
 # independently of the run length.
 COEFFICIENT_BYTES = 2**20
-
-
-def _jc_pieces(s: JcLorentzianScalar, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``JcLorentzianScalar._pieces`` at every time, with numpy's complex functions;
-    an overflow gives a non-finite value instead of raising."""
-    d = cmath.sqrt(complex(s.lam * s.lam - 2.0 * s.gamma0 * s.lam))
-    z = 0.5 * d * times
-    with np.errstate(all="ignore"):
-        sinhc = np.where(np.abs(z) < 1e-8, 1.0 + z * z / 6.0, np.sinh(z) / z)
-        half_t_sinhc = 0.5 * times * sinhc
-        return half_t_sinhc, np.cosh(z) + s.lam * half_t_sinhc
-
-
-def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
-    """s at every time (one number if constant), with the arithmetic of its scalar form."""
-    if isinstance(s, ConstantScalar):
-        return s.c
-    if isinstance(s, SinusoidalScalar):
-        return s.c0 * (1.0 + s.a * np.sin(s.omega * times + s.phi))
-    if isinstance(s, ThetaScaledScalar):
-        return theta * scalar_values(s.base, times, theta)
-    half_t_sinhc, den = _jc_pieces(s, times)
-    with np.errstate(all="ignore"):
-        values = (2.0 * s.gamma0 * s.lam * half_t_sinhc / den).real
-    if np.all(np.isfinite(values)) and np.all(np.abs(den) >= 1e-9):
-        return values
-    # point by point: the closed form raises at the first pole or overflow
-    return np.array([s(t, theta) for t in times.tolist()], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -873,39 +838,28 @@ def probe_theta_dependence(
     ``fd_magnitude`` is the measured theta dependence, ``defect`` the
     disagreement between the finite difference and the declared derivative.
     """
-    h_mag = 0.0
-    h_defect = 0.0
-    for t in times:
-        fd = (model.H.evaluate(t, theta + delta) - model.H.evaluate(t, theta - delta)) / (
-            2.0 * delta
-        )
-        h_mag = max(h_mag, float(np.max(np.abs(fd))) if fd.size else 0.0)
-        diff = fd - model.dH_dtheta.evaluate(t, theta)
-        h_defect = max(h_defect, float(np.max(np.abs(diff))) if diff.size else 0.0)
-    g_mag = 0.0
-    g_defect = 0.0
-    a_mag = 0.0
-    a_defect = 0.0
-    for ch in model.channels:
-        for t in times:
-            fd_g = (ch.gamma(t, theta + delta) - ch.gamma(t, theta - delta)) / (2.0 * delta)
-            g_mag = max(g_mag, abs(fd_g))
-            g_defect = max(g_defect, abs(fd_g - ch.dgamma_dtheta(t, theta)))
-            fd_a = (ch.A.evaluate(t, theta + delta) - ch.A.evaluate(t, theta - delta)) / (
-                2.0 * delta
-            )
-            a_mag = max(a_mag, float(np.max(np.abs(fd_a))) if fd_a.size else 0.0)
-            diff_a = fd_a - ch.dA_dtheta.evaluate(t, theta)
-            a_defect = max(a_defect, float(np.max(np.abs(diff_a))) if diff_a.size else 0.0)
+    times = np.asarray(times, dtype=float)
+
+    def dependence(ingredients: list, declared_zero: bool) -> ThetaDependence:
+        """Largest |central difference in theta| over the times and the ingredients,
+        pairs (values at a theta, declared derivative), and its largest |defect|."""
+        magnitude = defect = 0.0
+        for values, declared in ingredients:
+            fd = (values(theta + delta) - values(theta - delta)) / (2.0 * delta)
+            magnitude = max(magnitude, float(np.max(np.abs(fd), initial=0.0)))
+            defect = max(defect, float(np.max(np.abs(fd - declared), initial=0.0)))
+        return ThetaDependence(magnitude, declared_zero, defect)
+
+    H, dH, channels = model.H, model.dH_dtheta, model.channels
     return {
-        "hamiltonian": ThetaDependence(h_mag, model.dH_dtheta.is_zero, h_defect),
-        "decay_rates": ThetaDependence(
-            g_mag,
-            all(scalar_is_zero(ch.dgamma_dtheta) for ch in model.channels),
-            g_defect,
+        "hamiltonian": dependence([(partial(H.evaluate_many, times), dH.evaluate_many(times, theta))], dH.is_zero),
+        "decay_rates": dependence(
+            [(partial(scalar_values, ch.gamma, times), scalar_values(ch.dgamma_dtheta, times, theta)) for ch in channels],
+            all(scalar_is_zero(ch.dgamma_dtheta) for ch in channels),
         ),
-        "lindblad_operators": ThetaDependence(
-            a_mag, all(ch.dA_dtheta.is_zero for ch in model.channels), a_defect
+        "lindblad_operators": dependence(
+            [(partial(ch.A.evaluate_many, times), ch.dA_dtheta.evaluate_many(times, theta)) for ch in channels],
+            all(ch.dA_dtheta.is_zero for ch in channels),
         ),
     }
 
@@ -922,16 +876,18 @@ def validate_model(
     Hermitian, traceless initial-state derivative."""
     if theta is None:
         theta = model.theta
-    for t in times:
-        for what, op in (("H", model.H), ("dH_dtheta", model.dH_dtheta)):
-            defect = hermiticity_defect(op.evaluate(t, theta))
-            if defect > tol.herm:
-                raise ValueError(
-                    f"{what} not Hermitian at (theta={theta}, t={t}): defect {defect:.3e}"
-                )
-    for probe in (theta, theta + delta_theta, theta - delta_theta):
-        validate_density(model.rho0_family.rho0(probe), tol)
-    d0 = model.rho0_family.drho0_dtheta(theta)
+    times = np.asarray(times, dtype=float)
+    names, ops = ("H", "dH_dtheta"), (model.H, model.dH_dtheta)
+    defects = np.stack([hermiticity_defect(op.evaluate_many(times, theta)) for op in ops], axis=1)
+    bad = np.flatnonzero(defects > tol.herm)
+    if bad.size:  # the first in time, H before dH_dtheta
+        k, j = divmod(int(bad[0]), len(ops))
+        raise ValueError(
+            f"{names[j]} not Hermitian at (theta={theta}, t={float(times[k])}): defect {defects[k, j]:.3e}"
+        )
+    family = model.rho0_family
+    validate_density(np.stack([family.rho0(p) for p in (theta, theta + delta_theta, theta - delta_theta)]), tol)
+    d0 = family.drho0_dtheta(theta)
     if hermiticity_defect(d0) > tol.herm:
         raise ValueError("initial-state theta-derivative is not Hermitian")
     if abs(np.trace(d0)) > tol.trace:

@@ -117,9 +117,10 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |m - m†| entrywise."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_defect(m: np.ndarray):
+    """max |m - m†| entrywise, matrix by matrix for a stack: a number for one
+    matrix, an array of shape ``m.shape[:-2]`` for a stack."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -151,7 +152,7 @@ def _gate(m: np.ndarray, tol: ToleranceConfig, vectors: bool):
     finite = np.isfinite(stack).all(axis=(1, 2))
     n_finite = len(stack) if finite.all() else int(np.argmin(finite))
     head = stack[:n_finite]
-    herm = np.abs(head - head.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    herm = hermiticity_defect(head)
     tr = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
     off = (herm > tol.herm) | (tr > tol.trace)
     n_checked = int(np.argmax(off)) if off.any() else n_finite

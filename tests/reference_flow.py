@@ -18,7 +18,7 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from reference_generator import reference_generator, reference_generator_theta_derivative
+from reference_generator import evaluate, reference_generator, reference_generator_theta_derivative
 
 from qfiflow.estimation import DEFAULT_EPS_RANK
 from qfiflow.flow import flow_block, flow_table
@@ -68,7 +68,7 @@ def hamiltonian_term(model, theta: float, t: float, rho: np.ndarray, L: np.ndarr
     """-2i Tr(L [dH/dtheta, rho]); exactly zero for theta-independent H."""
     if model.dH_dtheta.is_zero:
         return 0.0
-    dH = model.dH_dtheta.evaluate(t, theta)
+    dH = evaluate(model.dH_dtheta, t, theta)
     return _real_trace(-2.0j * (L @ commutator(dH, np.asarray(rho, dtype=complex))), "hamiltonian term")
 
 

@@ -1,7 +1,13 @@
-"""Hand-written generator loops: the reference for the compiled generator.
+"""Per-point model evaluation and hand-written generator loops: the references
+for the library's stacked evaluators and its compiled generator.
 
-These evaluate every operator at (theta, t) and apply K and the product
-rule for d/dtheta (K rho) term by term, the way the library did before the
+``scalar`` and ``evaluate`` give a scalar form or an operator at one (theta, t)
+with the math and cmath functions, the way the library evaluated them
+before ``scalar_values`` and ``evaluate_many`` became its only forms;
+``scan_poles`` and ``probe_theta_dependence`` are the pole scan and the
+theta probe built on them, point by point.  The generator loops evaluate
+every operator at (theta, t) and apply K and the product rule for
+d/dtheta (K rho) term by term, the way the library did before the
 generator was compiled into scalar coefficients on constant matrices.
 
 ``apply_generator``, ``apply_generator_theta_derivative`` and ``step_rk4``
@@ -9,11 +15,108 @@ are thin wrappers over the compiled generator for one state at one time,
 which the tests use to probe it point by point.
 """
 
+import cmath
+import math
+
 import numpy as np
 
-from qfiflow.model import ModelSpec, compile_generator
+from qfiflow.model import (
+    ConstantScalar,
+    JcLorentzianScalar,
+    ModelSpec,
+    ScalarPoleError,
+    SinusoidalScalar,
+    ThetaDependence,
+    ThetaScaledScalar,
+    compile_generator,
+    scalar_is_zero,
+)
 from qfiflow.operators import DimensionMismatchError, commutator, dagger
 from qfiflow.propagation import _rk4_step
+
+
+def jc_pieces(s: JcLorentzianScalar, t: float) -> tuple[complex, complex]:
+    """Half t sinhc(d t/2) and the pole-free denominator of the lorentzian rate at t;
+    cmath raises OverflowError where sinh or cosh overflows."""
+    d = cmath.sqrt(complex(s.lam * s.lam - 2.0 * s.gamma0 * s.lam))
+    z = 0.5 * d * t
+    # sinh(z)/z, series near z=0 so the critically-damped point lam = 2*gamma0 stays finite
+    if abs(z) < 1e-8:
+        sinhc = 1.0 + z * z / 6.0
+    else:
+        sinhc = cmath.sinh(z) / z
+    half_t_sinhc = 0.5 * t * sinhc
+    return half_t_sinhc, cmath.cosh(z) + s.lam * half_t_sinhc
+
+
+def jc_denominator(s: JcLorentzianScalar, t: float) -> float:
+    """Pole-free normal form of the denominator; real for real parameters and
+    vanishing exactly at the true poles of the rate."""
+    return jc_pieces(s, t)[1].real
+
+
+def scalar(s, t: float, theta: float = 0.0) -> float:
+    """The scalar form s at (theta, t)."""
+    if isinstance(s, ConstantScalar):
+        return s.c
+    if isinstance(s, SinusoidalScalar):
+        return s.c0 * (1.0 + s.a * math.sin(s.omega * t + s.phi))
+    if isinstance(s, ThetaScaledScalar):
+        return theta * scalar(s.base, t)
+    half_t_sinhc, den = jc_pieces(s, t)
+    if abs(den) < 1e-9:
+        raise ScalarPoleError(f"lorentzian rate denominator |{abs(den):.3e}| < 1e-9 at t={t!r}", t)
+    return float((2.0 * s.gamma0 * s.lam * half_t_sinhc / den).real)
+
+
+def evaluate(op, t: float, theta: float = 0.0) -> np.ndarray:
+    """The operator op at (theta, t): its terms summed in order from zero."""
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    for term in op.terms:
+        out += scalar(term.modulation, t, theta) * term.base
+    return out
+
+
+def scan_poles(s, times) -> None:
+    """Point by point: raise at the first time where a lorentzian rate's denominator
+    is below 1e-9 or has changed sign since the previous time."""
+    if isinstance(s, ThetaScaledScalar):
+        s = s.base
+    if not isinstance(s, JcLorentzianScalar):
+        return
+    prev = None
+    for t in np.asarray(times, dtype=float).tolist():
+        den = jc_denominator(s, t)
+        if abs(den) < 1e-9 or (prev is not None and den * prev < 0.0):
+            raise ScalarPoleError(f"run interval contains a pole of the lorentzian rate near t={t!r}", t)
+        prev = den
+
+
+def probe_theta_dependence(model: ModelSpec, theta: float, times, delta: float = 1e-4) -> dict:
+    """Central differences in theta of H, every gamma_i and every A_i, one time at a
+    time, against the declared derivatives; channels aggregated by maximum."""
+    h_mag = h_defect = g_mag = g_defect = a_mag = a_defect = 0.0
+    for t in times:
+        fd = (evaluate(model.H, t, theta + delta) - evaluate(model.H, t, theta - delta)) / (2.0 * delta)
+        h_mag = max(h_mag, float(np.max(np.abs(fd))))
+        h_defect = max(h_defect, float(np.max(np.abs(fd - evaluate(model.dH_dtheta, t, theta)))))
+    for ch in model.channels:
+        for t in times:
+            fd_g = (scalar(ch.gamma, t, theta + delta) - scalar(ch.gamma, t, theta - delta)) / (2.0 * delta)
+            g_mag = max(g_mag, abs(fd_g))
+            g_defect = max(g_defect, abs(fd_g - scalar(ch.dgamma_dtheta, t, theta)))
+            fd_a = (evaluate(ch.A, t, theta + delta) - evaluate(ch.A, t, theta - delta)) / (2.0 * delta)
+            a_mag = max(a_mag, float(np.max(np.abs(fd_a))))
+            a_defect = max(a_defect, float(np.max(np.abs(fd_a - evaluate(ch.dA_dtheta, t, theta)))))
+    return {
+        "hamiltonian": ThetaDependence(h_mag, model.dH_dtheta.is_zero, h_defect),
+        "decay_rates": ThetaDependence(
+            g_mag, all(scalar_is_zero(ch.dgamma_dtheta) for ch in model.channels), g_defect
+        ),
+        "lindblad_operators": ThetaDependence(
+            a_mag, all(ch.dA_dtheta.is_zero for ch in model.channels), a_defect
+        ),
+    }
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,11 +191,11 @@ def step_rk4(
 def reference_generator(model, theta, t, rho):
     """K(t) rho = -i[H, rho] + sum_i gamma_i (A_i rho A_i† - 1/2 {A_i†A_i, rho})."""
     rho = np.asarray(rho, dtype=complex)
-    H = model.H.evaluate(t, theta)
+    H = evaluate(model.H, t, theta)
     out = -1j * commutator(H, rho)
     for ch in model.channels:
-        g = ch.gamma(t, theta)
-        A = ch.A.evaluate(t, theta)
+        g = scalar(ch.gamma, t, theta)
+        A = evaluate(ch.A, t, theta)
         Ad = dagger(A)
         AdA = Ad @ A
         out += g * (A @ rho @ Ad - 0.5 * anticommutator(AdA, rho))
@@ -107,21 +210,21 @@ def reference_generator_theta_derivative(model, theta, t, rho, drho_dtheta):
     """
     rho = np.asarray(rho, dtype=complex)
     sig = np.asarray(drho_dtheta, dtype=complex)
-    H = model.H.evaluate(t, theta)
+    H = evaluate(model.H, t, theta)
     out = -1j * commutator(H, sig)
     if not model.dH_dtheta.is_zero:
-        out = out - 1j * commutator(model.dH_dtheta.evaluate(t, theta), rho)
+        out = out - 1j * commutator(evaluate(model.dH_dtheta, t, theta), rho)
     for ch in model.channels:
-        g = ch.gamma(t, theta)
-        A = ch.A.evaluate(t, theta)
+        g = scalar(ch.gamma, t, theta)
+        A = evaluate(ch.A, t, theta)
         Ad = dagger(A)
         AdA = Ad @ A
-        dg = ch.dgamma_dtheta(t, theta)
+        dg = scalar(ch.dgamma_dtheta, t, theta)
         if dg != 0.0:
             out += dg * (A @ rho @ Ad - 0.5 * anticommutator(AdA, rho))
         out += g * (A @ sig @ Ad - 0.5 * anticommutator(AdA, sig))
         if not ch.dA_dtheta.is_zero:
-            dA = ch.dA_dtheta.evaluate(t, theta)
+            dA = evaluate(ch.dA_dtheta, t, theta)
             dAd = dagger(dA)
             dAdA = dAd @ A + Ad @ dA
             out += g * (dA @ rho @ Ad + A @ rho @ dAd - 0.5 * anticommutator(dAdA, rho))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -27,7 +28,7 @@ from qfiflow.cli import (
     summary_to_dict,
 )
 from qfiflow.flow import FlowTable
-from qfiflow.model import builtin_model, scalar_from_config
+from qfiflow.model import builtin_model, scalar_from_config, scalar_values
 
 AD_NM_CONFIG = {
     "model": {
@@ -208,10 +209,10 @@ class TestInlineModel:
         cfg = parse_config(_config(model=INLINE_MODEL, theta=0.3))
         assert cfg.model_name == "inline"
         m = cfg.model
-        npt.assert_allclose(m.H.evaluate(0.0, theta=0.3), np.diag([0.15, -0.15]), atol=1e-15)
+        npt.assert_allclose(m.H.evaluate_many(np.array([0.0]), theta=0.3), [np.diag([0.15, -0.15])], atol=1e-15)
         (ch,) = m.channels
         assert ch.label == "dz"
-        assert ch.gamma(0.0) == pytest.approx(0.2)
+        assert scalar_values(ch.gamma, np.array([0.0]), 0.3) == pytest.approx(0.2)
         out = apply_generator(m, 0.3, 0.0, np.array([[0.5, 0.5], [0.5, 0.5]], complex))
         assert np.all(np.isfinite(out))
 
@@ -466,7 +467,7 @@ class TestMain:
         doc = dict(AD_NM_CONFIG, dt=-1.0)
         assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 2
 
-    def test_pole_exit_three(self, tmp_path):
+    def test_pole_exit_three(self, tmp_path, capsys):
         doc = {
             "model": {"builtin": "ad-jc", "params": {"gamma0": 1.0, "lambda": 0.5}},
             "t_end": 5,
@@ -474,6 +475,22 @@ class TestMain:
             "outputs": [{"csv_path": str(tmp_path / "o.csv")}],
         }
         assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
+        # the time as a plain number, not a numpy repr
+        assert capsys.readouterr().err == (
+            "runtime abort: run interval contains a pole of the lorentzian rate near t=4.837\n"
+        )
+
+    def test_overflowing_rate_exit_three_names_its_time(self, tmp_path, capsys):
+        # ad-jc: d = sqrt(3), and sinh(d t / 2) overflows past d t / 2 = ln(2 DBL_MAX),
+        # first on the grid at t = 820.39
+        doc = {"model": {"builtin": "ad-jc"}, "t_end": 900, "dt": 0.01}
+        k = math.ceil(2.0 * (math.log(sys.float_info.max) + math.log(2.0)) / math.sqrt(3.0) / 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--config", self._write_config(tmp_path, doc), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"numerical abort: lorentzian rate overflows at t={k * 0.01!r}\n"
+        assert k * 0.01 == 820.39
 
     def test_non_finite_state_exit_three_with_time_stamp(self, tmp_path, capsys):
         doc = {

@@ -9,7 +9,7 @@ import reference_flow as ref
 from exact_qubit import exact_qfi
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_generator import reference_generator, reference_generator_theta_derivative
+from reference_generator import evaluate, reference_generator, reference_generator_theta_derivative, scalar
 from strategies import models, real
 
 from qfiflow import model as model_module
@@ -32,6 +32,7 @@ from qfiflow.model import (
     builtin_model,
     compile_generator,
     constant_operator,
+    scalar_values,
     zero_operator,
 )
 from qfiflow.operators import (
@@ -139,8 +140,8 @@ class TestChannelDecomposition:
 
     def test_negative_rate_gives_positive_subflow(self):
         (ch,) = _single_channel_model(-0.5).channels
-        gamma = ch.gamma(0.0, 0.0)
-        (J,) = subflow_J(*one(IDENTITY_2 / 2, SIGMA_X, ch.A.evaluate(0.0, 0.0)))
+        gamma = scalar(ch.gamma, 0.0, 0.0)
+        (J,) = subflow_J(*one(IDENTITY_2 / 2, SIGMA_X, evaluate(ch.A, 0.0, 0.0)))
         assert gamma == pytest.approx(-0.5)
         assert J == pytest.approx(-1.0)
         assert gamma * J == pytest.approx(0.5)
@@ -151,7 +152,7 @@ class TestChannelDecomposition:
         (ch,) = model.channels
         t, rho, sig = traj.grid[::100], traj.rho[::100], traj.drho_dtheta[::100]
         L = sld_stack(rho, sig)[0]
-        gamma = np.array([ch.gamma(tk, model.theta) for tk in t])
+        gamma = scalar_values(ch.gamma, t, model.theta)
         I = gamma * subflow_J(rho, L, ch.A.evaluate_many(t, model.theta))
         assert np.any(gamma > 0) and np.all(I[gamma > 0] <= 1e-12)
 
@@ -501,7 +502,7 @@ class TestStackedFlowMatchesScalarReferences:
             close(table.ham_term[k], ref.hamiltonian_term(model, theta, t, rho[k], res.L))
             close(table.full_flow[k], ref.full_flow(model, theta, t, rho[k], sig[k], res.L))
             for i, ch in enumerate(model.channels):
-                close(table.gamma[i, k], ch.gamma(t, theta))
-                close(table.J[i, k], ref.subflow_J(rho[k], res.L, ch.A.evaluate(t, theta)))
+                close(table.gamma[i, k], scalar(ch.gamma, t, theta))
+                close(table.J[i, k], ref.subflow_J(rho[k], res.L, evaluate(ch.A, t, theta)))
         npt.assert_array_equal(table.I, table.gamma * table.J)
         npt.assert_array_equal(table.residual_T, table.full_flow - table.ham_term - sum(table.I))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import reference_generator as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_generator import (
@@ -60,42 +61,59 @@ def all_builtins():
     return [builtin_model(name) for name in BUILTIN_MODEL_NAMES]
 
 
+def values(s, times, theta=0.0):
+    """scalar_values of s at a sequence of times, as floats."""
+    return np.broadcast_to(scalar_values(s, np.array(times, dtype=float), theta), len(times)).tolist()
+
+
+def _overflows(s, t):
+    try:
+        ref.jc_pieces(s, t)
+    except OverflowError:
+        return True
+    return False
+
+
 class TestScalars:
     def test_constant(self):
-        assert ConstantScalar(2.5)(0.0) == 2.5
-        assert ConstantScalar(2.5)(17.3, theta=4.0) == 2.5
+        assert values(ConstantScalar(2.5), [0.0]) == [2.5]
+        assert values(ConstantScalar(2.5), [17.3], theta=4.0) == [2.5]
 
     def test_sinusoidal(self):
         s = SinusoidalScalar(c0=1.0, a=1.5, omega=2.0, phi=0.3)
-        for t in (0.0, 0.7, 3.1):
-            assert s(t) == pytest.approx(1.0 * (1.0 + 1.5 * math.sin(2.0 * t + 0.3)))
+        ts = (0.0, 0.7, 3.1)
+        for t, v in zip(ts, values(s, ts)):
+            assert v == pytest.approx(1.0 * (1.0 + 1.5 * math.sin(2.0 * t + 0.3)))
 
     def test_jc_weak_coupling_matches_real_root_formula(self):
         g0, lam = 1.0, 3.0
         d = math.sqrt(lam * lam - 2 * g0 * lam)
         s = JcLorentzianScalar(g0, lam)
-        for t in (0.0, 0.5, 2.0, 5.0):
-            ref = (
+        ts = (0.0, 0.5, 2.0, 5.0)
+        for t, v in zip(ts, values(s, ts)):
+            expected = (
                 2 * g0 * lam * math.sinh(d * t / 2)
                 / (d * math.cosh(d * t / 2) + lam * math.sinh(d * t / 2))
                 if t > 0
                 else 0.0
             )
-            assert s(t) == pytest.approx(ref, abs=1e-14)
+            assert v == pytest.approx(expected, abs=1e-14)
 
     def test_jc_strong_coupling_matches_trig_formula(self):
         g0, lam = 1.0, 0.5
         om = math.sqrt(2 * g0 * lam - lam * lam)
         s = JcLorentzianScalar(g0, lam)
-        for t in (0.5, 2.0, 4.0):
+        ts = (0.5, 2.0, 4.0)
+        for t, v in zip(ts, values(s, ts)):
             x = om * t / 2
-            ref = 2 * g0 * lam * math.sin(x) / (om * math.cos(x) + lam * math.sin(x))
-            assert s(t) == pytest.approx(ref, abs=1e-13)
+            expected = 2 * g0 * lam * math.sin(x) / (om * math.cos(x) + lam * math.sin(x))
+            assert v == pytest.approx(expected, abs=1e-13)
 
     def test_jc_critical_damping_limit(self):
         s = JcLorentzianScalar(1.0, 2.0)
-        for t in (0.0, 0.3, 1.7):
-            assert s(t) == pytest.approx(2.0 * t / (1.0 + t), abs=1e-12)
+        ts = (0.0, 0.3, 1.7)
+        for t, v in zip(ts, values(s, ts)):
+            assert v == pytest.approx(2.0 * t / (1.0 + t), abs=1e-12)
 
     def test_jc_pole_raises(self):
         # strong coupling: denominator crosses zero near t = 4.84
@@ -103,7 +121,37 @@ class TestScalars:
         om = math.sqrt(2 * 1.0 * 0.5 - 0.25)
         t_pole = 2.0 * (math.pi - math.atan(om / 0.5)) / om
         with pytest.raises(ScalarPoleError):
-            s(t_pole)
+            values(s, [t_pole])
+
+    @pytest.mark.parametrize(
+        "g0, lam, times",
+        [
+            (1.0, 0.5, np.arange(5001) * 1e-3),  # a crossing between samples near t = 4.837
+            (1.0, 0.5, np.arange(4801) * 1e-3),  # pole-free
+            (2.0, 0.3, np.arange(1001) * 1e-2),
+            (1.0, 3.0, np.arange(90001) * 1e-2),  # sinh overflows near t = 820.39
+            (0.7, 5.0, np.arange(1001) * 0.5),
+            (1.0, 2.0, np.arange(1001) * 1e-2),  # critically damped
+        ],
+    )
+    def test_pole_scan_matches_the_per_point_reference(self, g0, lam, times):
+        s = JcLorentzianScalar(g0, lam)
+        for form in (s, ThetaScaledScalar(s)):
+            try:
+                ref.scan_poles(form, times)
+                expected = None
+            except (ScalarPoleError, OverflowError) as exc:
+                expected = exc
+            if expected is None:
+                scan_scalar_poles(form, times)
+                continue
+            with pytest.raises(type(expected)) as err:
+                scan_scalar_poles(form, times)
+            if isinstance(expected, ScalarPoleError):
+                assert str(err.value) == str(expected) and err.value.t == expected.t
+            else:  # cmath names no time: the first at which it overflows
+                t = next(t for t in times.tolist() if _overflows(s, t))
+                assert str(err.value) == f"lorentzian rate overflows at t={t!r}"
 
     def test_pole_scan_catches_crossing_between_samples(self):
         s = JcLorentzianScalar(1.0, 0.5)
@@ -125,11 +173,11 @@ class TestScalars:
         s = JcLorentzianScalar(g0, lam)
         grid = np.arange(int(round(t_end / 1e-3)) + 1) * 1e-3
         times = np.sort(np.r_[grid, grid[:-1] + 0.5e-3])  # the RK4 half grid
-        values = scalar_values(s, times, 0.0)
-        ref = np.array([s(t) for t in times.tolist()])
-        assert np.all(np.abs(values - ref) <= 1e-15 * np.abs(ref))
-        den = _jc_pieces(s, times)[1].real
-        ref_den = np.array([s.denominator(t) for t in times.tolist()])
+        got = scalar_values(s, times, 0.0)
+        expected = np.array([ref.scalar(s, t) for t in times.tolist()])
+        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+        den = _jc_pieces(s, times, "")[1].real
+        ref_den = np.array([ref.jc_denominator(s, t) for t in times.tolist()])
         assert np.all(np.abs(den - ref_den) <= 1e-15 * np.abs(ref_den))
 
     def test_jc_vectorised_falls_back_to_the_scalar_errors(self):
@@ -138,18 +186,18 @@ class TestScalars:
         t_pole = 2.0 * (math.pi - math.atan(om / 0.5)) / om
         times = np.r_[np.arange(0.0, 4.8, 1e-3), t_pole, t_pole + 1e-3]
         with pytest.raises(ScalarPoleError) as err:
-            s(t_pole)
+            ref.scalar(s, t_pole)
         with pytest.raises(ScalarPoleError) as vec_err:
             scalar_values(s, times, 0.0)
         assert str(vec_err.value) == str(err.value) and vec_err.value.t == t_pole
-        with pytest.raises(OverflowError):  # cmath.sinh and cosh overflow at t = 2000
+        with pytest.raises(OverflowError, match=r"at t=2000\.0$"):  # sinh and cosh overflow at t = 2000
             scalar_values(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]), 0.0)
         with pytest.raises(OverflowError):
             scan_scalar_poles(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]))
 
     def test_theta_scaled(self):
         g = ThetaScaledScalar(SinusoidalScalar(1.0, 0.5, 2.0))
-        assert g(0.3, theta=2.0) == pytest.approx(2.0 * (1.0 + 0.5 * math.sin(0.6)))
+        assert values(g, [0.3], theta=2.0) == [pytest.approx(2.0 * (1.0 + 0.5 * math.sin(0.6)))]
 
     def test_zero_detection(self):
         assert scalar_is_zero(ConstantScalar(0.0))
@@ -348,23 +396,23 @@ class TestBuiltinModels:
         assert ch.label == "ad"
         assert scalar_is_zero(ch.dgamma_dtheta)
         assert ch.dA_dtheta.is_zero
-        npt.assert_allclose(ch.A.evaluate(0.0), SIGMA_MINUS)
-        assert ch.gamma(0.5) == pytest.approx(1.0 * (1 + 1.5 * math.sin(1.0)))
-        npt.assert_allclose(m.H.evaluate(2.0, m.theta), 0.5 * SIGMA_Z)
+        npt.assert_allclose(ch.A.evaluate_many(np.array([0.0])), [SIGMA_MINUS])
+        assert values(ch.gamma, [0.5]) == [pytest.approx(1.0 * (1 + 1.5 * math.sin(1.0)))]
+        npt.assert_allclose(m.H.evaluate_many(np.array([2.0]), m.theta), [0.5 * SIGMA_Z])
 
     def test_phase_dephasing_construction(self):
         m = builtin_model("phase-dephasing", {"theta": 0.0, "gamma0": 0.0})
         assert m.channels == ()
-        npt.assert_allclose(m.H.evaluate(1.0, theta=0.0), 0, atol=1e-15)
-        npt.assert_allclose(m.dH_dtheta.evaluate(1.0, theta=0.0), 0.5 * SIGMA_Z)
+        npt.assert_allclose(m.H.evaluate_many(np.array([1.0]), theta=0.0), 0, atol=1e-15)
+        npt.assert_allclose(m.dH_dtheta.evaluate_many(np.array([1.0]), theta=0.0), [0.5 * SIGMA_Z])
         npt.assert_allclose(m.rho0_family.rho0(m.theta), PLUS, atol=1e-15)
 
     def test_rate_estimation_construction(self):
         m = builtin_model("rate-estimation", {"theta": 1.0, "g": 1.0})
         (ch,) = m.channels
-        assert ch.dgamma_dtheta(3.0) == pytest.approx(1.0)
-        assert ch.gamma(3.0, theta=1.0) == pytest.approx(1.0)
-        assert ch.gamma(3.0, theta=2.5) == pytest.approx(2.5)
+        assert values(ch.dgamma_dtheta, [3.0]) == [pytest.approx(1.0)]
+        assert values(ch.gamma, [3.0], theta=1.0) == [pytest.approx(1.0)]
+        assert values(ch.gamma, [3.0], theta=2.5) == [pytest.approx(2.5)]
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -416,6 +464,26 @@ class TestThetaDependenceProbe:
         assert not probes["decay_rates"].declared_zero
         assert probes["decay_rates"].defect <= 1e-10
         assert probes["hamiltonian"].fd_magnitude == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(models(), real(1.0), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5))
+    def test_matches_per_point_reference(self, model, theta, times):
+        # Both take central differences of the same closed forms, and differ only
+        # in np.sin against math.sin and in stacked against one-matrix sums: at
+        # most one ulp of each evaluated entry f.  An entry of a models() draw is
+        # a sum of at most 3 terms of modulus at most 2 * 6 * (1 + delta) at
+        # |theta| <= 1, so |f| < 64 and one ulp is at most 2**-47.  The central
+        # difference multiplies an ulp on each side by 1 / (2 delta) = 5000:
+        # at most 2 * 5000 * 2**-47 = 7.1e-11 < 1e-10, in fd_magnitude and in
+        # the defect alike.
+        got = probe_theta_dependence(model, theta, tuple(times))
+        expected = ref.probe_theta_dependence(model, theta, times)
+        assert got.keys() == expected.keys()
+        for key, probe in expected.items():
+            assert got[key].declared_zero == probe.declared_zero
+            for field in ("fd_magnitude", "defect"):
+                value = getattr(probe, field)
+                assert abs(getattr(got[key], field) - value) <= 1e-10 * max(1.0, abs(value))
 
 
 class TestStateFamilies:

@@ -19,6 +19,7 @@ from qfiflow.operators import (
     ToleranceConfig,
     TraceDeviationError,
     commutator,
+    hermiticity_defect,
     hermitize,
     validate_density,
 )
@@ -86,6 +87,40 @@ class TestHermitize:
     def test_stack_matrix_by_matrix(self):
         stack = np.array([[[1.0, 1j], [0.0, 1.0]], [[0.0, 2.0], [0.0, 0.0]]], dtype=complex)
         npt.assert_array_equal(hermitize(stack), [hermitize(m) for m in stack])
+
+
+def _one_defect(m):
+    """max |m - m†| of one matrix."""
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+class TestHermiticityDefect:
+    def test_one_matrix(self):
+        assert hermiticity_defect(SIGMA_Y) == 0.0
+        assert hermiticity_defect(SIGMA_MINUS) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_matrix_by_matrix(self, n):
+        # transposing the whole stack mixed its matrices: two Hermitian ones read
+        # 2.0, and three did not broadcast
+        hermitian = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z][:n])
+        npt.assert_array_equal(hermiticity_defect(hermitian), np.zeros(n))
+        non_hermitian = np.array([SIGMA_MINUS, 1j * SIGMA_X, 3 * SIGMA_PLUS][:n])
+        npt.assert_array_equal(hermiticity_defect(non_hermitian), [_one_defect(m) for m in non_hermitian])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(
+            lambda nd: st.lists(_square(nd[1]), min_size=nd[0], max_size=nd[0])
+        ),
+        st.booleans(),
+    )
+    def test_random_stacks(self, matrices, hermitian):
+        stack = np.array(matrices)
+        stack = hermitize(stack) if hermitian else stack
+        defects = hermiticity_defect(stack)
+        assert defects.shape == stack.shape[:1]
+        npt.assert_array_equal(defects, [_one_defect(m) for m in stack])
 
 
 class TestValidateDensity:
