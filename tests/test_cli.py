@@ -203,6 +203,176 @@ INLINE_MODEL = {
     "theta": 0.3,
 }
 
+EYE3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+SCALAR_FORMS = "['constant', 'jc_lorentzian', 'sinusoidal', 'theta_scaled']"
+
+
+def _inline(**changes):
+    """A config document with INLINE_MODEL's top-level keys replaced."""
+    return {"model": dict(INLINE_MODEL, **changes), "t_end": 0.05, "dt": 0.001}
+
+
+def _gamma(gamma):
+    return _inline(channels=[dict(INLINE_MODEL["channels"][0], gamma=gamma)])
+
+
+def _family(family):
+    return _inline(rho0_family=family)
+
+
+def _builtin(name, **params):
+    return {"model": {"builtin": name, "params": params}, "t_end": 0.05, "dt": 0.001}
+
+
+def _top(**changes):
+    return dict(_builtin("ad-nm"), **changes)
+
+
+# One document per rejection the config reader can raise, with the JSON pointer
+# and the message it must carry; "{tmp}" stands for a scratch directory.
+REJECTIONS = [
+    # the document as a whole
+    (b"\xff{}", "", "config is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ('{"model": }', "", "JSON syntax error at line 1, column 11: Expecting value"),
+    (
+        '{"dt": 1' + "0" * 5000 + "}",
+        "",
+        "JSON value rejected: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+    ),
+    (_top(fps=60), "/fps", "unknown key(s) ['fps']"),
+    ({"model": {"builtin": "ad-nm"}, "t_end": 1}, "/dt", "missing key(s) ['dt']"),
+    (_top(dt="fast"), "/dt", "dt must be a finite number, got 'fast'"),
+    (_top(dt=0), "/dt", "invariant violation: dt > 0"),
+    (_top(t_end=0.001), "/t_end", "the grid needs at least 3 points, so t_end >= 1.5 dt (t_end / dt = 1)"),
+    (_top(outputs={}), "/outputs", "expected an array, got dict"),
+    (_top(outputs=[{}]), "/outputs/0", "output target needs csv_path and/or json_summary_path"),
+    (_top(outputs=[{"csv_path": 5}]), "/outputs/0/csv_path", "expected a string, got int"),
+    (
+        _top(outputs=[{"csv_path": "{tmp}/missing/o.csv"}]),
+        "/outputs/0/csv_path",
+        "directory of '{tmp}/missing/o.csv' does not exist",
+    ),
+    (_top(outputs=[{"json_summary_path": "{tmp}"}]), "/outputs/0/json_summary_path", "'{tmp}' is a directory"),
+    (
+        _top(outputs=[{"csv_path": "{tmp}/o.csv"}, {"json_summary_path": "{tmp}/o.csv"}]),
+        "/outputs/1/json_summary_path",
+        "'{tmp}/o.csv' is already an output path",
+    ),
+    (_top(checks={"oracle": 1}), "/checks/oracle", "expected a boolean, got int"),
+    (_top(checks={"vibes": True}), "/checks/vibes", "unknown key(s) ['vibes']"),
+    (_top(tolerances=[]), "/tolerances", "expected an object, got list"),
+    (_top(tolerances={"herm": -1}), "/tolerances/herm", "invariant violation: herm > 0"),
+    # builtin models
+    (_top(model=5), "/model", "expected an object, got int"),
+    (_top(model={"builtin": 5}), "/model/builtin", "expected a string, got int"),
+    (
+        _builtin("bogus"),
+        "/model/builtin",
+        "unknown model 'bogus'; expected one of ('ad-jc', 'ad-nm', 'phase-dephasing', 'rate-estimation')",
+    ),
+    (_top(model={"builtin": "ad-nm", "params": []}), "/model/params", "expected an object, got list"),
+    (_builtin("ad-nm", zeta=1), "/model/params/zeta", "unknown parameter(s) ['zeta'] for model 'ad-nm'"),
+    (_builtin("ad-jc", gamma0="one"), "/model/params/gamma0", "parameter 'gamma0' must be a finite number, got 'one'"),
+    (
+        _builtin("rate-estimation", g={"form": "x"}),
+        "/model/params/g/form",
+        f"parameter 'g': unknown scalar form 'x'; expected one of {SCALAR_FORMS}",
+    ),
+    (
+        _builtin("rate-estimation", g={"form": "theta_scaled", "base": 1}),
+        "/model/params/g",
+        "parameter 'g' must be theta-independent (theta scaling is implied)",
+    ),
+    # scalar forms
+    (_gamma("fast"), "/model/channels/0/gamma", "scalar must be a number or an object with a 'form' key"),
+    (_gamma(float("nan")), "/model/channels/0/gamma", "scalar must be a finite number, got nan"),
+    (_gamma({"c": 1}), "/model/channels/0/gamma/form", f"unknown scalar form None; expected one of {SCALAR_FORMS}"),
+    (
+        _gamma({"form": "sinusoidal", "c0": 1, "a": 0.5}),
+        "/model/channels/0/gamma/omega",
+        "missing key(s) ['omega'] for scalar form 'sinusoidal'",
+    ),
+    (
+        _gamma({"form": "constant", "c": 1, "x": 2}),
+        "/model/channels/0/gamma/x",
+        "unknown key(s) ['x'] for scalar form 'constant'",
+    ),
+    (
+        _gamma({"form": "jc_lorentzian", "gamma0": 1, "lambda": None}),
+        "/model/channels/0/gamma/lambda",
+        "scalar field 'lambda' must be a finite number, got None",
+    ),
+    (
+        _gamma({"form": "theta_scaled", "base": {"form": "theta_scaled", "base": 1}}),
+        "/model/channels/0/gamma/base",
+        "theta_scaled base must itself be theta-independent",
+    ),
+    # inline models, operators and matrices
+    (_inline(dim=0), "/model/dim", "dim must be a positive integer"),
+    (_inline(theta=None), "/model/theta", "theta must be a finite number, got None"),
+    (_inline(channels={}), "/model/channels", "expected an array, got dict"),
+    (
+        _inline(channels=[dict(INLINE_MODEL["channels"][0], label=5)]),
+        "/model/channels/0/label",
+        "expected a string, got int",
+    ),
+    (_inline(channels=[{"A": []}]), "/model/channels/0/gamma", "missing key(s) ['gamma']"),
+    (_inline(hamiltonian=[5]), "/model/hamiltonian/0", "expected an object, got int"),
+    (_inline(hamiltonian=[{"modulation": 1}]), "/model/hamiltonian/0/matrix", "missing key(s) ['matrix']"),
+    (_inline(hamiltonian=EYE3), "/model/hamiltonian", "operator dimension 3 does not match model dim 2"),
+    (
+        _inline(hamiltonian=[{"matrix": INLINE_MODEL["dH_dtheta"]}, {"matrix": EYE3}]),
+        "/model",
+        "operator term has shape (3, 3), expected (2, 2)",
+    ),
+    (_inline(dH_dtheta=[[[1, 0], [0, 0]], [[0, 0], [0]]]), "/model/dH_dtheta/1/1", "matrix entry must be a [re, im] pair"),
+    (_inline(dH_dtheta=[[[1, 0], [0, 0]], [[0, 0]]]), "/model/dH_dtheta/1", "row has 1 entries, expected 2"),
+    (
+        _family({"family": "linear", "rho0": [[[1, 0], [0, 0]], 5], "drho0_dtheta": [], "theta_ref": 0}),
+        "/model/rho0_family/rho0/1",
+        "expected an array, got int",
+    ),
+    (_inline(dH_dtheta=[[[1, 0], [0, "i"]], [[0, 0], [0, 0]]]), "/model/dH_dtheta/0/1/1", "matrix entry must be a finite number, got 'i'"),
+    # initial-state families
+    (_family({}), "/model/rho0_family/family", "missing key(s) ['family']"),
+    (_family({"family": 2}), "/model/rho0_family/family", "expected a string, got int"),
+    (
+        _family({"family": "gauss"}),
+        "/model/rho0_family/family",
+        "unknown family 'gauss'; expected one of ['linear', 'ry', 'ry_fixed']",
+    ),
+    (_family({"family": "ry", "angle": 1}), "/model/rho0_family/angle", "unknown key(s) ['angle']"),
+    (_family({"family": "ry_fixed"}), "/model/rho0_family/angle", "missing key(s) ['angle']"),
+    (_family({"family": "ry_fixed", "angle": float("inf")}), "/model/rho0_family/angle", "angle must be a finite number, got inf"),
+    (
+        _family({"family": "linear", "rho0": [], "drho0_dtheta": [], "theta_ref": 0}),
+        "/model/rho0_family/rho0",
+        "matrix must be non-empty",
+    ),
+    (
+        _family({"family": "linear", "rho0": EYE3, "drho0_dtheta": EYE3, "theta_ref": "0"}),
+        "/model/rho0_family/theta_ref",
+        "theta_ref must be a finite number, got '0'",
+    ),
+    (
+        _family({"family": "linear", "rho0": EYE3, "drho0_dtheta": EYE3, "theta_ref": 0}),
+        "/model/rho0_family",
+        "family dimension 3 does not match model dim 2",
+    ),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("doc, pointer, message", REJECTIONS)
+    def test_every_rejection_names_its_field(self, tmp_path, doc, pointer, message):
+        text = doc if isinstance(doc, (bytes, str)) else json.dumps(doc)
+        if isinstance(text, str):
+            text = text.replace("{tmp}", str(tmp_path))
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert (err.value.pointer, str(err.value)) == (pointer, message.replace("{tmp}", str(tmp_path)))
+
 
 class TestInlineModel:
     def test_parses_and_evaluates(self):
