@@ -8,6 +8,7 @@ decomposes the QFI time-derivative into per-channel subflows, and
 quantifies when that decomposition is exact.
 """
 
+from .config import builtin_model
 from .estimation import sld_stack
 from .flow import (
     FlowTable,
@@ -29,7 +30,6 @@ from .model import (
     SinusoidalScalar,
     ThetaScaledScalar,
     TimeDependentOperator,
-    builtin_model,
     constant_operator,
     modulated_operator,
     probe_theta_dependence,

@@ -1,18 +1,17 @@
-"""Configuration, run orchestration, and bit-stable output emission.
+"""Run orchestration, bit-stable output emission, and the command line.
 
-A run is described by a strict JSON config (unknown keys rejected, errors
-carry JSON-pointer paths), executed end to end (propagate, SLD/QFI,
-per-channel flow decomposition, validity checks), and emitted as a CSV time
-series plus a JSON summary.  Numbers are written with 17 significant digits
-so double-precision values round-trip exactly and reruns are byte-identical.
+A run configuration, read by :func:`qfiflow.config.parse_config`, is
+executed end to end (propagate, SLD/QFI, per-channel flow decomposition,
+validity checks) and emitted as a CSV time series plus a JSON summary.
+Numbers are written with 17 significant digits so double-precision values
+round-trip exactly and reruns are byte-identical.  The summary is
+:class:`RunSummary` itself.
 
 Command-line flags are config fields: ``main`` turns them into a partial
-config document that :func:`parse_config` merges over the file's top-level
+config document that ``parse_config`` merges over the file's top-level
 keys (a ``--tol-*`` flag into the file's ``tolerances`` object) before
 validating, so a flag is checked exactly like its field and reported under
-the field's pointer.  The ``checks``, ``tolerances`` and ``outputs`` objects
-are parsed from the fields of their dataclasses, and the summary is
-:class:`RunSummary` itself.
+the field's pointer.
 
 Exit codes: 0 success, 1 enabled check failed, 2 config error (including an
 output path in a missing directory, an output path that is a directory, and
@@ -25,12 +24,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CheckFlags, ConfigError, RunConfig, parse_config
 from .estimation import DEFAULT_EPS_RANK
 from .flow import (
     SIGN_THRESHOLD,
@@ -38,35 +37,11 @@ from .flow import (
     IntervalReport,
     classify_intervals,
 )
-from .model import (
-    Channel,
-    ConfigError,
-    FixedRyStateFamily,
-    LinearStateFamily,
-    ModelSpec,
-    OperatorTerm,
-    RyStateFamily,
-    ScalarPoleError,
-    TimeDependentOperator,
-    builtin_model,
-    check_config_keys,
-    config_number,
-    constant_operator,
-    matrix_to_config,
-    model_to_config,
-    probe_theta_dependence,
-    scalar_from_config,
-    validate_model,
-    zero_operator,
-)
+from .model import ScalarPoleError, probe_theta_dependence, validate_model
 from .operators import ToleranceConfig
 from .propagation import PropagationError, fd_theta_consistency, propagate
 
 __all__ = [
-    "ConfigError",
-    "OutputTarget",
-    "CheckFlags",
-    "RunConfig",
     "Verdict",
     "CheckOutcome",
     "RunSummary",
@@ -75,9 +50,6 @@ __all__ = [
     "emit_csv",
     "emit_summary",
     "summary_to_dict",
-    "matrix_from_config",
-    "matrix_to_config",
-    "model_to_config",
     "main",
 ]
 
@@ -87,35 +59,6 @@ FLOW_ACCEPT_FACTOR = 1e-5
 THETA_CONSISTENCY_TOL = 1e-5
 INTERVAL_OVERLAP_MIN = 0.99
 THETA_DEPENDENCE_EPS = 1e-10
-
-DEFAULT_CSV_PATH = "qfi_flow.csv"
-DEFAULT_SUMMARY_PATH = "qfi_flow_summary.json"
-
-
-@dataclass(frozen=True)
-class OutputTarget:
-    csv_path: str | None = None
-    json_summary_path: str | None = None
-
-
-@dataclass(frozen=True)
-class CheckFlags:
-    oracle: bool = True
-    theta_consistency: bool = False
-    intervals: bool = True
-
-
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    model: ModelSpec
-    model_name: str
-    theta: float
-    t_end: float
-    dt: float
-    delta_theta: float
-    outputs: tuple[OutputTarget, ...]
-    checks: CheckFlags
-    tolerances: ToleranceConfig
 
 
 @dataclass(frozen=True)
@@ -160,261 +103,6 @@ class RunSummary:
     @property
     def all_checks_passed(self) -> bool:
         return all(c.passed is not False for c in self.checks.values())
-
-
-# ---------------------------------------------------------------------------
-# strict JSON parsing helpers
-# ---------------------------------------------------------------------------
-
-
-def _as_object(v, ptr: str) -> dict:
-    if not isinstance(v, dict):
-        raise ConfigError(f"expected an object, got {type(v).__name__}", ptr)
-    return v
-
-
-def _as_list(v, ptr: str) -> list:
-    if not isinstance(v, list):
-        raise ConfigError(f"expected an array, got {type(v).__name__}", ptr)
-    return v
-
-
-def _positive(v, ptr: str) -> float:
-    name = ptr.rsplit("/", 1)[-1]
-    x = config_number(v, ptr, name)
-    if x <= 0.0:
-        raise ConfigError(f"invariant violation: {name} > 0", ptr)
-    return x
-
-
-def _check_grid(t_end: float, dt: float) -> None:
-    """The grid t_k = k dt up to t_end needs 3 points for the finite-difference oracle."""
-    if t_end / dt < 1.5:
-        raise ConfigError(
-            f"the grid needs at least 3 points, so t_end >= 1.5 dt (t_end / dt = {t_end / dt:.6g})",
-            "/t_end",
-        )
-
-
-def _boolean(v, ptr: str) -> bool:
-    if not isinstance(v, bool):
-        raise ConfigError(f"expected a boolean, got {type(v).__name__}", ptr)
-    return v
-
-
-def _string(v, ptr: str) -> str:
-    if not isinstance(v, str):
-        raise ConfigError(f"expected a string, got {type(v).__name__}", ptr)
-    return v
-
-
-def matrix_from_config(v, ptr: str) -> np.ndarray:
-    """Square complex matrix from row-major nested arrays of [re, im] pairs."""
-    rows = _as_list(v, ptr)
-    if not rows:
-        raise ConfigError("matrix must be non-empty", ptr)
-    n = len(rows)
-    out = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        row = _as_list(row, f"{ptr}/{i}")
-        if len(row) != n:
-            raise ConfigError(f"row has {len(row)} entries, expected {n}", f"{ptr}/{i}")
-        for j, pair in enumerate(row):
-            pair = _as_list(pair, f"{ptr}/{i}/{j}")
-            if len(pair) != 2:
-                raise ConfigError("matrix entry must be a [re, im] pair", f"{ptr}/{i}/{j}")
-            re = config_number(pair[0], f"{ptr}/{i}/{j}/0", "matrix entry")
-            im = config_number(pair[1], f"{ptr}/{i}/{j}/1", "matrix entry")
-            out[i, j] = complex(re, im)
-    return out
-
-
-def _operator_from_config(v, dim: int, ptr: str) -> TimeDependentOperator:
-    """Operator = bare matrix, or array of {"matrix": ..., "modulation": scalar} terms."""
-    items = _as_list(v, ptr)
-    if not items:
-        return zero_operator(dim)
-    if all(isinstance(item, list) for item in items):
-        op = constant_operator(matrix_from_config(items, ptr))
-    else:
-        terms = []
-        for i, item in enumerate(items):
-            term = _as_object(item, f"{ptr}/{i}")
-            check_config_keys(term, ("matrix", "modulation"), ("matrix",), f"{ptr}/{i}")
-            base = matrix_from_config(term["matrix"], f"{ptr}/{i}/matrix")
-            mod = (
-                scalar_from_config(term["modulation"], f"{ptr}/{i}/modulation")
-                if "modulation" in term
-                else scalar_from_config(1.0)
-            )
-            terms.append(OperatorTerm(base, mod))
-        op = TimeDependentOperator(terms[0].base.shape[0], tuple(terms))
-    if op.dim != dim:
-        raise ConfigError(f"operator dimension {op.dim} does not match model dim {dim}", ptr)
-    return op
-
-
-def _family_from_config(v, dim: int, ptr: str):
-    d = _as_object(v, ptr)
-    family = _string(d.get("family"), f"{ptr}/family") if "family" in d else None
-    if family is None:
-        raise ConfigError("missing key(s) ['family']", f"{ptr}/family")
-    if family == "ry":
-        check_config_keys(d, ("family",), (), ptr)
-        fam = RyStateFamily()
-    elif family == "ry_fixed":
-        check_config_keys(d, ("family", "angle"), ("angle",), ptr)
-        fam = FixedRyStateFamily(angle=config_number(d["angle"], f"{ptr}/angle", "angle"))
-    elif family == "linear":
-        fields = ("rho0", "drho0_dtheta", "theta_ref")
-        check_config_keys(d, ("family",) + fields, fields, ptr)
-        fam = LinearStateFamily(
-            base=matrix_from_config(d["rho0"], f"{ptr}/rho0"),
-            slope=matrix_from_config(d["drho0_dtheta"], f"{ptr}/drho0_dtheta"),
-            theta_ref=config_number(d["theta_ref"], f"{ptr}/theta_ref", "theta_ref"),
-        )
-    else:
-        raise ConfigError(
-            f"unknown family {family!r}; expected one of ['linear', 'ry', 'ry_fixed']",
-            f"{ptr}/family",
-        )
-    if fam.dim() != dim:
-        raise ConfigError(f"family dimension {fam.dim()} does not match model dim {dim}", ptr)
-    return fam
-
-
-def _channel_from_config(v, dim: int, index: int, ptr: str) -> Channel:
-    d = _as_object(v, ptr)
-    check_config_keys(d, ("label", "A", "gamma", "dA_dtheta", "dgamma_dtheta"), ("A", "gamma"), ptr)
-    label = _string(d["label"], f"{ptr}/label") if "label" in d else f"ch{index}"
-    return Channel(
-        label=label,
-        A=_operator_from_config(d["A"], dim, f"{ptr}/A"),
-        gamma=scalar_from_config(d["gamma"], f"{ptr}/gamma"),
-        dA_dtheta=(
-            _operator_from_config(d["dA_dtheta"], dim, f"{ptr}/dA_dtheta")
-            if "dA_dtheta" in d
-            else zero_operator(dim)
-        ),
-        dgamma_dtheta=(
-            scalar_from_config(d["dgamma_dtheta"], f"{ptr}/dgamma_dtheta")
-            if "dgamma_dtheta" in d
-            else scalar_from_config(0.0)
-        ),
-    )
-
-
-def _model_from_config(v, ptr: str) -> tuple[ModelSpec, str]:
-    d = _as_object(v, ptr)
-    if "builtin" in d:
-        check_config_keys(d, ("builtin", "params"), ("builtin",), ptr)
-        name = _string(d["builtin"], f"{ptr}/builtin")
-        return builtin_model(name, _as_object(d.get("params", {}), f"{ptr}/params"), ptr), name
-    allowed = ("dim", "hamiltonian", "dH_dtheta", "channels", "rho0_family", "theta")
-    check_config_keys(d, allowed, ("dim", "hamiltonian", "rho0_family", "theta"), ptr)
-    dim_val = d["dim"]
-    if isinstance(dim_val, bool) or not isinstance(dim_val, int) or dim_val < 1:
-        raise ConfigError("dim must be a positive integer", f"{ptr}/dim")
-    dim = dim_val
-    channels = tuple(
-        _channel_from_config(c, dim, i, f"{ptr}/channels/{i}")
-        for i, c in enumerate(_as_list(d.get("channels", []), f"{ptr}/channels"))
-    )
-    try:
-        model = ModelSpec(
-            dim=dim,
-            H=_operator_from_config(d["hamiltonian"], dim, f"{ptr}/hamiltonian"),
-            dH_dtheta=(
-                _operator_from_config(d["dH_dtheta"], dim, f"{ptr}/dH_dtheta")
-                if "dH_dtheta" in d
-                else zero_operator(dim)
-            ),
-            channels=channels,
-            rho0_family=_family_from_config(d["rho0_family"], dim, f"{ptr}/rho0_family"),
-            theta=config_number(d["theta"], f"{ptr}/theta", "theta"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), ptr) from exc
-    return model, "inline"
-
-
-def _fields_from_config(cls, v, ptr: str, parse):
-    """The dataclass ``cls`` from a config object of its fields, each read by
-    ``parse(value, pointer)``, in declaration order; absent fields keep their defaults."""
-    d = _as_object(v, ptr)
-    names = [f.name for f in dataclasses.fields(cls)]
-    check_config_keys(d, names, (), ptr)
-    return cls(**{name: parse(d[name], f"{ptr}/{name}") for name in names if name in d})
-
-
-def _output_from_config(v, ptr: str, seen: set) -> OutputTarget:
-    """An output target whose paths are files in existing directories, none of them
-    in ``seen``, the resolved paths of earlier targets (checked before a run)."""
-    target = _fields_from_config(OutputTarget, v, ptr, _string)
-    if target == OutputTarget():
-        raise ConfigError("output target needs csv_path and/or json_summary_path", ptr)
-    for name, path in dataclasses.asdict(target).items():
-        if not path:
-            continue
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"directory of {path!r} does not exist", f"{ptr}/{name}")
-        if os.path.isdir(path):
-            raise ConfigError(f"{path!r} is a directory", f"{ptr}/{name}")
-        if os.path.realpath(path) in seen:
-            raise ConfigError(f"{path!r} is already an output path", f"{ptr}/{name}")
-        seen.add(os.path.realpath(path))
-    return target
-
-
-def parse_config(text: bytes | str, flags: dict | None = None) -> RunConfig:
-    """Validate a UTF-8 JSON run configuration (strict: unknown keys rejected).
-
-    ``flags`` is a partial config document, merged over the file's top-level
-    keys before validation; its ``tolerances`` object merges into the file's.
-    """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except (ValueError, RecursionError) as exc:  # a too long integer, a too deep nesting
-        raise ConfigError(f"JSON value rejected: {exc}") from exc
-    d = dict(_as_object(doc, ""))
-    for key, value in (flags or {}).items():
-        if key == "tolerances":
-            value = {**_as_object(d.get(key, {}), "/tolerances"), **value}
-        d[key] = value
-    allowed = ("model", "theta", "t_end", "dt", "delta_theta", "outputs", "checks", "tolerances")
-    check_config_keys(d, allowed, ("model", "t_end", "dt"), "")
-    model, model_name = _model_from_config(d["model"], "/model")
-    theta = config_number(d["theta"], "/theta", "theta") if "theta" in d else model.theta
-    t_end = _positive(d["t_end"], "/t_end")
-    dt = _positive(d["dt"], "/dt")
-    _check_grid(t_end, dt)
-    seen: set[str] = set()
-    outputs = tuple(
-        _output_from_config(item, f"/outputs/{i}", seen)
-        for i, item in enumerate(_as_list(d.get("outputs", []), "/outputs"))
-    )
-    return RunConfig(
-        model=model,
-        model_name=model_name,
-        theta=theta,
-        t_end=t_end,
-        dt=dt,
-        delta_theta=_positive(d["delta_theta"], "/delta_theta") if "delta_theta" in d else 1e-4,
-        outputs=outputs or (OutputTarget(DEFAULT_CSV_PATH, DEFAULT_SUMMARY_PATH),),
-        checks=_fields_from_config(CheckFlags, d.get("checks", {}), "/checks", _boolean),
-        tolerances=_fields_from_config(ToleranceConfig, d.get("tolerances", {}), "/tolerances", _positive),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,13 @@ the constant matrices of the effective Hamiltonian and of the jump
 sandwiches, collected once, and scalar coefficients evaluated per time for
 the generator K and for its theta-derivative dK/dtheta, the latter from the
 declared derivative fields.  Units are dimensionless with hbar = 1.
-
-Config documents are parsed strictly by one set of primitives
-(:class:`ConfigError`, :func:`config_number`, :func:`check_config_keys`),
-shared by :func:`scalar_from_config`, :func:`builtin_model` and the command
-line, so every rejected field is named by its JSON pointer.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Union
 
@@ -45,9 +40,6 @@ from .operators import (
 )
 
 __all__ = [
-    "ConfigError",
-    "config_number",
-    "check_config_keys",
     "ScalarPoleError",
     "ConstantScalar",
     "SinusoidalScalar",
@@ -57,10 +49,6 @@ __all__ = [
     "scan_scalar_poles",
     "scalar_values",
     "scalar_is_zero",
-    "scalar_from_config",
-    "scalar_to_config",
-    "matrix_to_config",
-    "model_to_config",
     "OperatorTerm",
     "TimeDependentOperator",
     "constant_operator",
@@ -75,47 +63,13 @@ __all__ = [
     "COEFFICIENT_BYTES",
     "CompiledGenerator",
     "compile_generator",
-    "builtin_model",
+    "BUILTINS",
     "BUILTIN_MODEL_NAMES",
     "ThetaDependence",
     "probe_theta_dependence",
     "validate_model",
     "ry_rotation",
 ]
-
-
-class ConfigError(ValueError):
-    """A config document rejected; ``pointer`` is the JSON pointer of the offending
-    field, relative to the document the parsing function was given."""
-
-    def __init__(self, message: str, pointer: str = ""):
-        super().__init__(message)
-        self.pointer = pointer
-
-
-def config_number(v, pointer: str, what: str) -> float:
-    """v as a float if it is a finite JSON number (not a boolean)."""
-    x = math.nan
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        try:
-            x = float(v)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if not math.isfinite(x):
-        raise ConfigError(f"{what} must be a finite number, got {v!r}", pointer)
-    return x
-
-
-def check_config_keys(
-    d: dict, allowed, required, pointer: str, noun: str = "key", where: str = ""
-) -> None:
-    """Reject keys of the object d outside ``allowed`` and keys of ``required`` it lacks."""
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {noun}(s) {unknown}{where}", f"{pointer}/{unknown[0]}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"missing {noun}(s) {missing}{where}", f"{pointer}/{missing[0]}")
 
 
 class ScalarPoleError(ArithmeticError):
@@ -240,94 +194,6 @@ def scan_scalar_poles(scalar: TimeDependentScalar, times) -> None:
         _jc_pieces(scalar, np.asarray(times, dtype=float), message, crossings=True)
 
 
-_SCALAR_FIELDS = {
-    "constant": ("c",),
-    "sinusoidal": ("c0", "a", "omega", "phi"),
-    "jc_lorentzian": ("gamma0", "lambda"),
-    "theta_scaled": ("base",),
-}
-
-_SCALAR_OPTIONAL = {"phi"}
-
-
-def scalar_from_config(obj, pointer: str = "") -> TimeDependentScalar:
-    """Build a scalar form from its JSON representation (a bare number means
-    constant); a :class:`ConfigError` points below ``pointer``, the scalar's own."""
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return ConstantScalar(config_number(obj, pointer, "scalar"))
-    if not isinstance(obj, dict):
-        raise ConfigError("scalar must be a number or an object with a 'form' key", pointer)
-    form = obj.get("form")
-    if not isinstance(form, str) or form not in _SCALAR_FIELDS:
-        raise ConfigError(
-            f"unknown scalar form {form!r}; expected one of {sorted(_SCALAR_FIELDS)}",
-            f"{pointer}/form",
-        )
-    fields = _SCALAR_FIELDS[form]
-    required = [k for k in fields if k not in _SCALAR_OPTIONAL]
-    check_config_keys(obj, ("form",) + fields, required, pointer, where=f" for scalar form {form!r}")
-    if form == "theta_scaled":
-        base = scalar_from_config(obj["base"], f"{pointer}/base")
-        if isinstance(base, ThetaScaledScalar):
-            raise ConfigError("theta_scaled base must itself be theta-independent", f"{pointer}/base")
-        return ThetaScaledScalar(base)
-    vals = {k: config_number(obj[k], f"{pointer}/{k}", f"scalar field {k!r}") for k in fields if k in obj}
-    if form == "constant":
-        return ConstantScalar(vals["c"])
-    if form == "sinusoidal":
-        return SinusoidalScalar(vals["c0"], vals["a"], vals["omega"], vals.get("phi", 0.0))
-    return JcLorentzianScalar(vals["gamma0"], vals["lambda"])
-
-
-def scalar_to_config(s: TimeDependentScalar) -> dict:
-    """Inverse of :func:`scalar_from_config`."""
-    if isinstance(s, ConstantScalar):
-        return {"form": "constant", "c": s.c}
-    if isinstance(s, SinusoidalScalar):
-        return {"form": "sinusoidal", "c0": s.c0, "a": s.a, "omega": s.omega, "phi": s.phi}
-    if isinstance(s, JcLorentzianScalar):
-        return {"form": "jc_lorentzian", "gamma0": s.gamma0, "lambda": s.lam}
-    if isinstance(s, ThetaScaledScalar):
-        return {"form": "theta_scaled", "base": scalar_to_config(s.base)}
-    raise TypeError(f"unknown scalar form {type(s).__name__}")
-
-
-def matrix_to_config(m: np.ndarray) -> list:
-    """Square complex matrix as row-major nested arrays of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-def operator_to_config(op: TimeDependentOperator) -> list:
-    """Operator as an array of {"matrix", "modulation"} terms."""
-    return [
-        {"matrix": matrix_to_config(term.base), "modulation": scalar_to_config(term.modulation)}
-        for term in op.terms
-    ]
-
-
-def channel_to_config(ch: Channel) -> dict:
-    return {
-        "label": ch.label,
-        "A": operator_to_config(ch.A),
-        "gamma": scalar_to_config(ch.gamma),
-        "dA_dtheta": operator_to_config(ch.dA_dtheta),
-        "dgamma_dtheta": scalar_to_config(ch.dgamma_dtheta),
-    }
-
-
-def model_to_config(model: ModelSpec) -> dict:
-    """Inline-model JSON representation; parses back to an equivalent ModelSpec."""
-    return {
-        "dim": model.dim,
-        "hamiltonian": operator_to_config(model.H),
-        "dH_dtheta": operator_to_config(model.dH_dtheta),
-        "channels": [channel_to_config(ch) for ch in model.channels],
-        "rho0_family": model.rho0_family.to_config(),
-        "theta": model.theta,
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorTerm:
     base: np.ndarray
@@ -400,8 +266,6 @@ def ry_rotation(angle: float) -> np.ndarray:
 class RyStateFamily:
     """Pure qubit family R_y(theta)|0><0|R_y(theta)†; theta is the estimated angle."""
 
-    name: str = field(default="ry", init=False)
-
     def rho0(self, theta: float) -> np.ndarray:
         ket = ry_rotation(theta)[:, :1]
         return ket @ dagger(ket)
@@ -412,16 +276,12 @@ class RyStateFamily:
     def dim(self) -> int:
         return 2
 
-    def to_config(self) -> dict:
-        return {"family": "ry"}
-
 
 @dataclass(frozen=True)
 class FixedRyStateFamily:
     """Theta-independent qubit state R_y(angle)|0><0|R_y(angle)†."""
 
     angle: float
-    name: str = field(default="ry_fixed", init=False)
 
     def rho0(self, theta: float) -> np.ndarray:
         ket = ry_rotation(self.angle)[:, :1]
@@ -432,9 +292,6 @@ class FixedRyStateFamily:
 
     def dim(self) -> int:
         return 2
-
-    def to_config(self) -> dict:
-        return {"family": "ry_fixed", "angle": self.angle}
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +305,6 @@ class LinearStateFamily:
     base: np.ndarray
     slope: np.ndarray
     theta_ref: float
-    name: str = field(default="linear", init=False)
 
     def rho0(self, theta: float) -> np.ndarray:
         return self.base + (theta - self.theta_ref) * self.slope
@@ -458,14 +314,6 @@ class LinearStateFamily:
 
     def dim(self) -> int:
         return self.base.shape[0]
-
-    def to_config(self) -> dict:
-        return {
-            "family": "linear",
-            "rho0": matrix_to_config(self.base),
-            "drho0_dtheta": matrix_to_config(self.slope),
-            "theta_ref": self.theta_ref,
-        }
 
 
 StateFamily = Union[RyStateFamily, FixedRyStateFamily, LinearStateFamily]
@@ -685,135 +533,54 @@ def compile_generator(model: ModelSpec, derivative: bool = True) -> CompiledGene
 _ZERO_SCALAR = ConstantScalar(0.0)
 
 
-def _params(params: dict, defaults: dict, name: str, pointer: str) -> dict:
-    """The builtin's parameters over their defaults, each a finite number."""
-    check_config_keys(params, defaults, (), pointer, noun="parameter", where=f" for model {name!r}")
-    return {
-        k: config_number(params.get(k, v), f"{pointer}/{k}", f"parameter {k!r}")
-        for k, v in defaults.items()
-    }
-
-
-def _amplitude_damping_channel(gamma: TimeDependentScalar, dgamma: TimeDependentScalar) -> Channel:
-    return Channel(
-        label="ad",
-        A=constant_operator(SIGMA_MINUS),
-        gamma=gamma,
-        dA_dtheta=zero_operator(2),
-        dgamma_dtheta=dgamma,
-    )
-
-
-def _build_ad_nm(params: dict, pointer: str) -> ModelSpec:
-    p = _params(
-        params,
-        {"gamma0": 1.0, "a": 1.5, "omega": 2.0, "phi": 0.0, "omega0": 1.0, "theta": math.pi / 4},
-        "ad-nm",
-        pointer,
-    )
+def _damped_qubit(omega0: float, gamma, dgamma, family, theta: float) -> ModelSpec:
+    """A qubit under H = omega0 sigma_z / 2 decaying through sigma_minus at rate gamma."""
     return ModelSpec(
         dim=2,
-        H=constant_operator(0.5 * p["omega0"] * SIGMA_Z),
+        H=constant_operator(0.5 * omega0 * SIGMA_Z),
         dH_dtheta=zero_operator(2),
-        channels=(
-            _amplitude_damping_channel(
-                SinusoidalScalar(p["gamma0"], p["a"], p["omega"], p["phi"]), _ZERO_SCALAR
-            ),
-        ),
-        rho0_family=RyStateFamily(),
-        theta=p["theta"],
+        channels=(Channel("ad", constant_operator(SIGMA_MINUS), gamma, zero_operator(2), dgamma),),
+        rho0_family=family,
+        theta=theta,
     )
 
 
-def _build_ad_jc(params: dict, pointer: str) -> ModelSpec:
-    p = _params(
-        params, {"gamma0": 1.0, "lambda": 3.0, "omega0": 1.0, "theta": math.pi / 4}, "ad-jc", pointer
-    )
-    return ModelSpec(
-        dim=2,
-        H=constant_operator(0.5 * p["omega0"] * SIGMA_Z),
-        dH_dtheta=zero_operator(2),
-        channels=(
-            _amplitude_damping_channel(JcLorentzianScalar(p["gamma0"], p["lambda"]), _ZERO_SCALAR),
-        ),
-        rho0_family=RyStateFamily(),
-        theta=p["theta"],
-    )
+def _ad_nm(gamma0, a, omega, phi, omega0, theta) -> ModelSpec:
+    return _damped_qubit(omega0, SinusoidalScalar(gamma0, a, omega, phi), _ZERO_SCALAR, RyStateFamily(), theta)
 
 
-def _build_phase_dephasing(params: dict, pointer: str) -> ModelSpec:
-    p = _params(
-        params,
-        {"theta": 0.3, "gamma0": 0.2, "a": 0.5, "omega": 2.0, "phi": 0.0},
-        "phase-dephasing",
-        pointer,
-    )
-    channels: tuple[Channel, ...] = ()
-    if p["gamma0"] != 0.0:
-        channels = (
-            Channel(
-                label="dz",
-                A=constant_operator(SIGMA_Z),
-                gamma=SinusoidalScalar(p["gamma0"], p["a"], p["omega"], p["phi"]),
-                dA_dtheta=zero_operator(2),
-                dgamma_dtheta=_ZERO_SCALAR,
-            ),
-        )
+def _ad_jc(gamma0, lam, omega0, theta) -> ModelSpec:
+    return _damped_qubit(omega0, JcLorentzianScalar(gamma0, lam), _ZERO_SCALAR, RyStateFamily(), theta)
+
+
+def _phase_dephasing(theta, gamma0, a, omega, phi) -> ModelSpec:
+    rate = SinusoidalScalar(gamma0, a, omega, phi)
+    channels = (Channel("dz", constant_operator(SIGMA_Z), rate, zero_operator(2), _ZERO_SCALAR),) if gamma0 else ()
     return ModelSpec(
         dim=2,
         H=modulated_operator(0.5 * SIGMA_Z, ThetaScaledScalar(ConstantScalar(1.0))),
         dH_dtheta=constant_operator(0.5 * SIGMA_Z),
         channels=channels,
         rho0_family=FixedRyStateFamily(angle=math.pi / 2),
-        theta=p["theta"],
+        theta=theta,
     )
 
 
-def _build_rate_estimation(params: dict, pointer: str) -> ModelSpec:
-    g_param = params.pop("g", 1.0)
-    p = _params(
-        params, {"theta": 1.0, "omega0": 1.0, "alpha": math.pi / 2}, "rate-estimation", pointer
-    )
-    try:
-        g = scalar_from_config(g_param, f"{pointer}/g")
-    except ConfigError as exc:
-        raise ConfigError(f"parameter 'g': {exc}", exc.pointer) from exc
-    if isinstance(g, ThetaScaledScalar):
-        raise ConfigError(
-            "parameter 'g' must be theta-independent (theta scaling is implied)", f"{pointer}/g"
-        )
-    return ModelSpec(
-        dim=2,
-        H=constant_operator(0.5 * p["omega0"] * SIGMA_Z),
-        dH_dtheta=zero_operator(2),
-        channels=(_amplitude_damping_channel(ThetaScaledScalar(g), g),),
-        rho0_family=FixedRyStateFamily(angle=p["alpha"]),
-        theta=p["theta"],
-    )
+def _rate_estimation(theta, omega0, alpha, g) -> ModelSpec:
+    return _damped_qubit(omega0, ThetaScaledScalar(g), g, FixedRyStateFamily(alpha), theta)
 
 
-_BUILTIN_BUILDERS = {
-    "ad-nm": _build_ad_nm,
-    "ad-jc": _build_ad_jc,
-    "phase-dephasing": _build_phase_dephasing,
-    "rate-estimation": _build_rate_estimation,
+# The built-in demonstration models: name -> (constructor, its parameters in
+# order with their defaults).  A default that is a scalar form marks a
+# parameter taking a theta-independent scalar form; the others are numbers.
+BUILTINS = {
+    "ad-nm": (_ad_nm, {"gamma0": 1.0, "a": 1.5, "omega": 2.0, "phi": 0.0, "omega0": 1.0, "theta": math.pi / 4}),
+    "ad-jc": (_ad_jc, {"gamma0": 1.0, "lambda": 3.0, "omega0": 1.0, "theta": math.pi / 4}),
+    "phase-dephasing": (_phase_dephasing, {"theta": 0.3, "gamma0": 0.2, "a": 0.5, "omega": 2.0, "phi": 0.0}),
+    "rate-estimation": (_rate_estimation, {"theta": 1.0, "omega0": 1.0, "alpha": math.pi / 2, "g": ConstantScalar(1.0)}),
 }
 
-BUILTIN_MODEL_NAMES = tuple(sorted(_BUILTIN_BUILDERS))
-
-
-def builtin_model(name: str, params: dict | None = None, pointer: str = "") -> ModelSpec:
-    """Instantiate one of the built-in demonstration models by name.
-
-    ``pointer`` locates the model's config object ``{"builtin", "params"}``;
-    a :class:`ConfigError` points at ``/builtin`` or at a parameter below
-    ``/params``.
-    """
-    if name not in _BUILTIN_BUILDERS:
-        raise ConfigError(
-            f"unknown model {name!r}; expected one of {BUILTIN_MODEL_NAMES}", f"{pointer}/builtin"
-        )
-    return _BUILTIN_BUILDERS[name](dict(params or {}), f"{pointer}/params")
+BUILTIN_MODEL_NAMES = tuple(sorted(BUILTINS))
 
 
 @dataclass(frozen=True)

@@ -280,8 +280,9 @@ def propagate(
             f"over the budget of {TRAJECTORY_BYTES}"
         )
     grid = np.arange(n_steps + 1) * dt
-    for ch in model.channels:
-        scan_scalar_poles(ch.gamma, grid)
+    gen = compile_generator(model)
+    for form in gen.forms + tuple(ch.gamma for ch in model.channels):
+        scan_scalar_poles(form, grid)
     rho = np.empty((n_steps + 1, model.dim, model.dim), dtype=complex)
     sig = np.empty_like(rho)
     x = np.stack([model.rho0_family.rho0(theta), model.rho0_family.drho0_dtheta(theta)])
@@ -293,7 +294,7 @@ def propagate(
         lams.append(eig[0][:, 0].min())
         flows.append(flow_block(model, theta, grid[block], xs, dots, eig, tol))
 
-    _integrate(compile_generator(model), (theta,), x, grid, dt, partial(density_eigh, tol=tol), store)
+    _integrate(gen, (theta,), x, grid, dt, partial(density_eigh, tol=tol), store)
     return Trajectory(
         model=model,
         theta=theta,

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from qfiflow.cli import parse_config, run_simulate
+from qfiflow.cli import run_simulate
+from qfiflow.config import builtin_model, parse_config
 from qfiflow.flow import classify_intervals, subflow_J
-from qfiflow.model import builtin_model
 from qfiflow.operators import hermitize
 from qfiflow.propagation import fd_theta_consistency, propagate
 

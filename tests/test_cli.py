@@ -8,27 +8,28 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference_generator import apply_generator
+from strategies import models, real
 
 import qfiflow
-from qfiflow.cli import (
+from qfiflow.cli import emit_csv, emit_summary, main, run_simulate, summary_to_dict
+from qfiflow.config import (
     DEFAULT_CSV_PATH,
     DEFAULT_SUMMARY_PATH,
     CheckFlags,
     ConfigError,
     OutputTarget,
-    emit_csv,
-    emit_summary,
-    main,
+    builtin_model,
     matrix_from_config,
     matrix_to_config,
     model_to_config,
     parse_config,
-    run_simulate,
-    summary_to_dict,
+    scalar_from_config,
 )
 from qfiflow.flow import FlowTable
-from qfiflow.model import builtin_model, scalar_from_config, scalar_values
+from qfiflow.model import BUILTIN_MODEL_NAMES, compile_generator, scalar_values
 
 AD_NM_CONFIG = {
     "model": {
@@ -393,6 +394,13 @@ class TestInlineModel:
             parse_config(_config(model=model))
         assert err.value.pointer == "/model/dH_dtheta/0/1"
 
+    def test_channel_operator_terms_of_unequal_shapes_point_at_the_model(self):
+        # like the Hamiltonian's in REJECTIONS: a config error, not an uncaught DimensionMismatchError
+        doc = _inline(channels=[{"A": [{"matrix": INLINE_MODEL["dH_dtheta"]}, {"matrix": EYE3}], "gamma": 1}])
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert (err.value.pointer, str(err.value)) == ("/model", "operator term has shape (3, 3), expected (2, 2)")
+
     def test_dim_mismatch_detected(self):
         model = json.loads(json.dumps(INLINE_MODEL))
         model["dim"] = 3
@@ -404,23 +412,27 @@ class TestInlineModel:
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         npt.assert_array_equal(matrix_from_config(matrix_to_config(m), ""), m)
 
-    def test_builtin_models_round_trip_through_inline_schema(self):
-        rng = np.random.default_rng(6)
-        rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
-        for name in ("ad-nm", "ad-jc", "phase-dephasing", "rate-estimation"):
-            model = builtin_model(name)
-            cfg = parse_config(_config(model=model_to_config(model), theta=model.theta))
-            clone = cfg.model
-            assert clone.dim == model.dim
-            assert [ch.label for ch in clone.channels] == [ch.label for ch in model.channels]
-            for t in (0.0, 0.8):
-                npt.assert_array_equal(
-                    apply_generator(clone, model.theta, t, rho),
-                    apply_generator(model, model.theta, t, rho),
-                )
-            npt.assert_array_equal(
-                clone.rho0_family.rho0(model.theta), model.rho0_family.rho0(model.theta)
-            )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(BUILTIN_MODEL_NAMES).map(builtin_model), models()),
+        st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+        real(),
+    )
+    @example(builtin_model("ad-nm"), [0.0, 0.8], math.pi / 4)
+    @example(builtin_model("ad-jc"), [0.0, 0.8], math.pi / 4)
+    @example(builtin_model("phase-dephasing"), [0.0, 0.8], 0.3)
+    @example(builtin_model("rate-estimation"), [0.0, 0.8], 1.0)
+    def test_builtin_models_round_trip_through_inline_schema(self, model, times, theta):
+        # builtins and drawn models: the same generator and dK/dtheta, bit for bit
+        clone = parse_config(json.dumps({"model": model_to_config(model), "t_end": 1, "dt": 0.1})).model
+        assert clone.dim == model.dim and clone.theta == model.theta
+        assert [ch.label for ch in clone.channels] == [ch.label for ch in model.channels]
+        gen, clone_gen = compile_generator(model), compile_generator(clone)
+        npt.assert_array_equal(clone_gen.jumps, gen.jumps)
+        npt.assert_array_equal(clone_gen.operators(times, (theta,)), gen.operators(times, (theta,)))
+        for family in (clone.rho0_family, model.rho0_family):
+            npt.assert_array_equal(family.rho0(theta), model.rho0_family.rho0(theta))
+            npt.assert_array_equal(family.drho0_dtheta(theta), model.rho0_family.drho0_dtheta(theta))
 
 
 def _table(times, labels=()):
@@ -603,9 +615,8 @@ class TestMain:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
             "import sys\n"
-            "import numpy as np\n"
-            "import qfiflow\n"
-            "qfiflow.LinearStateFamily(np.eye(2) / 2, np.zeros((2, 2)), 0.0).to_config()\n"
+            "import qfiflow.config\n"
+            "qfiflow.config.model_to_config(qfiflow.builtin_model('ad-nm'))\n"
             "assert 'qfiflow.cli' not in sys.modules\n"
         )
         proc = subprocess.run(
@@ -646,6 +657,16 @@ class TestMain:
         }
         assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
         # the time as a plain number, not a numpy repr
+        assert capsys.readouterr().err == (
+            "runtime abort: run interval contains a pole of the lorentzian rate near t=4.837\n"
+        )
+
+    def test_pole_of_an_operator_modulation_exit_three(self, tmp_path, capsys):
+        # every lorentzian form of the generator is scanned, not only the rates
+        jc = {"form": "jc_lorentzian", "gamma0": 1.0, "lambda": 0.5}
+        model = dict(INLINE_MODEL, hamiltonian=[{"matrix": INLINE_MODEL["dH_dtheta"], "modulation": jc}])
+        doc = {"model": model, "t_end": 5, "dt": 0.001, "outputs": [{"csv_path": str(tmp_path / "o.csv")}]}
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
         assert capsys.readouterr().err == (
             "runtime abort: run interval contains a pole of the lorentzian rate near t=4.837\n"
         )

@@ -13,7 +13,7 @@ from reference_generator import evaluate, reference_generator, reference_generat
 from strategies import models, real
 
 from qfiflow import model as model_module
-from qfiflow.cli import parse_config
+from qfiflow.config import builtin_model, parse_config
 from qfiflow.estimation import sld_stack
 from qfiflow.flow import (
     FlowTable,
@@ -29,7 +29,6 @@ from qfiflow.model import (
     ConstantScalar,
     ModelSpec,
     RyStateFamily,
-    builtin_model,
     compile_generator,
     constant_operator,
     scalar_values,

@@ -15,6 +15,7 @@ from reference_generator import (
 )
 from strategies import models, real
 
+from qfiflow.config import builtin_model, scalar_from_config, scalar_to_config
 from qfiflow.model import (
     BUILTIN_MODEL_NAMES,
     COEFFICIENT_BYTES,
@@ -28,15 +29,12 @@ from qfiflow.model import (
     SinusoidalScalar,
     ThetaScaledScalar,
     _jc_pieces,
-    builtin_model,
     compile_generator,
     constant_operator,
     modulated_operator,
     probe_theta_dependence,
     ry_rotation,
-    scalar_from_config,
     scalar_is_zero,
-    scalar_to_config,
     scalar_values,
     scan_scalar_poles,
     validate_model,

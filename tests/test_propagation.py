@@ -16,7 +16,7 @@ from strategies import GKSL_GENERATOR_NORM, gksl_models, models
 
 from qfiflow import model as model_module
 from qfiflow import propagation
-from qfiflow.cli import parse_config
+from qfiflow.config import builtin_model, parse_config
 from qfiflow.model import (
     Channel,
     ConstantScalar,
@@ -24,7 +24,6 @@ from qfiflow.model import (
     ModelSpec,
     RyStateFamily,
     ScalarPoleError,
-    builtin_model,
     constant_operator,
     scalar_values,
     zero_operator,
