@@ -224,6 +224,8 @@ def _family_from_config(v, dim: int, ptr: str):
     fam = _from_table(FAMILIES, "family", "family", d, ptr, "{}")
     if fam.dim() != dim:
         raise ConfigError(f"family dimension {fam.dim()} does not match model dim {dim}", ptr)
+    if isinstance(fam, LinearStateFamily) and fam.slope.shape != fam.base.shape:
+        raise ConfigError(f"drho0_dtheta has shape {fam.slope.shape}, expected {fam.base.shape}", f"{ptr}/drho0_dtheta")
     return fam
 
 

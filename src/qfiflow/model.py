@@ -408,18 +408,26 @@ class CompiledGenerator:
         """How many times of :meth:`operators` fit in COEFFICIENT_BYTES (at least one)."""
         return max(1, COEFFICIENT_BYTES // self._bytes_per_time(n_thetas))
 
-    def map_steps_per_block(self, n_thetas: int) -> int:
-        """How many RK4 step maps in real coordinates fit COEFFICIENT_BYTES next to
-        the unit maps (0 if not even one does).
-
-        Per step: operators at two half-grid times, k d^2 x k d^2 real maps S
-        and their RK4 products, coordinates and states.  Building the w x d^4
-        unit map of a block of w reals takes 8 w d^4 reals and w x w units.
-        """
+    def map_steps(self, n_thetas: int) -> tuple[int, int, int]:
+        """Steps per block, per batch and per chunk of the map path, (0, 0, 0) where no
+        block fits COEFFICIENT_BYTES next to the unit maps.  A block evaluates its
+        operators at two half-grid times per step, then keeps them, its increments
+        (n x n reals per step, n = k d^2) and its states with their derivatives; a
+        batch forms S(t) and two RK4 stage products per step in an eighth of the
+        budget.  A chunk is the square root of how many increments the budget holds,
+        so stacks of equal n split the grid alike; blocks hold whole chunks.  The
+        w x d^4 unit map of w reals takes 8 w d^4 reals and w x w units."""
         d, n = self.dim, (2 * n_thetas if self.derivative else n_thetas) * self.dim**2
-        unit = sum(64 * c.shape[1] * d**4 + 8 * c.shape[1] ** 2 for c in self.constants)
-        step = 64 * n * n + 2 * self._bytes_per_time(n_thetas) + 64 * n
-        return max(0, (COEFFICIENT_BYTES - unit) // step)
+        budget = COEFFICIENT_BYTES - sum(64 * c.shape[1] * d**4 + 8 * c.shape[1] ** 2 for c in self.constants)
+        kept = 16 * n_thetas * sum(c.shape[1] for c in self.constants) + 8 * n * n + 48 * n
+        steps = min(budget // (2 * self._bytes_per_time(n_thetas)), (budget - COEFFICIENT_BYTES // 8) // kept)
+        batch = (COEFFICIENT_BYTES // 8 - 16 * n * n) // (48 * n * n)
+        chunk = max(1, math.isqrt(COEFFICIENT_BYTES // (8 * n * n)))
+        return (steps - steps % chunk or steps, batch, chunk) if min(steps, batch) > 0 else (0, 0, 0)
+
+    def map_steps_per_block(self, n_thetas: int) -> int:
+        """How many RK4 step maps a block of the map path takes (0 if not even one fits)."""
+        return self.map_steps(n_thetas)[0]
 
     def operators(self, times, thetas) -> np.ndarray:
         """The distinct blocks of the stack's generator at every time, shape

@@ -17,12 +17,12 @@ Hermitian coordinates (per member: the diagonal, then the real parts of the
 upper triangle, then its imaginary parts).  Where the unit maps (from a
 block's operators at one time to its matrix in these coordinates) and one
 block of step maps fit ``COEFFICIENT_BYTES``, S(t) is assembled from those
-matrices, the step maps come from batched matrix products, a chain of
-matrix-vector products advances the coordinates, and the states rebuilt
-from them are exactly Hermitian.  Otherwise (large d) RK4 steps act on the
-matrices themselves and re-hermitize after every step.  The choice depends
-on sizes alone; the two paths agree to rounding.  Each state's time
-derivative is formed once: S(t) c, or the first RK4 stage of its step.
+matrices a batch of steps at a time, batched matrix products give the step
+maps, chunked prefix products advance the coordinates with no loop over
+steps, and the rebuilt states are exactly Hermitian.  Otherwise (large d)
+RK4 steps act on the matrices themselves and re-hermitize after every step.
+The choice depends on sizes alone; the two paths agree to rounding.  Each
+state's derivative is formed once: S(t) c, or the first RK4 stage of its step.
 
 Every state passes a stacked density gate per block, whose first failing
 state is reported with its time: ``density_eigh``, whose eigendecomposition
@@ -35,7 +35,7 @@ would exceed ``TRAJECTORY_BYTES`` is rejected before anything is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -104,6 +104,7 @@ def _rk4_step(act, ops: np.ndarray, x: np.ndarray, k1: np.ndarray, dt: float) ->
     return hermitize(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
+@cache
 def _hermitian_positions(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat positions of the diagonal, the upper and the lower triangle of a d x d matrix."""
     i, j = np.triu_indices(d, 1)
@@ -174,14 +175,36 @@ def _generator_maps(ops: np.ndarray, units: list[np.ndarray], per: int) -> np.nd
     return s.reshape(n_times, n_thetas * per * d * d, -1)
 
 
-def _rk4_increments(s: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_increments(s: np.ndarray, dt: float, out: np.ndarray) -> None:
     """RK4 increments N_j = dt/6 (A1 + 2 A2 + 2 A3 + A4), the step maps being
-    M_j = I + N_j, from S on the half grid t_0, t_0 + dt/2, t_1, ..., t_n."""
+    M_j = I + N_j, from S on the half grid t_0, t_0 + dt/2, t_1, ..., t_n, written
+    into out with two scratch stacks in the arithmetic and order of that formula."""
     a1, sh, s1 = s[:-1:2], s[1::2], s[2::2]
-    a2 = sh + (0.5 * dt) * (sh @ a1)
-    a3 = sh + (0.5 * dt) * (sh @ a2)
-    a4 = s1 + dt * (s1 @ a3)
-    return (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    a2, a3 = np.matmul(sh, a1), np.empty_like(out)
+    np.add(np.multiply(a2, 0.5 * dt, out=a2), sh, out=a2)
+    np.add(np.multiply(np.matmul(sh, a2, out=a3), 0.5 * dt, out=a3), sh, out=a3)
+    np.add(np.multiply(a2, 2.0, out=out), a1, out=out)
+    out += np.multiply(a3, 2.0, out=a2)
+    out += np.add(np.multiply(np.matmul(s1, a3, out=a2), dt, out=a2), s1, out=a2)
+    out *= dt / 6.0
+
+
+def _chain(n: np.ndarray, c: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states c_1, ..., c_B of c_(j+1) = c_j + N_j c_j from c_0 = c, and the state
+    after the last chunk, by chunked prefix products (Blelloch 1990): n is overwritten,
+    for all chunks of ``size`` steps at once, with Q_j, I + Q_j being the product of
+    the step maps since j's chunk began (so the identity never rounds N); the chunk
+    starts advance one chunk at a time, and every state is c_start + Q_j c_start."""
+    for p in range(1, min(size, len(n))):
+        q, prev = n[p::size], n[p - 1 :: size]
+        q += prev[: len(q)] + q @ prev[: len(q)]
+    starts = np.tile(c, (-(-len(n) // size) + 1, 1))
+    for i in range(1, len(starts)):
+        starts[i] = starts[i - 1] + n[min(i * size, len(n)) - 1] @ starts[i - 1]
+    cs = np.repeat(starts[:-1], size, axis=0)[: len(n)]
+    cs += (n @ cs[..., None])[..., 0]
+    cs[size - 1 :: size] = starts[1 : len(n) // size + 1]  # a chunk's last state starts the next
+    return cs, starts[-1]
 
 
 def _map_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
@@ -191,21 +214,28 @@ def _map_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray
     (None without ``gen.derivative``); the first block is x alone."""
     units = _unit_maps(gen)
     per = 2 if gen.derivative else 1
-    block = gen.map_steps_per_block(len(thetas))
+    block, batch, chunk = gen.map_steps(len(thetas))
     c = _coordinates(hermitize(x)).ravel()
-    ops = gen.operators(grid[:1], thetas)
-    yield 0, x[None], gen.act(ops[0], x)[None] if gen.derivative else None
+    last = gen.operators(grid[:1], thetas)
+    yield 0, x[None], gen.act(last[0], x)[None] if gen.derivative else None
     for start in range(0, len(grid) - 1, block):
-        ops = np.concatenate([ops[-1:], gen.operators(_half_grid(grid[start : start + block + 1], dt)[1:], thetas)])
-        s = _generator_maps(ops, units, per)
-        increments = _rk4_increments(s, dt)
-        cs = np.empty((len(increments), len(c)))
-        # c + N c rather than (I + N) c: the identity would round N's diagonal to ulp(1)
-        for j, n in enumerate(increments):
-            c = cs[j] = c + n @ c
-        shape = (len(cs),) + x.shape[:-2] + (-1,)
-        dots = _matrices((s[2::2] @ cs[..., None]).reshape(shape), gen.dim) if gen.derivative else None
-        yield start + 1, _matrices(cs.reshape(shape), gen.dim), dots
+        ops = gen.operators(_half_grid(grid[start : start + block + 1], dt)[1:], thetas)
+        n = np.empty((len(ops) // 2, len(c), len(c)))
+        for j in range(0, len(n), batch):
+            times = ops[2 * j - 1 : 2 * (j + batch)] if j else np.concatenate([last, ops[: 2 * batch]])
+            _rk4_increments(_generator_maps(times, units, per), dt, n[j : j + batch])
+        cs, c = _chain(n, c, chunk)
+        del n
+        shape, dots = (len(cs),) + x.shape[:-2] + (-1,), None
+        if gen.derivative:  # S(t) c, with S at the grid times formed again a batch at a time
+            dots = [
+                _generator_maps(ops[2 * j + 1 : 2 * (j + batch) : 2], units, per) @ cs[j : j + batch, :, None]
+                for j in range(0, len(cs), batch)
+            ]
+            dots = _matrices(np.concatenate(dots).reshape(shape), gen.dim)
+        xs, last = _matrices(cs.reshape(shape), gen.dim), ops[-1:].copy()
+        del ops, cs  # only the yielded block and what the next one starts from stay
+        yield start + 1, xs, dots
 
 
 def _stacked_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):

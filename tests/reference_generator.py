@@ -12,7 +12,9 @@ generator was compiled into scalar coefficients on constant matrices.
 
 ``apply_generator``, ``apply_generator_theta_derivative`` and ``step_rk4``
 are thin wrappers over the compiled generator for one state at one time,
-which the tests use to probe it point by point.
+which the tests use to probe it point by point.  ``step_map_chain`` is the
+per-step recurrence that advanced the step-map path's coordinates before the
+chunked prefix products did.
 """
 
 import cmath
@@ -186,6 +188,16 @@ def step_rk4(
     x = np.stack([rho, drho_dtheta])
     rho_next, sig_next = _rk4_step(gen.act, ops, x, gen.act(t0, x), dt)
     return rho_next, sig_next
+
+
+def step_map_chain(increments: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The states c_1, ..., c_B of c_(j+1) = c_j + N_j c_j from c_0 = c, one
+    matrix-vector product per step, in the precision of the inputs."""
+    cs = np.empty((len(increments), len(c)), dtype=np.result_type(increments, c))
+    for j, n in enumerate(increments):
+        # c + N c rather than (I + N) c: the identity would round N's diagonal to ulp(1)
+        c = cs[j] = c + n @ c
+    return cs
 
 
 def reference_generator(model, theta, t, rho):

@@ -361,6 +361,11 @@ REJECTIONS = [
         "/model/rho0_family",
         "family dimension 3 does not match model dim 2",
     ),
+    (
+        _family({"family": "linear", "rho0": INLINE_MODEL["dH_dtheta"], "drho0_dtheta": EYE3, "theta_ref": 0}),
+        "/model/rho0_family/drho0_dtheta",
+        "drho0_dtheta has shape (3, 3), expected (2, 2)",
+    ),
 ]
 
 

@@ -9,9 +9,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from exact_qubit import damped_min_eigenvalue, sinusoid_integral, sinusoid_integral_first_root
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from reference_generator import apply_generator, reference_generator, step_rk4
+from reference_generator import apply_generator, reference_generator, step_map_chain, step_rk4
 from strategies import GKSL_GENERATOR_NORM, gksl_models, models
 
 from qfiflow import model as model_module
@@ -467,6 +467,91 @@ class TestStepMapPath:
             with pytest.raises(PropagationError, match="non-finite entries") as err:
                 propagate(model, model.theta, grid[-1], 1e-3)
         assert err.value.t == grid.tolist()[j + 1]
+
+
+def _first_full_block_peak(gen, thetas, x) -> tuple[int, int]:
+    """The steps of the map path's second block of steps and the traced peak of the
+    memory allocated while it is formed."""
+    block = gen.map_steps_per_block(len(thetas))
+    blocks = propagation._map_blocks(gen, thetas, x, np.arange(3 * block + 1) * 1e-3, 1e-3)
+    next(blocks), next(blocks)  # x alone, then the first block, whose unit maps are built once
+    tracemalloc.start()
+    try:
+        k, xs, _ = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (k, len(xs)) == (block + 1, block)
+    return block, peak
+
+
+class TestMapBlocks:
+    # before the increments were formed in batches, a block held every step's
+    # S(t) and RK4 stage products: the ad-nm pair took 183 steps per block
+    PAIR_STEPS_BEFORE = 183
+
+    @pytest.mark.parametrize("case", ["ad-nm pair", "phase-dephasing theta stack", "qutrit pair"])
+    def test_a_block_fits_coefficient_bytes(self, case, qutrit_model):
+        name, stack = case.split(" ", 1)
+        model = qutrit_model if name == "qutrit" else builtin_model(name)
+        theta = model.theta
+        if stack == "pair":
+            gen = model_module.compile_generator(model)
+            thetas, x = (theta,), np.stack([model.rho0_family.rho0(theta), model.rho0_family.drho0_dtheta(theta)])
+        else:
+            gen = model_module.compile_generator(model, derivative=False)
+            thetas = (theta + 1e-4, theta - 1e-4)
+            x = np.stack([model.rho0_family.rho0(t) for t in thetas])
+        block, peak = _first_full_block_peak(gen, thetas, x)
+        assert peak <= model_module.COEFFICIENT_BYTES
+        if case == "ad-nm pair":
+            assert block >= 2.5 * self.PAIR_STEPS_BEFORE
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.just(1), st.integers(1, 31).map(lambda s: s * s), st.integers(1, 1000)),
+        st.integers(1, 18),
+        st.floats(0.0, 1e-2),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(steps=1, k=1, norm=1e-2, seed=0)
+    @example(steps=961, k=18, norm=1e-2, seed=1)
+    @example(steps=1000, k=18, norm=1e-2, seed=2)
+    def test_scan_matches_the_recurrence(self, steps, k, norm, seed):
+        # Bound, derived before measuring: with gamma_m = m u / (1 - m u), each
+        # state of either evaluation is at most B + 1 nested roundings deep, each
+        # one a product over k terms and at most two sums, so its error is at
+        # most ((1 + gamma_(k+2))^(B+1) - 1) times the same evaluation on
+        # absolute values, |N_j| ... |N_0| |c_0| with I + |N| per step (Higham,
+        # Accuracy and Stability, ch. 3).  The recurrence runs in long double.
+        rng = np.random.default_rng(seed)
+        n = rng.standard_normal((steps, k, k))
+        n *= norm / np.maximum(np.linalg.norm(n, 2, axis=(1, 2)), 1e-300)[:, None, None]
+        c = rng.standard_normal(k)
+        ref = step_map_chain(n.astype(np.longdouble), c.astype(np.longdouble))
+        scale = step_map_chain(np.abs(n).astype(np.longdouble), np.abs(c).astype(np.longdouble))
+        size = math.isqrt(steps - 1) + 1  # chunks of ceil(sqrt(B)): exact for B = s^2, else a ragged last one
+
+        def growth(u, m, depth):
+            gamma = m * u / (1 - m * u)
+            return math.expm1(depth * math.log1p(gamma))
+
+        long_u = float(np.finfo(np.longdouble).eps) / 2
+        bound = (growth(2.0**-53, k + 2, steps + 1) + growth(long_u, k + 1, steps + 1)) * scale
+        cs, last = propagation._chain(n.copy(), c, size)
+        assert np.all(np.abs(cs - ref) <= bound)
+        assert np.all(np.abs(last - ref[-1]) <= bound[-1])
+
+    @pytest.mark.parametrize("j", [0, 1, 9, 10, 37, 99])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_increment_spoils_only_later_states(self, j, bad):
+        rng = np.random.default_rng(j)
+        n = 1e-3 * rng.standard_normal((100, 8, 8))
+        n[j, 3, 5] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            cs, last = propagation._chain(n, rng.standard_normal(8), 10)
+        assert np.all(np.isfinite(cs[:j]))
+        assert not np.any(np.isfinite(cs[j:, 3])) and not np.isfinite(last[3])
 
 
 def _qubit_model(monkeypatch):
