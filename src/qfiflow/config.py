@@ -22,6 +22,7 @@ import numpy as np
 from .model import (
     BUILTIN_MODEL_NAMES,
     BUILTINS,
+    DEFAULT_DELTA_THETA,
     Channel,
     ConstantScalar,
     FixedRyStateFamily,
@@ -449,7 +450,7 @@ def parse_config(text: bytes | str, flags: dict | None = None) -> RunConfig:
         theta=theta,
         t_end=t_end,
         dt=dt,
-        delta_theta=_positive(d["delta_theta"], "/delta_theta") if "delta_theta" in d else 1e-4,
+        delta_theta=_positive(d["delta_theta"], "/delta_theta") if "delta_theta" in d else DEFAULT_DELTA_THETA,
         outputs=outputs or (OutputTarget(DEFAULT_CSV_PATH, DEFAULT_SUMMARY_PATH),),
         checks=_fields_from_config(CheckFlags, d.get("checks", {}), "/checks", _boolean),
         tolerances=_fields_from_config(ToleranceConfig, d.get("tolerances", {}), "/tolerances", _positive),

@@ -60,11 +60,11 @@ __all__ = [
     "LinearStateFamily",
     "StateFamily",
     "ModelSpec",
-    "COEFFICIENT_BYTES",
     "CompiledGenerator",
     "compile_generator",
     "BUILTINS",
     "BUILTIN_MODEL_NAMES",
+    "DEFAULT_DELTA_THETA",
     "ThetaDependence",
     "probe_theta_dependence",
     "validate_model",
@@ -105,8 +105,7 @@ class JcLorentzianScalar:
     d = sqrt(lam^2 - 2*gamma0*lam).  For lam < 2*gamma0 the root is imaginary
     and the rate oscillates (sinh(ix) = i sin x), diverging at finite times;
     :func:`scalar_values` raises :class:`ScalarPoleError` when the denominator
-    is below 1e-9 in the pole-free normal form, and ``OverflowError`` where
-    sinh or cosh of d*t/2 overflows.
+    is below 1e-9 in the pole-free normal form.
     """
 
     gamma0: float
@@ -139,45 +138,43 @@ def scalar_is_zero(s: TimeDependentScalar) -> bool:
 
 
 def _jc_pieces(s: JcLorentzianScalar, times: np.ndarray, message: str, crossings: bool = False):
-    """Half t sinhc(d t/2) and the pole-free normal form of the denominator of the
-    lorentzian rate at every time.  Raises at the first time where sinh or cosh
-    of d t/2 overflows (``OverflowError``), or where |den| < 1e-9 or, with
-    ``crossings``, den changed sign since the previous time
-    (:class:`ScalarPoleError`, ``message`` formatted with that |den| and t)."""
+    """h and den of the lorentzian rate 2 gamma0 lam h / den at every time, z = d t/2: for
+    real d, divided by cosh z so nothing overflows, h = t tanh(z)/(2 z), den = 1 + lam h;
+    for imaginary d the pole-free normal form, h = t sinh(z)/(2 z), den = cosh z + lam h.
+    Raises :class:`ScalarPoleError` (``message`` formatted with |den| and t) at the first
+    time where |den| < 1e-9 or, with ``crossings``, den changed sign since the previous time."""
     d = cmath.sqrt(complex(s.lam * s.lam - 2.0 * s.gamma0 * s.lam))
     z = 0.5 * d * times
     with np.errstate(all="ignore"):
-        sinh, cosh = np.sinh(z), np.cosh(z)
-        # sinh(z)/z, series near z=0 so the critically-damped point lam = 2*gamma0 stays finite
-        sinhc = np.where(np.abs(z) < 1e-8, 1.0 + z * z / 6.0, sinh / z)
-        half_t_sinhc = 0.5 * times * sinhc
-        den = cosh + s.lam * half_t_sinhc
-        overflow = np.isfinite(z) & ~(np.isfinite(sinh) & np.isfinite(cosh))
+        # series near z=0 so the critically-damped point lam = 2*gamma0 stays finite
+        if d.imag:  # sinh(i y) = i sin y and cosh(i y) = cos y: bounded
+            h, c = 0.5 * times * np.where(np.abs(z) < 1e-8, 1.0 + z * z / 6.0, np.sinh(z) / z), np.cosh(z)
+        else:
+            z = z.real
+            h, c = 0.5 * times * np.where(np.abs(z) < 1e-8, 1.0 - z * z / 3.0, np.tanh(z) / z), 1.0
+        den = c + s.lam * h
         pole = np.abs(den) < 1e-9
         if crossings:
             pole[1:] |= den.real[1:] * den.real[:-1] < 0.0
-    bad = overflow | pole
-    if bad.any():
-        i = int(np.argmax(bad))
+    if pole.any():
+        i = int(np.argmax(pole))
         t = float(times[i])
-        if overflow[i]:
-            raise OverflowError(f"lorentzian rate overflows at t={t!r}")
         raise ScalarPoleError(message.format(den=abs(den[i]), t=t), t)
-    return half_t_sinhc, den
+    return h, den
 
 
 def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
     """s at every time of a 1-d array (one number if constant), the library's one
-    evaluation of a scalar form; a lorentzian rate raises at its first pole or overflow."""
+    evaluation of a scalar form; a lorentzian rate raises at its first pole."""
     if isinstance(s, ConstantScalar):
         return s.c
     if isinstance(s, SinusoidalScalar):
         return s.c0 * (1.0 + s.a * np.sin(s.omega * times + s.phi))
     if isinstance(s, ThetaScaledScalar):
         return theta * scalar_values(s.base, times, theta)
-    half_t_sinhc, den = _jc_pieces(s, times, "lorentzian rate denominator |{den:.3e}| < 1e-9 at t={t!r}")
+    h, den = _jc_pieces(s, times, "lorentzian rate denominator |{den:.3e}| < 1e-9 at t={t!r}")
     with np.errstate(all="ignore"):
-        return (2.0 * s.gamma0 * s.lam * half_t_sinhc / den).real
+        return (2.0 * s.gamma0 * s.lam * h / den).real
 
 
 def scan_scalar_poles(scalar: TimeDependentScalar, times) -> None:
@@ -347,11 +344,6 @@ class ModelSpec:
             )
 
 
-# Bytes of generator operators evaluated ahead at once: bounds their storage
-# independently of the run length.
-COEFFICIENT_BYTES = 2**20
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledGenerator:
     """The generator of a model as scalar coefficients on constant matrices.
@@ -398,36 +390,12 @@ class CompiledGenerator:
     factors: tuple[np.ndarray, ...]
     constants: tuple[np.ndarray, ...]
 
-    def _bytes_per_time(self, n_thetas: int) -> int:
-        """Bytes of :meth:`operators` per time: operators, coefficients, form values."""
+    def bytes_per_time(self, n_thetas: int) -> int:
+        """Bytes of :meth:`operators` per time (operators, coefficients, form values), the
+        one size the integrator needs from the generator to size its blocks."""
         reals = sum(c.shape[1] for c in self.constants)
         coefficients = sum(f.shape[1] for f in self.factors)
         return n_thetas * (8 * reals + 40 * coefficients + 16 * len(self.forms) + 256)
-
-    def times_per_block(self, n_thetas: int) -> int:
-        """How many times of :meth:`operators` fit in COEFFICIENT_BYTES (at least one)."""
-        return max(1, COEFFICIENT_BYTES // self._bytes_per_time(n_thetas))
-
-    def map_steps(self, n_thetas: int) -> tuple[int, int, int]:
-        """Steps per block, per batch and per chunk of the map path, (0, 0, 0) where no
-        block fits COEFFICIENT_BYTES next to the unit maps.  A block evaluates its
-        operators at two half-grid times per step, then keeps them, its increments
-        (n x n reals per step, n = k d^2) and its states with their derivatives; a
-        batch forms S(t) and two RK4 stage products per step in an eighth of the
-        budget.  A chunk is the square root of how many increments the budget holds,
-        so stacks of equal n split the grid alike; blocks hold whole chunks.  The
-        w x d^4 unit map of w reals takes 8 w d^4 reals and w x w units."""
-        d, n = self.dim, (2 * n_thetas if self.derivative else n_thetas) * self.dim**2
-        budget = COEFFICIENT_BYTES - sum(64 * c.shape[1] * d**4 + 8 * c.shape[1] ** 2 for c in self.constants)
-        kept = 16 * n_thetas * sum(c.shape[1] for c in self.constants) + 8 * n * n + 48 * n
-        steps = min(budget // (2 * self._bytes_per_time(n_thetas)), (budget - COEFFICIENT_BYTES // 8) // kept)
-        batch = (COEFFICIENT_BYTES // 8 - 16 * n * n) // (48 * n * n)
-        chunk = max(1, math.isqrt(COEFFICIENT_BYTES // (8 * n * n)))
-        return (steps - steps % chunk or steps, batch, chunk) if min(steps, batch) > 0 else (0, 0, 0)
-
-    def map_steps_per_block(self, n_thetas: int) -> int:
-        """How many RK4 step maps a block of the map path takes (0 if not even one fits)."""
-        return self.map_steps(n_thetas)[0]
 
     def operators(self, times, thetas) -> np.ndarray:
         """The distinct blocks of the stack's generator at every time, shape
@@ -590,6 +558,9 @@ BUILTINS = {
 
 BUILTIN_MODEL_NAMES = tuple(sorted(BUILTINS))
 
+# Step of every central difference in theta: probes, model checks, the theta check.
+DEFAULT_DELTA_THETA = 1e-4
+
 
 @dataclass(frozen=True)
 class ThetaDependence:
@@ -604,7 +575,7 @@ def probe_theta_dependence(
     model: ModelSpec,
     theta: float,
     times: tuple[float, ...],
-    delta: float = 1e-4,
+    delta: float = DEFAULT_DELTA_THETA,
 ) -> dict[str, ThetaDependence]:
     """Central-difference check of the declared theta-derivatives.
 
@@ -644,7 +615,7 @@ def validate_model(
     theta: float | None = None,
     times: tuple[float, ...] = (0.0, 0.37, 1.0),
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    delta_theta: float = 1e-4,
+    delta_theta: float = DEFAULT_DELTA_THETA,
 ) -> None:
     """Spot-check model invariants: Hermitian H and dH at sampled (theta, t),
     a valid initial density matrix at theta and theta +/- delta_theta, and a

@@ -8,10 +8,10 @@ pass; :func:`fd_theta_consistency` measures the residual disagreement
 against an independent central difference over theta, evolving
 rho(theta +/- delta) together in one pass.
 
-Both paths evaluate the generator's distinct blocks (K, and dK/dtheta where
-theta enters it; see :class:`~qfiflow.model.CompiledGenerator`) once per
-block of steps, on the half grid t_k + dt/2, t_(k+1) taken from the grid
-(t_k is carried over from the block before, so no time is evaluated twice).
+One loop over blocks of steps drives both paths.  It evaluates the generator's
+distinct blocks (K, and dK/dtheta where theta enters it; see
+:class:`~qfiflow.model.CompiledGenerator`) once per time of a block's half grid
+t_k + dt/2, t_(k+1) (t_k's carried over); a path only advances the stack.
 The equation is linear, so one RK4 step is a fixed real matrix in real
 Hermitian coordinates (per member: the diagonal, then the real parts of the
 upper triangle, then its imaginary parts).  Where the unit maps (from a
@@ -21,8 +21,8 @@ matrices a batch of steps at a time, batched matrix products give the step
 maps, chunked prefix products advance the coordinates with no loop over
 steps, and the rebuilt states are exactly Hermitian.  Otherwise (large d)
 RK4 steps act on the matrices themselves and re-hermitize after every step.
-The choice depends on sizes alone; the two paths agree to rounding.  Each
-state's derivative is formed once: S(t) c, or the first RK4 stage of its step.
+Sizes alone choose the path (:func:`_block_steps`); the two agree to rounding.
+Each state's derivative is formed once: S(t) c, or its step's first RK4 stage.
 
 Every state passes a stacked density gate per block, whose first failing
 state is reported with its time: ``density_eigh``, whose eigendecomposition
@@ -34,6 +34,7 @@ would exceed ``TRAJECTORY_BYTES`` is rejected before anything is allocated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -41,6 +42,7 @@ import numpy as np
 
 from .flow import FlowTable, flow_block, flow_table
 from .model import (
+    DEFAULT_DELTA_THETA,
     CompiledGenerator,
     ModelSpec,
     compile_generator,
@@ -64,6 +66,9 @@ __all__ = [
 # Bytes the two (N + 1, d, d) complex stacks of a trajectory may take; a
 # longer or larger run is rejected before anything is allocated.
 TRAJECTORY_BYTES = 2**30
+# Bytes of generator operators evaluated ahead at once: bounds their storage
+# independently of the run length.
+COEFFICIENT_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +139,8 @@ def _matrices(c: np.ndarray, d: int) -> np.ndarray:
 
 
 def _half_grid(t: np.ndarray, dt: float) -> np.ndarray:
-    """The grid points t_0, ..., t_n with the midpoint t_k + dt/2 after each but the last."""
-    half = np.empty(2 * len(t) - 1)
-    half[0::2] = t
-    half[1::2] = t[:-1] + 0.5 * dt
-    return half
+    """The midpoint t_k + dt/2 and the end t_(k+1) of each step between the grid points t."""
+    return np.stack([t[:-1] + 0.5 * dt, t[1:]], axis=-1).ravel()
 
 
 def _unit_maps(gen: CompiledGenerator) -> list[np.ndarray]:
@@ -207,54 +209,60 @@ def _chain(n: np.ndarray, c: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
     return cs, starts[-1]
 
 
-def _map_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
-    """Blocks of the stack x advanced by RK4 step maps in real Hermitian coordinates:
-    yields (k, xs, dots), ``xs[j]`` being the stack at grid point k + j and
-    ``dots[j]`` its time derivative, S(t) c, which only a pair's flow reads
-    (None without ``gen.derivative``); the first block is x alone."""
-    units = _unit_maps(gen)
+def _block_steps(gen: CompiledGenerator, n_thetas: int) -> tuple[int, int, int]:
+    """Steps per block, per batch and per chunk; batch 0 where the unit maps and one
+    block of step maps do not fit COEFFICIENT_BYTES, selecting RK4 on the matrices,
+    whose blocks take as many steps as their half grid's operators fit.  A map block
+    evaluates its operators at two half-grid times per step, then keeps them, its
+    increments (n x n reals per step, n = k d^2) and its states with their
+    derivatives; a batch forms S(t) and two RK4 stage products per step in an eighth
+    of the budget.  A chunk is the square root of how many increments the budget
+    holds, so stacks of equal n split the grid alike; blocks hold whole chunks.  The
+    w x d^4 unit map of w reals takes 8 w d^4 reals and w x w units."""
+    per_time, widths = gen.bytes_per_time(n_thetas), [c.shape[1] for c in gen.constants]
+    d, n = gen.dim, (2 * n_thetas if gen.derivative else n_thetas) * gen.dim**2
+    budget = COEFFICIENT_BYTES - sum(64 * w * d**4 + 8 * w**2 for w in widths)
+    kept = 16 * n_thetas * sum(widths) + 8 * n * n + 48 * n
+    steps = min(budget // (2 * per_time), (budget - COEFFICIENT_BYTES // 8) // kept)
+    batch = (COEFFICIENT_BYTES // 8 - 16 * n * n) // (48 * n * n)
+    chunk = max(1, math.isqrt(COEFFICIENT_BYTES // (8 * n * n)))
+    if min(steps, batch) > 0:
+        return steps - steps % chunk or steps, batch, chunk
+    return max(1, (COEFFICIENT_BYTES // per_time - 1) // 2), 0, 0
+
+
+def _advance_maps(gen: CompiledGenerator, units: list, batch: int, chunk: int, ops, carry: tuple, dt: float):
+    """A block's states by RK4 step maps in real Hermitian coordinates, from its
+    half-grid operators ops and carry, t_k's operators and the coordinates c of the
+    state there: returns (xs, dots, carry), dots being S(t) c, which only a pair's
+    flow reads (None without ``gen.derivative``)."""
+    last, c = carry
     per = 2 if gen.derivative else 1
-    block, batch, chunk = gen.map_steps(len(thetas))
-    c = _coordinates(hermitize(x)).ravel()
-    last = gen.operators(grid[:1], thetas)
-    yield 0, x[None], gen.act(last[0], x)[None] if gen.derivative else None
-    for start in range(0, len(grid) - 1, block):
-        ops = gen.operators(_half_grid(grid[start : start + block + 1], dt)[1:], thetas)
-        n = np.empty((len(ops) // 2, len(c), len(c)))
-        for j in range(0, len(n), batch):
-            times = ops[2 * j - 1 : 2 * (j + batch)] if j else np.concatenate([last, ops[: 2 * batch]])
-            _rk4_increments(_generator_maps(times, units, per), dt, n[j : j + batch])
-        cs, c = _chain(n, c, chunk)
-        del n
-        shape, dots = (len(cs),) + x.shape[:-2] + (-1,), None
-        if gen.derivative:  # S(t) c, with S at the grid times formed again a batch at a time
-            dots = [
-                _generator_maps(ops[2 * j + 1 : 2 * (j + batch) : 2], units, per) @ cs[j : j + batch, :, None]
-                for j in range(0, len(cs), batch)
-            ]
-            dots = _matrices(np.concatenate(dots).reshape(shape), gen.dim)
-        xs, last = _matrices(cs.reshape(shape), gen.dim), ops[-1:].copy()
-        del ops, cs  # only the yielded block and what the next one starts from stay
-        yield start + 1, xs, dots
+    n = np.empty((len(ops) // 2, len(c), len(c)))
+    for j in range(0, len(n), batch):
+        times = ops[2 * j - 1 : 2 * (j + batch)] if j else np.concatenate([last, ops[: 2 * batch]])
+        _rk4_increments(_generator_maps(times, units, per), dt, n[j : j + batch])
+    cs, c = _chain(n, c, chunk)
+    del n
+    shape, dots = (len(cs), -1, gen.dim**2), None
+    if gen.derivative:  # S(t) c, with S at the grid times formed again a batch at a time
+        dots = [
+            _generator_maps(ops[2 * j + 1 : 2 * (j + batch) : 2], units, per) @ cs[j : j + batch, :, None]
+            for j in range(0, len(cs), batch)
+        ]
+        dots = _matrices(np.concatenate(dots).reshape(shape), gen.dim)
+    return _matrices(cs.reshape(shape), gen.dim), dots, (ops[-1:].copy(), c)
 
 
-def _stacked_blocks(gen: CompiledGenerator, thetas: tuple[float, ...], x: np.ndarray, grid: np.ndarray, dt: float):
-    """Blocks of the stack x advanced by :func:`_rk4_step` on the matrices themselves;
-    yields (k, xs, dots) as :func:`_map_blocks` does, ``dots[j]`` being the
-    first stage of the step that leaves ``xs[j]``.  A block takes as many
-    steps as its half grid's operators, evaluated in one call, fit ``times_per_block``."""
-    steps = max(1, (gen.times_per_block(len(thetas)) - 1) // 2)
-    k1 = gen.act(gen.operators(grid[:1], thetas)[0], x)
-    yield 0, x[None], k1[None]
-    xs = np.empty((2, steps) + x.shape, dtype=complex)
-    for start in range(0, len(grid) - 1, steps):
-        t = grid[start : start + steps + 1]
-        ops = gen.operators(_half_grid(t, dt)[1:], thetas)
-        for j in range(len(t) - 1):
-            x = xs[0, j] = _rk4_step(gen.act, ops[2 * j : 2 * j + 2], x, k1, dt)
-            k1 = xs[1, j] = gen.act(ops[2 * j + 1], x)
-        del ops  # the flow runs on the yielded block: free its largest array first
-        yield start + 1, *xs[:, : len(t) - 1]
+def _advance_steps(gen: CompiledGenerator, xs: np.ndarray, ops, carry: tuple, dt: float):
+    """As :func:`_advance_maps`, by :func:`_rk4_step` on the matrices, into the buffer
+    xs (2, steps, ...); the carry is the state before the block and its derivative,
+    and ``dots[j]`` the first stage of the step that leaves ``xs[j]``."""
+    x, k1 = carry
+    for j in range(len(ops) // 2):
+        x = xs[0, j] = _rk4_step(gen.act, ops[2 * j : 2 * j + 2], x, k1, dt)
+        k1 = xs[1, j] = gen.act(ops[2 * j + 1], x)
+    return *xs[:, : len(ops) // 2], (x, k1)
 
 
 def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.ndarray, dt: float, gate, visit) -> None:
@@ -265,20 +273,31 @@ def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.nd
     alone), ``gate`` checks the states as one ``(n, d, d)`` stack (the first
     invalid one aborts with its time stamp), then ``visit(k, xs, dots,
     gated)`` sees ``xs[j]``, the stack at grid point k + j, its derivative
-    ``dots[j]`` and what the gate returned.  Step maps in real coordinates
-    advance the stack when they fit ``COEFFICIENT_BYTES``, else RK4 steps.
+    ``dots[j]`` and what the gate returned.  Step maps (:func:`_advance_maps`)
+    or RK4 steps (:func:`_advance_steps`) advance it, as :func:`_block_steps` sizes them.
     """
     states = slice(None, None, 2 if gen.derivative else 1)
-    times = grid.tolist()
-    blocks = _map_blocks if gen.map_steps_per_block(len(thetas)) else _stacked_blocks
+    steps, batch, chunk = _block_steps(gen, len(thetas))
     # Overflow leaves a non-finite state, which the gate reports with its time.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, xs, dots in blocks(gen, thetas, x, grid, dt):
+        last = gen.operators(grid[:1], thetas)
+        xs, dots = x[None], gen.act(last[0], x)[None]
+        if batch:  # what the next block starts from: t_k's operators and coordinates
+            advance = partial(_advance_maps, gen, _unit_maps(gen), batch, chunk)
+            carry = last, _coordinates(hermitize(x)).ravel()
+        else:  # the state and its derivative
+            advance = partial(_advance_steps, gen, np.empty((2, steps) + x.shape, dtype=complex))
+            carry = x, dots[0]
+        for k in (0, *range(1, len(grid), steps)):
+            if k:  # the first block is x alone
+                ops = gen.operators(_half_grid(grid[k - 1 : k + steps], dt), thetas)
+                xs, dots, carry = advance(ops, carry, dt)
+                del ops  # only the block and what the next one starts from stay while it is visited
             block = xs[:, states]
             try:
                 gated = gate(block.reshape((-1,) + block.shape[-2:]))
             except ValueError as exc:
-                t = times[k + exc.index // block.shape[1]]
+                t = grid[k + exc.index // block.shape[1]].item()
                 raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
             visit(k, xs, dots, gated)
 
@@ -339,7 +358,7 @@ def propagate(
     )
 
 
-def fd_theta_consistency(traj: Trajectory, delta_theta: float = 1e-4) -> float:
+def fd_theta_consistency(traj: Trajectory, delta_theta: float = DEFAULT_DELTA_THETA) -> float:
     """Compare a trajectory's co-evolved derivative against a central difference in theta.
 
     Evolves rho at theta +/- delta_theta together, in one pass on the

@@ -676,17 +676,21 @@ class TestMain:
             "runtime abort: run interval contains a pole of the lorentzian rate near t=4.837\n"
         )
 
-    def test_overflowing_rate_exit_three_names_its_time(self, tmp_path, capsys):
-        # ad-jc: d = sqrt(3), and sinh(d t / 2) overflows past d t / 2 = ln(2 DBL_MAX),
-        # first on the grid at t = 820.39
-        doc = {"model": {"builtin": "ad-jc"}, "t_end": 900, "dt": 0.01}
-        k = math.ceil(2.0 * (math.log(sys.float_info.max) + math.log(2.0)) / math.sqrt(3.0) / 0.01)
+    def test_long_lorentzian_run_keeps_a_finite_rate(self, tmp_path, capsys):
+        # ad-jc past t = 820.39, where sinh(d t/2) overflows (d = sqrt(3)): the rate
+        # stays at its limit 2 gamma0 lam/(d + lam), within the 32 u of
+        # TestScalars::test_real_root_rate_is_finite_at_its_limit, and the run succeeds
+        doc = {"model": {"builtin": "ad-jc"}, "t_end": 900, "dt": 0.1}
+        out = tmp_path / "o.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["simulate", "--config", self._write_config(tmp_path, doc), "--out", str(tmp_path / "o.csv")])
-        assert rc == 3
-        assert capsys.readouterr().err == f"numerical abort: lorentzian rate overflows at t={k * 0.01!r}\n"
-        assert k * 0.01 == 820.39
+            argv = ["simulate", "--config", self._write_config(tmp_path, doc), "--check", "intervals", "--out", str(out)]
+            rc = main(argv)
+        assert rc == 0 and capsys.readouterr().err == ""
+        header, *_, last = out.read_text().splitlines()
+        gamma = float(last.split(",")[header.split(",").index("gamma_ad")])
+        limit = 6.0 / (math.sqrt(3.0) + 3.0)
+        assert abs(gamma - limit) <= 32 * 2.0**-53 * limit
 
     def test_non_finite_state_exit_three_with_time_stamp(self, tmp_path, capsys):
         doc = {

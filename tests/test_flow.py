@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from reference_generator import evaluate, reference_generator, reference_generator_theta_derivative, scalar
 from strategies import models, real
 
-from qfiflow import model as model_module
+from qfiflow import propagation
 from qfiflow.config import builtin_model, parse_config
 from qfiflow.estimation import sld_stack
 from qfiflow.flow import (
@@ -407,7 +407,7 @@ class TestFlowOfThePass:
         from workloads import qubit_model
 
         model = parse_config(json.dumps({"model": qubit_model(3), "t_end": 0.05, "dt": 1e-3})).model
-        assert compile_generator(model).map_steps_per_block(1) == 0
+        assert propagation._block_steps(compile_generator(model), 1)[1] == 0
         self._check(propagate(model, model.theta, 0.05, 1e-3))
 
     @settings(max_examples=30, deadline=None)
@@ -417,7 +417,7 @@ class TestFlowOfThePass:
         # rounding of the derivatives (S c against act) to about 1e-12 of each
         # column; a derivative of the wrong state or time would be off by O(1).
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model_module, "COEFFICIENT_BYTES", 2**26 if maps else 0)
+            mp.setattr(propagation, "COEFFICIENT_BYTES", 2**26 if maps else 0)
             traj = propagate(model, model.theta, 0.02, 1e-3, ANY_FINITE_STATE)
         self._check(traj, rtol=1e-9, column_scale=True)
 

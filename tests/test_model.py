@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -18,7 +19,6 @@ from strategies import models, real
 from qfiflow.config import builtin_model, scalar_from_config, scalar_to_config
 from qfiflow.model import (
     BUILTIN_MODEL_NAMES,
-    COEFFICIENT_BYTES,
     Channel,
     ConstantScalar,
     FixedRyStateFamily,
@@ -50,6 +50,7 @@ from qfiflow.operators import (
     hermitize,
     hermiticity_defect,
 )
+from qfiflow.propagation import COEFFICIENT_BYTES
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
@@ -62,14 +63,6 @@ def all_builtins():
 def values(s, times, theta=0.0):
     """scalar_values of s at a sequence of times, as floats."""
     return np.broadcast_to(scalar_values(s, np.array(times, dtype=float), theta), len(times)).tolist()
-
-
-def _overflows(s, t):
-    try:
-        ref.jc_pieces(s, t)
-    except OverflowError:
-        return True
-    return False
 
 
 class TestScalars:
@@ -127,7 +120,7 @@ class TestScalars:
             (1.0, 0.5, np.arange(5001) * 1e-3),  # a crossing between samples near t = 4.837
             (1.0, 0.5, np.arange(4801) * 1e-3),  # pole-free
             (2.0, 0.3, np.arange(1001) * 1e-2),
-            (1.0, 3.0, np.arange(90001) * 1e-2),  # sinh overflows near t = 820.39
+            (1.0, 3.0, np.arange(90001) * 1e-2),  # the reference's cosh overflows near t = 820.39
             (0.7, 5.0, np.arange(1001) * 0.5),
             (1.0, 2.0, np.arange(1001) * 1e-2),  # critically damped
         ],
@@ -138,18 +131,51 @@ class TestScalars:
             try:
                 ref.scan_poles(form, times)
                 expected = None
-            except (ScalarPoleError, OverflowError) as exc:
+            except ScalarPoleError as exc:
                 expected = exc
+            except OverflowError:  # cmath's cosh: for real d, den = 1 + lam h has no pole here
+                expected = None
             if expected is None:
                 scan_scalar_poles(form, times)
                 continue
-            with pytest.raises(type(expected)) as err:
+            with pytest.raises(ScalarPoleError) as err:
                 scan_scalar_poles(form, times)
-            if isinstance(expected, ScalarPoleError):
-                assert str(err.value) == str(expected) and err.value.t == expected.t
-            else:  # cmath names no time: the first at which it overflows
-                t = next(t for t in times.tolist() if _overflows(s, t))
-                assert str(err.value) == f"lorentzian rate overflows at t={t!r}"
+            assert str(err.value) == str(expected) and err.value.t == expected.t
+
+    def test_imaginary_root_pole_messages_are_pinned(self):
+        # an imaginary root keeps the bounded sin/cos normal form, whose pole
+        # messages and times the CLI prints and the CI greps
+        s = JcLorentzianScalar(1.0, 0.5)
+        for form in (s, ThetaScaledScalar(s)):
+            with pytest.raises(ScalarPoleError) as err:
+                scan_scalar_poles(form, np.arange(5001) * 1e-3)
+            assert str(err.value) == "run interval contains a pole of the lorentzian rate near t=4.837"
+            assert err.value.t == 4.837
+        with pytest.raises(ScalarPoleError) as err:
+            scan_scalar_poles(JcLorentzianScalar(2.0, 0.3), np.arange(1001) * 1e-2)
+        assert str(err.value) == "run interval contains a pole of the lorentzian rate near t=3.5100000000000002"
+        om = math.sqrt(2 * 1.0 * 0.5 - 0.25)
+        t_pole = 2.0 * (math.pi - math.atan(om / 0.5)) / om
+        with pytest.raises(ScalarPoleError) as err:
+            scalar_values(s, np.r_[np.arange(0.0, 4.8, 1e-3), t_pole], 0.0)
+        assert str(err.value) == "lorentzian rate denominator |3.331e-16| < 1e-9 at t=4.8367983046245815"
+        assert err.value.t == t_pole
+
+    @pytest.mark.parametrize("g0, lam", [(1.0, 3.0), (0.3, 5.0), (0.7, 5.0)])
+    def test_real_root_rate_is_finite_at_its_limit(self, g0, lam):
+        # Past d t/2 = 19.1 tanh rounds to 1, so h = (t/2)/(d t/2) and the rate
+        # 2 gamma0 lam h/(1 + lam h) is within e^(-d t) of its limit
+        # 2 gamma0 lam/(d + lam).  Bound, derived before measuring, with
+        # u = 2^-53: d carries the cancellation of lam^2 - 2 gamma0 lam
+        # (condition at most 5 for these parameters, so 6 u) halved by the root,
+        # plus the root's own rounding: 4 u.  h adds two roundings, and the rate,
+        # whose condition in h is below 1, five more: 11 u.  The reference limit
+        # takes no more, so the two differ by at most 22 u; the bound is 32 u.
+        d = math.sqrt(lam * lam - 2.0 * g0 * lam)
+        limit = 2.0 * g0 * lam / (d + lam)
+        times = np.array([820.0, 820.39, 2000.0, 1e4, 1e6])
+        rate = scalar_values(JcLorentzianScalar(g0, lam), times, 0.0)
+        assert np.all(np.abs(rate - limit) <= 32 * 2.0**-53 * limit)
 
     def test_pole_scan_catches_crossing_between_samples(self):
         s = JcLorentzianScalar(1.0, 0.5)
@@ -175,7 +201,9 @@ class TestScalars:
         expected = np.array([ref.scalar(s, t) for t in times.tolist()])
         assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
         den = _jc_pieces(s, times, "")[1].real
-        ref_den = np.array([ref.jc_denominator(s, t) for t in times.tolist()])
+        d = cmath.sqrt(lam * lam - 2.0 * g0 * lam)
+        scale = np.ones_like(times) if d.imag else np.cosh(0.5 * d.real * times)  # real d: divided by cosh(d t/2)
+        ref_den = np.array([ref.jc_denominator(s, t) for t in times.tolist()]) / scale
         assert np.all(np.abs(den - ref_den) <= 1e-15 * np.abs(ref_den))
 
     def test_jc_vectorised_falls_back_to_the_scalar_errors(self):
@@ -188,10 +216,9 @@ class TestScalars:
         with pytest.raises(ScalarPoleError) as vec_err:
             scalar_values(s, times, 0.0)
         assert str(vec_err.value) == str(err.value) and vec_err.value.t == t_pole
-        with pytest.raises(OverflowError, match=r"at t=2000\.0$"):  # sinh and cosh overflow at t = 2000
-            scalar_values(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]), 0.0)
-        with pytest.raises(OverflowError):
-            scan_scalar_poles(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]))
+        # a real-root rate has no pole, and stays finite where sinh and cosh overflow (t = 2000)
+        assert np.all(np.isfinite(scalar_values(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]), 0.0)))
+        scan_scalar_poles(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]))
 
     def test_theta_scaled(self):
         g = ThetaScaledScalar(SinusoidalScalar(1.0, 0.5, 2.0))
@@ -371,7 +398,7 @@ class TestCompiledGenerator:
         # the (rho, drho_dtheta) pair of a run, or the theta +/- delta pair of the theta check
         thetas = (0.3,) if derivative else (0.3, 0.2)
         gen = compile_generator(model, derivative=derivative)
-        times = np.linspace(0.0, 1.0, gen.times_per_block(len(thetas)))
+        times = np.linspace(0.0, 1.0, max(1, COEFFICIENT_BYTES // gen.bytes_per_time(len(thetas))))
         tracemalloc.start()
         try:
             gen.operators(times, thetas)

@@ -18,6 +18,7 @@ from qfiflow import model as model_module
 from qfiflow import propagation
 from qfiflow.config import builtin_model, parse_config
 from qfiflow.model import (
+    BUILTIN_MODEL_NAMES,
     Channel,
     ConstantScalar,
     FixedRyStateFamily,
@@ -409,7 +410,7 @@ class TestStepMapPath:
 
         config = parse_config(json.dumps({"model": qubit_model(0), "t_end": 0.002, "dt": 1e-3}))
         # checked first: on the map path this model's unit map alone would take 1.6 GB
-        assert model_module.compile_generator(config.model).map_steps_per_block(1) == 0
+        assert propagation._block_steps(model_module.compile_generator(config.model), 1)[1] == 0
         calls.update(maps=0, stacked=0)
         propagate(config.model, config.theta, 0.002, 1e-3)
         assert calls["maps"] == 0 and calls["stacked"] == 2
@@ -421,7 +422,7 @@ class TestStepMapPath:
         # state) well below the 1e-12 bound; at 1e-4 it alone reaches ~1e-12
         def run(budget, path):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(model_module, "COEFFICIENT_BYTES", budget)
+                mp.setattr(propagation, "COEFFICIENT_BYTES", budget)
                 calls = _spy_paths(mp)
                 traj = propagate(model, model.theta, 0.02, 1e-3, ANY_FINITE_STATE)
                 deviation = fd_theta_consistency(traj, 0.05)
@@ -443,7 +444,7 @@ class TestStepMapPath:
 
     def test_generator_evaluated_once_per_half_grid_time(self, monkeypatch):
         model = builtin_model("ad-nm")
-        block = model_module.compile_generator(model).map_steps_per_block(1)
+        block = propagation._block_steps(model_module.compile_generator(model), 1)[0]
         seen = _spy_times(monkeypatch)
         traj = propagate(model, model.theta, (2 * block + block // 2) * 1e-3, 1e-3)
         _check_half_grid_once(seen, traj.grid)
@@ -452,7 +453,7 @@ class TestStepMapPath:
         # an inf rate at the half-grid time t_j + dt/2 spoils step j only, so
         # the first non-finite state is the one at t_(j+1)
         model = builtin_model("ad-nm")
-        block = model_module.compile_generator(model).map_steps_per_block(1)
+        block = propagation._block_steps(model_module.compile_generator(model), 1)[0]
         j = block + block // 2
         grid = np.arange(3 * block + 1) * 1e-3
         bad = grid[j] + 0.5e-3
@@ -470,19 +471,21 @@ class TestStepMapPath:
 
 
 def _first_full_block_peak(gen, thetas, x) -> tuple[int, int]:
-    """The steps of the map path's second block of steps and the traced peak of the
-    memory allocated while it is formed."""
-    block = gen.map_steps_per_block(len(thetas))
-    blocks = propagation._map_blocks(gen, thetas, x, np.arange(3 * block + 1) * 1e-3, 1e-3)
-    next(blocks), next(blocks)  # x alone, then the first block, whose unit maps are built once
+    """The steps of a full block of the map path and the traced peak of the memory
+    allocated while its operators are evaluated and its states advanced."""
+    steps, batch, chunk = propagation._block_steps(gen, len(thetas))
+    grid = np.arange(steps + 1) * 1e-3
+    carry = gen.operators(grid[:1], thetas), propagation._coordinates(hermitize(x)).ravel()
+    units = propagation._unit_maps(gen)  # built once per run
     tracemalloc.start()
     try:
-        k, xs, _ = next(blocks)
+        ops = gen.operators(propagation._half_grid(grid, 1e-3), thetas)
+        xs, _, _ = propagation._advance_maps(gen, units, batch, chunk, ops, carry, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (k, len(xs)) == (block + 1, block)
-    return block, peak
+    assert len(xs) == steps
+    return steps, peak
 
 
 class TestMapBlocks:
@@ -503,9 +506,22 @@ class TestMapBlocks:
             thetas = (theta + 1e-4, theta - 1e-4)
             x = np.stack([model.rho0_family.rho0(t) for t in thetas])
         block, peak = _first_full_block_peak(gen, thetas, x)
-        assert peak <= model_module.COEFFICIENT_BYTES
+        assert peak <= propagation.COEFFICIENT_BYTES
         if case == "ad-nm pair":
             assert block >= 2.5 * self.PAIR_STEPS_BEFORE
+
+    @pytest.mark.parametrize("name", [*BUILTIN_MODEL_NAMES, "qutrit"])
+    def test_pair_and_theta_stack_split_the_grid_alike(self, name, qutrit_model):
+        # The theta check matches two separate propagations to 1e-12, below the
+        # rounding floor of its central difference, only while the (rho,
+        # drho_dtheta) pair and the theta +/- delta stack round alike: the same
+        # chunks of the scan, and blocks that end on chunk boundaries.
+        model = qutrit_model if name == "qutrit" else builtin_model(name)
+        pair = propagation._block_steps(model_module.compile_generator(model), 1)
+        stack = propagation._block_steps(model_module.compile_generator(model, derivative=False), 2)
+        assert pair[1] > 0 and stack[1] > 0  # both on the map path
+        assert pair[2] == stack[2]
+        assert pair[0] % pair[2] == 0 and stack[0] % stack[2] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -562,7 +578,7 @@ def _qubit_model(monkeypatch):
 
     model = parse_config(json.dumps({"model": qubit_model(0), "t_end": 0.01, "dt": 1e-3})).model
     gen = model_module.compile_generator(model)
-    assert gen.map_steps_per_block(1) == 0
+    assert propagation._block_steps(gen, 1)[1] == 0
     return model, gen
 
 
@@ -589,6 +605,12 @@ def _check_half_grid_once(seen, grid):
 
 
 class TestStackedPath:
+    def test_blocks_take_as_many_steps_as_their_operators_fit(self, monkeypatch):
+        model, gen = _qubit_model(monkeypatch)
+        steps, batch, _ = propagation._block_steps(gen, 1)
+        assert batch == 0
+        assert steps == (propagation.COEFFICIENT_BYTES // gen.bytes_per_time(1) - 1) // 2 > 1
+
     def test_generator_evaluated_once_per_half_grid_time(self, monkeypatch):
         model, gen = _qubit_model(monkeypatch)
         seen = _spy_times(monkeypatch)
@@ -628,7 +650,7 @@ class TestStackedPath:
         # the stacked-path twin of TestStepMapPath's test: an inf rate at the
         # half-grid time t_j + dt/2 spoils step j only, inside a block of steps
         model, gen = _qubit_model(monkeypatch)
-        steps = (gen.times_per_block(1) - 1) // 2
+        steps = propagation._block_steps(gen, 1)[0]
         assert steps > 1
         j = steps + steps // 2
         grid = np.arange(3 * steps + 1) * 1e-3
@@ -669,7 +691,7 @@ class TestOnePass:
         # point, and no eigenvalues-only pass
         if path == "maps":
             model = builtin_model("ad-nm")
-            n = 2 * model_module.compile_generator(model).map_steps_per_block(1) + 7
+            n = 2 * propagation._block_steps(model_module.compile_generator(model), 1)[0] + 7
         else:
             model, _ = _qubit_model(monkeypatch)
             n = 40
