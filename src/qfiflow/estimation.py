@@ -15,7 +15,14 @@ import warnings
 
 import numpy as np
 
-from .operators import DEFAULT_TOLERANCES, DimensionMismatchError, ToleranceConfig, hermiticity_defect, hermitize
+from .operators import (
+    DEFAULT_TOLERANCES,
+    DimensionMismatchError,
+    ToleranceConfig,
+    hermiticity_defect,
+    hermitize,
+    matmul,
+)
 
 __all__ = ["sld_stack", "DEFAULT_EPS_RANK"]
 
@@ -70,10 +77,10 @@ def _sld_in_eigenbasis(
     denom = p_clamped[:, :, None] + p_clamped[:, None, :]
     keep = denom > eps_rank * p_max[:, None, None]
     U_h = U.conj().swapaxes(1, 2)
-    sig_eig = U_h @ hermitize(sig) @ U
+    sig_eig = matmul(matmul(U_h, hermitize(sig)), U)
     L_eig = np.where(keep, 2.0 * sig_eig / np.where(keep, denom, 1.0), 0.0)
-    L = hermitize(U @ L_eig @ U_h)
-    vals = np.trace(L @ L @ rho, axis1=1, axis2=2)
+    L = hermitize(matmul(matmul(U, L_eig), U_h))
+    vals = np.trace(matmul(matmul(L, L), rho), axis1=1, axis2=2)
     scale = np.maximum(1.0, np.abs(vals.real))
     residue = np.abs(vals.imag) > 1e-12 * scale
     if residue.any():

@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimation import DEFAULT_EPS_RANK, _sld_in_eigenbasis
 from .model import ModelSpec, scalar_values
-from .operators import DimensionMismatchError, ToleranceConfig
+from .operators import DimensionMismatchError, ToleranceConfig, matmul
 
 __all__ = [
     "FlowTable",
@@ -114,21 +114,22 @@ def subflow_J(rho: np.ndarray, L: np.ndarray, A: np.ndarray) -> np.ndarray:
     ``(c, n)`` for one A stack per channel, ``(c, n, d, d)``; nonpositive because
     rho and [L,A]†[L,A] are PSD.  Taken as -sum conj(C) * (C rho), C = [L, A]."""
     rho, L, A = _stacks(rho, L, A)
-    C = L @ A - A @ L
-    return -_real_parts(np.einsum("...ij,...ij->...", C.conj(), C @ rho), "subflow")
+    C = matmul(L, A) - matmul(A, L)
+    return -_real_parts(np.einsum("...ij,...ij->...", C.conj(), matmul(C, rho)), "subflow")
 
 
 def hamiltonian_term(dH: np.ndarray, rho: np.ndarray, L: np.ndarray) -> np.ndarray:
     """-2i Tr(L [dH/dtheta, rho]) per matrix of ``(n, d, d)`` stacks."""
     dH, rho, L = _stacks(dH, rho, L)
-    return _real_parts(np.trace(-2.0j * (L @ (dH @ rho - rho @ dH)), axis1=-2, axis2=-1), "hamiltonian term")
+    commutator = matmul(dH, rho) - matmul(rho, dH)
+    return _real_parts(np.trace(-2.0j * matmul(L, commutator), axis1=-2, axis2=-1), "hamiltonian term")
 
 
 def full_flow(L: np.ndarray, rhodot: np.ndarray, sigdot: np.ndarray) -> np.ndarray:
     """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} per matrix of
     ``(n, d, d)`` stacks, from the generator's drho/dt and d/dt(drho_dtheta)."""
     L, rhodot, sigdot = _stacks(L, rhodot, sigdot)
-    return _real_parts(np.trace(L @ (2.0 * sigdot - L @ rhodot), axis1=-2, axis2=-1), "full flow")
+    return _real_parts(np.trace(matmul(L, 2.0 * sigdot - matmul(L, rhodot)), axis1=-2, axis2=-1), "full flow")
 
 
 def _fd_series(f: np.ndarray, dt: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Union
 
 import numpy as np
@@ -124,6 +124,14 @@ TimeDependentScalar = Union[
 ]
 
 
+@dataclass(frozen=True)
+class _ScalarSum:
+    """(theta, t) |-> the sum of parts, in order: the modulations of one operator's
+    terms on one base, which :func:`compile_generator` adds before any product."""
+
+    parts: tuple[TimeDependentScalar, ...]
+
+
 def scalar_is_zero(s: TimeDependentScalar) -> bool:
     """Structurally identically zero (used for declared-derivative bookkeeping)."""
     if isinstance(s, ConstantScalar):
@@ -172,6 +180,8 @@ def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
         return s.c0 * (1.0 + s.a * np.sin(s.omega * times + s.phi))
     if isinstance(s, ThetaScaledScalar):
         return theta * scalar_values(s.base, times, theta)
+    if isinstance(s, _ScalarSum):
+        return reduce(np.add, (scalar_values(part, times, theta) for part in s.parts))
     h, den = _jc_pieces(s, times, "lorentzian rate denominator |{den:.3e}| < 1e-9 at t={t!r}")
     with np.errstate(all="ignore"):
         return (2.0 * s.gamma0 * s.lam * h / den).real
@@ -186,6 +196,9 @@ def scan_scalar_poles(scalar: TimeDependentScalar, times) -> None:
     """
     if isinstance(scalar, ThetaScaledScalar):
         scan_scalar_poles(scalar.base, times)
+    elif isinstance(scalar, _ScalarSum):
+        for part in scalar.parts:
+            scan_scalar_poles(part, times)
     elif isinstance(scalar, JcLorentzianScalar):
         message = "run interval contains a pole of the lorentzian rate near t={t!r}"
         _jc_pieces(scalar, np.asarray(times, dtype=float), message, crossings=True)
@@ -359,12 +372,13 @@ class CompiledGenerator:
     G = -i sum_k h_k H_k - 1/2 sum_ab W_ab L_a† L_b, and
     R_a = 1/2 sum_b W_ab L_b† carries half the jump sandwiches; that is
     K X = G X + (G X)† + sum_ab W_ab L_a X L_b†.  Only h and W depend on
-    (theta, t).  For K they are the H modulations and W_ab = sum of
-    gamma_i f_a f_b over the terms of each channel i with bases L_a, L_b; for
-    dK/dtheta the dH_dtheta modulations and the theta-derivative of
-    gamma_i f_a f_b, from the declared dgamma_dtheta and dA_dtheta.  Each
-    coefficient is a product of three form values, and the R_a of a block are
-    one real product of its coefficients with constant matrices.
+    (theta, t).  For K they are the H modulations and W_ab = sum over
+    channels i of gamma_i f_a f_b, f_a being the modulation of channel i's
+    terms with base L_a (summed first where several share it); for dK/dtheta
+    the dH_dtheta modulations and the theta-derivative of gamma_i f_a f_b,
+    from the declared dgamma_dtheta and dA_dtheta.  Each coefficient is a
+    product of three form values, and the R_a of a block are one real
+    product of its coefficients with constant matrices.
 
     A structurally zero term, rate or derivative (``scalar_is_zero``,
     ``is_zero``) gives no coefficient, so dK/dtheta uses only L_0 and the
@@ -456,7 +470,18 @@ def compile_generator(model: ModelSpec, derivative: bool = True) -> CompiledGene
         return j
 
     def live(op: TimeDependentOperator) -> list:
-        return [(t.base, t.modulation) for t in op.terms if not scalar_is_zero(t.modulation) and np.any(t.base)]
+        # terms on one base are one, their modulations summed: a cancelling sum then
+        # rounds once, not in each product gamma f_a f_b of W_ab
+        groups: list = []
+        for t in op.terms:
+            if scalar_is_zero(t.modulation) or not np.any(t.base):
+                continue
+            fs = next((fs for base, fs in groups if np.array_equal(base, t.base)), None)
+            if fs is None:
+                groups.append((t.base, [t.modulation]))
+            else:
+                fs.append(t.modulation)
+        return [(base, fs[0] if len(fs) == 1 else _ScalarSum(tuple(fs))) for base, fs in groups]
 
     def hamiltonian(op: TimeDependentOperator) -> list:
         return [((column(f), -1, -1), {0: 1j * dagger(h)}) for h, f in live(op)]

@@ -3,8 +3,10 @@
 Everything downstream (generators, propagation, SLD computation, flow
 decomposition) is built on the small set of operations in this module.
 Matrices are plain ``numpy`` arrays of complex dtype; dimensions stay at
-desk scale (tensor products of a few qubits), so there are no sparse or
-structured paths.
+desk scale (tensor products of a few qubits), so there are no sparse paths.
+The one structured path is :func:`matmul` on stacks of 2 x 2 matrices
+(qubits), which it multiplies elementwise: stacked ``@`` makes one BLAS call
+per matrix, whose overhead dwarfs eight complex products.
 
 Basis convention for the qubit helpers: index 0 is the ground state |0>,
 index 1 the excited state |1>, and ``SIGMA_MINUS`` = |0><1| generates the
@@ -32,6 +34,7 @@ __all__ = [
     "TraceDeviationError",
     "NegativeEigenvalueError",
     "dagger",
+    "matmul",
     "commutator",
     "hermitize",
     "hermiticity_defect",
@@ -104,6 +107,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of matrices, broadcast alike; 2 x 2 factors are
+    multiplied elementwise, as column times row summed over the inner index."""
+    if a.shape[-2:] == b.shape[-2:] == (2, 2):
+        return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    return a @ b
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] = ab - ba."""
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -157,7 +168,7 @@ def _gate(m: np.ndarray, tol: ToleranceConfig, vectors: bool):
     off = (herm > tol.herm) | (tr > tol.trace)
     n_checked = int(np.argmax(off)) if off.any() else n_finite
     eig = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(hermitize(stack[:n_checked]))
-    lam = (eig.eigenvalues if vectors else eig)[:, 0]
+    lam = (eig[0] if vectors else eig)[:, 0]  # numpy < 2.0 returns a plain (w, v) tuple
     negative = lam < -tol.positivity
     if negative.any():
         k = int(np.argmax(negative))

@@ -17,7 +17,6 @@ per-step recurrence that advanced the step-map path's coordinates before the
 chunked prefix products did.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -37,38 +36,41 @@ from qfiflow.operators import DimensionMismatchError, commutator, dagger
 from qfiflow.propagation import _rk4_step
 
 
-def jc_pieces(s: JcLorentzianScalar, t: float) -> tuple[complex, complex]:
-    """Half t sinhc(d t/2) and the pole-free denominator of the lorentzian rate at t;
-    cmath raises OverflowError where sinh or cosh overflows."""
-    d = cmath.sqrt(complex(s.lam * s.lam - 2.0 * s.gamma0 * s.lam))
-    z = 0.5 * d * t
-    # sinh(z)/z, series near z=0 so the critically-damped point lam = 2*gamma0 stays finite
-    if abs(z) < 1e-8:
-        sinhc = 1.0 + z * z / 6.0
-    else:
-        sinhc = cmath.sinh(z) / z
-    half_t_sinhc = 0.5 * t * sinhc
-    return half_t_sinhc, cmath.cosh(z) + s.lam * half_t_sinhc
+def jc_pieces(s: JcLorentzianScalar, t: float, dtype=np.clongdouble) -> tuple[complex, complex]:
+    """Half t sinhc(d t/2) and the pole-free denominator of the lorentzian rate at t,
+    unscaled, in ``dtype``.  In the default extended precision (``np.clongdouble``)
+    sinh and cosh overflow only past |d t/2| = 11356 (cosh(5000) is 1.48e2171);
+    ``complex`` is the float64 evaluation, overflowing past 710.5.  An overflow
+    raises FloatingPointError."""
+    real = np.finfo(dtype).dtype.type
+    lam = real(s.lam)
+    d = np.sqrt(dtype(lam * lam - 2 * real(s.gamma0) * lam))
+    z = d * real(t) / 2
+    with np.errstate(over="raise"):
+        # sinh(z)/z, series near z=0 so the critically-damped point lam = 2*gamma0 stays finite
+        sinhc = 1 + z * z / 6 if abs(z) < 1e-8 else np.sinh(z) / z
+        half_t_sinhc = real(t) / 2 * sinhc
+        return half_t_sinhc, np.cosh(z) + lam * half_t_sinhc
 
 
-def jc_denominator(s: JcLorentzianScalar, t: float) -> float:
+def jc_denominator(s: JcLorentzianScalar, t: float, dtype=np.clongdouble) -> float:
     """Pole-free normal form of the denominator; real for real parameters and
     vanishing exactly at the true poles of the rate."""
-    return jc_pieces(s, t)[1].real
+    return jc_pieces(s, t, dtype)[1].real
 
 
-def scalar(s, t: float, theta: float = 0.0) -> float:
-    """The scalar form s at (theta, t)."""
+def scalar(s, t: float, theta: float = 0.0, dtype=np.clongdouble) -> float:
+    """The scalar form s at (theta, t); a lorentzian rate evaluated in ``dtype``."""
     if isinstance(s, ConstantScalar):
         return s.c
     if isinstance(s, SinusoidalScalar):
         return s.c0 * (1.0 + s.a * math.sin(s.omega * t + s.phi))
     if isinstance(s, ThetaScaledScalar):
-        return theta * scalar(s.base, t)
-    half_t_sinhc, den = jc_pieces(s, t)
+        return theta * scalar(s.base, t, dtype=dtype)
+    half_t_sinhc, den = jc_pieces(s, t, dtype)
     if abs(den) < 1e-9:
-        raise ScalarPoleError(f"lorentzian rate denominator |{abs(den):.3e}| < 1e-9 at t={t!r}", t)
-    return float((2.0 * s.gamma0 * s.lam * half_t_sinhc / den).real)
+        raise ScalarPoleError(f"lorentzian rate denominator |{float(abs(den)):.3e}| < 1e-9 at t={t!r}", t)
+    return float((2 * s.gamma0 * s.lam * half_t_sinhc / den).real)
 
 
 def evaluate(op, t: float, theta: float = 0.0) -> np.ndarray:

@@ -27,8 +27,12 @@ from qfiflow.model import (
     BUILTIN_MODEL_NAMES,
     Channel,
     ConstantScalar,
+    LinearStateFamily,
     ModelSpec,
+    OperatorTerm,
     RyStateFamily,
+    SinusoidalScalar,
+    TimeDependentOperator,
     compile_generator,
     constant_operator,
     scalar_values,
@@ -351,7 +355,9 @@ class TestExactQubitOracle:
         model = builtin_model(name)
         table = propagate(model, model.theta, 5.0, 1e-3).flow
         exact = exact_qfi(name, table.t)
-        assert np.max(np.abs(exact - table.qfi)) <= 1e-12 * max(1.0, np.max(exact))
+        error, bound = np.max(np.abs(exact - table.qfi)), 1e-12 * max(1.0, np.max(exact))
+        print(f"CLOSED-FORM QFI [{name}]: max|F - F_exact| = {error:.3e} <= {bound:.1e}")  # in CI's log
+        assert error <= bound
 
     @pytest.mark.parametrize("name", BUILTIN_MODEL_NAMES)
     @settings(max_examples=8, deadline=None)
@@ -505,3 +511,46 @@ class TestStackedFlowMatchesScalarReferences:
                 close(table.J[i, k], ref.subflow_J(rho[k], res.L, evaluate(ch.A, t, theta)))
         npt.assert_array_equal(table.I, table.gamma * table.J)
         npt.assert_array_equal(table.residual_T, table.full_flow - table.ham_term - sum(table.I))
+
+    def test_terms_on_one_base_with_cancelling_modulations(self):
+        # The example this test's draws shrank to: A = c1 B + c2 B with
+        # c1 = -1.609375, c2 = 1.5625 (1 - sin 6.25), so A = 0.00497 B, gamma = 2.
+        # Formed per pair of terms, W_ab = gamma c_a c_b has four products of
+        # size 5.2 whose sum is gamma s^2 = 4.9e-5, s = c1 + c2: their rounding,
+        # 1e5 times that sum's, put full_flow 1.06e-12 from the reference, |L|^2
+        # being up to 4400.  With the modulations on one base added first, s is
+        # exact (Sterbenz: c2 / 2 <= -c1 <= 2 c2) and K scales one sandwich by
+        # gamma s^2, so the error is that of any generator of this size: a few
+        # d u of gamma s^2 |B|_F^2 |X|_F in K X, magnified by |L|_F^2, of order
+        # 1e-16, far below the 1e-12 x max(1, |F'|) the draws are held to.
+        d, gamma = 4, 2.0
+        B = np.ones((d, d), dtype=complex)
+        B[0] = 0.0
+        mods = (ConstantScalar(-1.609375), SinusoidalScalar(1.5625, -1.0, 0.0, 6.25))
+        A = TimeDependentOperator(d, tuple(OperatorTerm(B, m) for m in mods))
+        model = ModelSpec(
+            dim=d, H=zero_operator(d), dH_dtheta=zero_operator(d),
+            channels=(Channel("ch0", A, ConstantScalar(gamma), zero_operator(d), ConstantScalar(0.0)),),
+            rho0_family=LinearStateFamily(np.eye(d, dtype=complex) / d, np.zeros((d, d), dtype=complex), 0.0),
+            theta=0.0,
+        )
+        rng = np.random.default_rng(2)
+        rho, sig = map(np.array, zip(*(_state_pair(rng, d) for _ in range(3))))
+        traj = Trajectory(
+            model=model, theta=0.0, grid=np.arange(3) * 0.1, rho=rho, drho_dtheta=sig,
+            dt=0.1, tolerances=DEFAULT_TOLERANCES, max_trace_drift=0.0, min_eigenvalue=0.0, flow=None,
+        )
+        table = ref.flow_records(traj)
+        # extended-precision K X = gamma (A X A^dag - {A^dag A, X}/2), with A from the
+        # modulations' float64 values, and Tr{L [2 K sig - L K rho]} with the SLDs L
+        x = np.clongdouble
+        Ax = sum(x(scalar(m, 0.0)) for m in mods) * B.astype(x)
+        Ad = Ax.conj().T
+
+        def K(X):
+            X = X.astype(x)
+            return gamma * (Ax @ X @ Ad - (Ad @ Ax @ X + X @ Ad @ Ax) / 2)
+
+        L = sld_stack(rho, sig)[0].astype(x)
+        want = np.array([np.trace(Lk @ (2 * K(s) - Lk @ K(r))).real for Lk, r, s in zip(L, rho, sig)])
+        assert np.all(np.abs(table.full_flow - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

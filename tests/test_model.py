@@ -24,10 +24,12 @@ from qfiflow.model import (
     FixedRyStateFamily,
     JcLorentzianScalar,
     ModelSpec,
+    OperatorTerm,
     RyStateFamily,
     ScalarPoleError,
     SinusoidalScalar,
     ThetaScaledScalar,
+    TimeDependentOperator,
     _jc_pieces,
     compile_generator,
     constant_operator,
@@ -50,7 +52,7 @@ from qfiflow.operators import (
     hermitize,
     hermiticity_defect,
 )
-from qfiflow.propagation import COEFFICIENT_BYTES
+from qfiflow.propagation import COEFFICIENT_BYTES, propagate
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
@@ -120,8 +122,8 @@ class TestScalars:
             (1.0, 0.5, np.arange(5001) * 1e-3),  # a crossing between samples near t = 4.837
             (1.0, 0.5, np.arange(4801) * 1e-3),  # pole-free
             (2.0, 0.3, np.arange(1001) * 1e-2),
-            (1.0, 3.0, np.arange(90001) * 1e-2),  # the reference's cosh overflows near t = 820.39
-            (0.7, 5.0, np.arange(1001) * 0.5),
+            (1.0, 3.0, np.arange(90001) * 1e-2),  # past t = 820.39, where float64 cosh overflows
+            (0.7, 5.0, np.arange(1001) * 0.5),  # to d t/2 = 1061
             (1.0, 2.0, np.arange(1001) * 1e-2),  # critically damped
         ],
     )
@@ -133,8 +135,6 @@ class TestScalars:
                 expected = None
             except ScalarPoleError as exc:
                 expected = exc
-            except OverflowError:  # cmath's cosh: for real d, den = 1 + lam h has no pole here
-                expected = None
             if expected is None:
                 scan_scalar_poles(form, times)
                 continue
@@ -177,6 +177,20 @@ class TestScalars:
         rate = scalar_values(JcLorentzianScalar(g0, lam), times, 0.0)
         assert np.all(np.abs(rate - limit) <= 32 * 2.0**-53 * limit)
 
+    @pytest.mark.parametrize("g0, lam", [(1.0, 3.0), (0.7, 5.0)])
+    def test_real_root_rate_matches_the_extended_reference_at_long_times(self, g0, lam):
+        # The reference evaluates the unscaled closed form in np.clongdouble, which
+        # reaches d t/2 = 10607 at t = 5000 for (0.7, 5).  Bound, derived before
+        # measuring, with u = 2^-53: the library's rate is within 11 u of the exact
+        # one (see test_real_root_rate_is_finite_at_its_limit), the reference within
+        # 20 long-double units (under 0.01 u) before it is rounded to float64 (0.5 u):
+        # 12 u in all.
+        s = JcLorentzianScalar(g0, lam)
+        times = np.r_[820.0, 820.39, np.arange(830.0, 5001.0, 10.0)]
+        rate = scalar_values(s, times, 0.0)
+        expected = np.array([ref.scalar(s, t) for t in times.tolist()])
+        assert np.all(np.abs(rate - expected) <= 12 * 2.0**-53 * expected)
+
     def test_pole_scan_catches_crossing_between_samples(self):
         s = JcLorentzianScalar(1.0, 0.5)
         with pytest.raises(ScalarPoleError):
@@ -198,12 +212,14 @@ class TestScalars:
         grid = np.arange(int(round(t_end / 1e-3)) + 1) * 1e-3
         times = np.sort(np.r_[grid, grid[:-1] + 0.5e-3])  # the RK4 half grid
         got = scalar_values(s, times, 0.0)
-        expected = np.array([ref.scalar(s, t) for t in times.tolist()])
+        # the per-point form in the library's own precision: near the pole the
+        # cancellation magnifies float64 rounding beyond 1e-15 of the exact rate
+        expected = np.array([ref.scalar(s, t, dtype=complex) for t in times.tolist()])
         assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
         den = _jc_pieces(s, times, "")[1].real
         d = cmath.sqrt(lam * lam - 2.0 * g0 * lam)
         scale = np.ones_like(times) if d.imag else np.cosh(0.5 * d.real * times)  # real d: divided by cosh(d t/2)
-        ref_den = np.array([ref.jc_denominator(s, t) for t in times.tolist()]) / scale
+        ref_den = np.array([ref.jc_denominator(s, t, complex) for t in times.tolist()]) / scale
         assert np.all(np.abs(den - ref_den) <= 1e-15 * np.abs(ref_den))
 
     def test_jc_vectorised_falls_back_to_the_scalar_errors(self):
@@ -211,8 +227,8 @@ class TestScalars:
         om = math.sqrt(2 * 1.0 * 0.5 - 0.25)
         t_pole = 2.0 * (math.pi - math.atan(om / 0.5)) / om
         times = np.r_[np.arange(0.0, 4.8, 1e-3), t_pole, t_pole + 1e-3]
-        with pytest.raises(ScalarPoleError) as err:
-            ref.scalar(s, t_pole)
+        with pytest.raises(ScalarPoleError) as err:  # float64, as the message's |den| is
+            ref.scalar(s, t_pole, dtype=complex)
         with pytest.raises(ScalarPoleError) as vec_err:
             scalar_values(s, times, 0.0)
         assert str(vec_err.value) == str(err.value) and vec_err.value.t == t_pole
@@ -406,6 +422,22 @@ class TestCompiledGenerator:
         finally:
             tracemalloc.stop()
         assert peak <= COEFFICIENT_BYTES
+
+
+    def test_terms_on_one_base_compile_as_one_with_their_modulations_summed(self):
+        def damping(*modulations):
+            A = TimeDependentOperator(2, tuple(OperatorTerm(SIGMA_MINUS, m) for m in modulations))
+            channel = Channel("ad", A, ConstantScalar(1.0), zero_operator(2), ConstantScalar(0.0))
+            return ModelSpec(2, constant_operator(0.5 * SIGMA_Z), zero_operator(2), (channel,), RyStateFamily(), 0.3)
+
+        one = compile_generator(damping(ConstantScalar(1.0)))
+        two = compile_generator(damping(ConstantScalar(0.75), ConstantScalar(0.25)))
+        times = np.linspace(0.0, 1.0, 5)
+        assert len(two.jumps) == len(one.jumps) and len(two.factors[0][0]) == len(one.factors[0][0])
+        npt.assert_array_equal(two.operators(times, (0.3,)), one.operators(times, (0.3,)))
+        # a pole of one summand is still found by the run's scan of every form
+        with pytest.raises(ScalarPoleError, match="near t=4.837"):
+            propagate(damping(JcLorentzianScalar(1.0, 0.5), ConstantScalar(0.1)), 0.3, 5.0, 1e-3)
 
 
 class TestBuiltinModels:

@@ -19,8 +19,10 @@ from qfiflow.operators import (
     ToleranceConfig,
     TraceDeviationError,
     commutator,
+    density_eigh,
     hermiticity_defect,
     hermitize,
+    matmul,
     validate_density,
 )
 
@@ -220,6 +222,77 @@ class TestValidateDensityStack:
         assert err.value.index == bad
         assert all(np.isfinite(a).all() for a in seen)
         assert sum(len(a) for a in seen) == bad
+
+
+class TestDensityEigh:
+    def test_a_plain_eigh_tuple_as_numpy_1x_returns(self, monkeypatch):
+        # numpy < 2.0 returns (w, v) as a plain tuple, without .eigenvalues
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: tuple(eigh(a, *args, **kwargs)))
+        stack = _mixed_states(7)
+        p, U = density_eigh(stack)
+        want = eigh(hermitize(stack))
+        npt.assert_array_equal(p, want[0])
+        npt.assert_array_equal(U, want[1])
+        stack[4] = _negative(-0.1)(stack[4])
+        with pytest.raises(NegativeEigenvalueError) as err:
+            density_eigh(stack)
+        assert err.value.index == 4
+
+
+# Stacks of 2 x 2 complex matrices with entries of modulus up to about 1e100,
+# subnormal ones included, so that products neither overflow nor avoid underflow.
+_qubit_entries = st.builds(
+    complex, st.floats(-1e100, 1e100, allow_subnormal=True), st.floats(-1e100, 1e100, allow_subnormal=True)
+)
+
+
+def _qubit_stacks(shape):
+    return hnp.arrays(np.complex128, shape + (2, 2), elements=_qubit_entries)
+
+
+class TestMatmul:
+    # Bound, derived before measuring, with u = 2^-53: each complex product
+    # a_ik b_kj, formed from four real products and two sums, is within
+    # sqrt(5) u |a_ik| |b_kj| of the exact one (Brent, Percival & Zimmermann,
+    # Math. Comp. 76, 1469 (2007)), and the sum of the two terms adds u of
+    # their moduli: (sqrt(5) + 1) u (|a| @ |b|)_ij for either the elementwise
+    # form or a BLAS product, 6.5 u between the two, rounded up to 7 u.  Each
+    # of the four real products of a term may underflow instead, off by at
+    # most half the smallest subnormal, 2^-1075 (sums are exact there): 8 per
+    # entry and method, 16 2^-1075 = 8 2^-1074 absolute between the two.
+    @staticmethod
+    def _assert_within_rounding(got, a, b):
+        want = a @ b
+        bound = 7 * 2.0**-53 * (np.abs(a) @ np.abs(b)) + 8 * 2.0**-1074
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(_qubit_stacks((n,)), _qubit_stacks((n,)))))
+    def test_qubit_stacks_match_blas_to_rounding(self, pair):
+        a, b = pair
+        self._assert_within_rounding(matmul(a, b), a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(0, 6)).flatmap(
+            lambda cn: st.tuples(_qubit_stacks(cn), _qubit_stacks(cn[1:]))
+        )
+    )
+    def test_channel_stack_broadcast_as_subflow_J_uses_it(self, pair):
+        # (c, n, 2, 2) x (n, 2, 2) and back: [L, A] of every channel at once
+        A, L = pair
+        self._assert_within_rounding(matmul(L, A), L, A)
+        self._assert_within_rounding(matmul(A, L), A, L)
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 16])
+    def test_other_sizes_are_exactly_blas(self, d):
+        rng = np.random.default_rng(d)
+        a, b = (rng.normal(size=(2, 5, d, d)) + 1j * rng.normal(size=(2, 5, d, d)) for _ in range(2))
+        npt.assert_array_equal(matmul(a, b), a @ b)
+        npt.assert_array_equal(matmul(a, b[0]), a @ b[0])
+        npt.assert_array_equal(matmul(a[0], b), a[0] @ b)
 
 
 @given(matrix_pairs())
