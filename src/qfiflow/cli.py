@@ -144,38 +144,28 @@ def run_simulate(config: RunConfig) -> RunSummary:
 
     interval_reports = tuple(classify_intervals(table))
 
-    checks: dict[str, CheckOutcome] = {}
-    if config.checks.oracle:
-        value = max_completeness
-        passed = max_completeness <= flow_accept and declarations_consistent
+    def outcome(enabled: bool, tolerance: float, measure) -> CheckOutcome:  # measure() gives (passed, value)
+        return CheckOutcome(True, *measure(), tolerance) if enabled else CheckOutcome(False, None, None, tolerance)
+
+    def oracle() -> tuple:
+        passed, value = max_completeness <= flow_accept and declarations_consistent, max_completeness
         if all(p.declared_zero for p in probes.values()):
-            value = max(value, max_decomposition)
-            passed = passed and max_decomposition <= flow_accept
-        checks["oracle"] = CheckOutcome(True, passed, value, flow_accept)
-    else:
-        checks["oracle"] = CheckOutcome(False, None, None, flow_accept)
-    if config.checks.theta_consistency:
+            passed, value = passed and max_decomposition <= flow_accept, max(value, max_decomposition)
+        return passed, value
+
+    def theta_consistency() -> tuple:
         deviation = fd_theta_consistency(traj, config.delta_theta)
-        checks["theta_consistency"] = CheckOutcome(
-            True, deviation <= THETA_CONSISTENCY_TOL, deviation, THETA_CONSISTENCY_TOL
-        )
-    else:
-        checks["theta_consistency"] = CheckOutcome(False, None, None, THETA_CONSISTENCY_TOL)
-    if config.checks.intervals:
-        overlaps = [
-            rep.overlap_fraction
-            for rep in interval_reports
-            if rep.overlap_fraction is not None
-        ]
-        if overlaps:
-            worst = min(overlaps)
-            checks["intervals"] = CheckOutcome(
-                True, worst >= INTERVAL_OVERLAP_MIN, worst, INTERVAL_OVERLAP_MIN
-            )
-        else:
-            checks["intervals"] = CheckOutcome(True, None, None, INTERVAL_OVERLAP_MIN)
-    else:
-        checks["intervals"] = CheckOutcome(False, None, None, INTERVAL_OVERLAP_MIN)
+        return deviation <= THETA_CONSISTENCY_TOL, deviation
+
+    def intervals() -> tuple:
+        overlaps = [rep.overlap_fraction for rep in interval_reports if rep.overlap_fraction is not None]
+        return (min(overlaps) >= INTERVAL_OVERLAP_MIN, min(overlaps)) if overlaps else (None, None)
+
+    checks = {
+        "oracle": outcome(config.checks.oracle, flow_accept, oracle),
+        "theta_consistency": outcome(config.checks.theta_consistency, THETA_CONSISTENCY_TOL, theta_consistency),
+        "intervals": outcome(config.checks.intervals, INTERVAL_OVERLAP_MIN, intervals),
+    }
 
     summary = RunSummary(
         model_name=config.model_name,

@@ -39,6 +39,7 @@ from .model import (
     zero_operator,
 )
 from .operators import DimensionMismatchError, ToleranceConfig
+from .propagation import grid_steps
 
 __all__ = [
     "ConfigError",
@@ -412,7 +413,7 @@ def parse_config(text: bytes | str, flags: dict | None = None) -> RunConfig:
 
     ``flags`` is a partial config document, merged over the file's top-level
     keys before validation; its ``tolerances`` object merges into the file's.
-    The grid t_k = k dt up to t_end needs 3 points for the finite-difference oracle.
+    The grid t_k = k dt up to t_end needs 3 points (:func:`~qfiflow.propagation.grid_steps`).
     """
     if isinstance(text, bytes):
         try:
@@ -436,9 +437,10 @@ def parse_config(text: bytes | str, flags: dict | None = None) -> RunConfig:
     theta = config_number(d["theta"], "/theta", "theta") if "theta" in d else model.theta
     t_end = _positive(d["t_end"], "/t_end")
     dt = _positive(d["dt"], "/dt")
-    if t_end / dt < 1.5:
-        message = f"the grid needs at least 3 points, so t_end >= 1.5 dt (t_end / dt = {t_end / dt:.6g})"
-        raise ConfigError(message, "/t_end")
+    try:
+        grid_steps(t_end, dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "/t_end") from exc
     seen: set[str] = set()
     outputs = tuple(
         _output_from_config(item, f"/outputs/{i}", seen)

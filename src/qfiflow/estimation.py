@@ -32,7 +32,6 @@ DEFAULT_EPS_RANK = 1e-12
 def sld_stack(
     rho: np.ndarray,
     drho_dtheta: np.ndarray,
-    eps_rank: float = DEFAULT_EPS_RANK,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the SLD equation in the eigenbasis of rho for every matrix of two
@@ -41,13 +40,11 @@ def sld_stack(
     Returns the SLDs ``(n, d, d)``, the QFIs Tr[L^2 rho] ``(n,)`` and the
     thresholded-pair counts ``(n,)``.  Eigenvalues slightly negative (within
     the positivity tolerance) are clamped to zero for the pair denominators
-    only; rho itself is untouched.  ``eps_rank`` is relative to each state's
-    largest eigenvalue.  Raises ValueError for non-finite entries, a
-    non-Hermitian drho_dtheta or a state without positive eigenvalues, and
-    warns when a QFI trace has a non-rounding imaginary residue.
+    only; rho itself is untouched.  The rank cutoff ``DEFAULT_EPS_RANK`` is
+    relative to each state's largest eigenvalue.  Raises ValueError for
+    non-finite entries, a non-Hermitian drho_dtheta or a state without positive
+    eigenvalues; warns when a QFI trace has a non-rounding imaginary residue.
     """
-    if eps_rank <= 0.0:
-        raise ValueError(f"eps_rank must be positive, got {eps_rank!r}")
     rho = np.asarray(rho, dtype=complex)
     sig = np.asarray(drho_dtheta, dtype=complex)
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2] or rho.shape != sig.shape:
@@ -56,11 +53,11 @@ def sld_stack(
         )
     if not np.isfinite(rho).all():
         raise ValueError("matrix contains non-finite entries")
-    return _sld_in_eigenbasis(rho, sig, *np.linalg.eigh(hermitize(rho)), eps_rank, tol)
+    return _sld_in_eigenbasis(rho, sig, *np.linalg.eigh(hermitize(rho)), tol)
 
 
 def _sld_in_eigenbasis(
-    rho: np.ndarray, sig: np.ndarray, p: np.ndarray, U: np.ndarray, eps_rank: float, tol: ToleranceConfig
+    rho: np.ndarray, sig: np.ndarray, p: np.ndarray, U: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`sld_stack` from the eigendecomposition (p, U) of the hermitized states,
     which the propagation's density gate has already made; checks drho_dtheta."""
@@ -75,7 +72,7 @@ def _sld_in_eigenbasis(
         raise ValueError("rho has no positive eigenvalues")
     p_clamped = np.clip(p, 0.0, None)
     denom = p_clamped[:, :, None] + p_clamped[:, None, :]
-    keep = denom > eps_rank * p_max[:, None, None]
+    keep = denom > DEFAULT_EPS_RANK * p_max[:, None, None]
     U_h = U.conj().swapaxes(1, 2)
     sig_eig = matmul(matmul(U_h, hermitize(sig)), U)
     L_eig = np.where(keep, 2.0 * sig_eig / np.where(keep, denom, 1.0), 0.0)

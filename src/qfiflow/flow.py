@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import DEFAULT_EPS_RANK, _sld_in_eigenbasis
+from .estimation import _sld_in_eigenbasis
 from .model import ModelSpec, scalar_values
 from .operators import DimensionMismatchError, ToleranceConfig, matmul
 
@@ -160,7 +160,7 @@ def flow_block(
     takes every channel in one stack.
     """
     rho, sig = pairs[:, 0], pairs[:, 1]
-    L, qfi, thresholded = _sld_in_eigenbasis(rho, sig, *eig, DEFAULT_EPS_RANK, tol)
+    L, qfi, thresholded = _sld_in_eigenbasis(rho, sig, *eig, tol)
     gammas = np.empty((len(model.channels), len(times)))
     A = np.empty((len(model.channels),) + rho.shape, dtype=complex)
     for i, ch in enumerate(model.channels):
@@ -198,20 +198,17 @@ def _mask_intervals(times: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, f
     return tuple(zip(times[edges[::2]].tolist(), times[edges[1::2] - 1].tolist()))
 
 
-def classify_intervals(
-    table: FlowTable,
-    threshold: float = SIGN_THRESHOLD,
-) -> list[IntervalReport]:
+def classify_intervals(table: FlowTable) -> list[IntervalReport]:
     """Per-channel negative-rate and positive-subflow intervals with overlap.
 
     The overlap fraction is the share of grid points with gamma < 0 where the
     subflow is also positive; it is None (not applicable) when the rate never
-    goes negative.  Values within ``threshold`` of zero are treated as zero.
+    goes negative.  Values within ``SIGN_THRESHOLD`` of zero are treated as zero.
     """
     if not len(table):
         raise ValueError("empty flow table")
     reports = []
-    for label, neg, pos in zip(table.labels, table.gamma < -threshold, table.I > threshold):
+    for label, neg, pos in zip(table.labels, table.gamma < -SIGN_THRESHOLD, table.I > SIGN_THRESHOLD):
         n_neg = int(np.count_nonzero(neg))
         overlap = float(np.count_nonzero(neg & pos) / n_neg) if n_neg else None
         reports.append(

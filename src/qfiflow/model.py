@@ -389,7 +389,8 @@ class CompiledGenerator:
     uses; the jumps are ordered so both are contiguous.  A stack has one
     state per theta under K(theta) or, with ``derivative``, the pair
     (rho, drho_dtheta) per theta under [[K, 0], [dK/dtheta, K]], a structure
-    :meth:`act` applies, so no zero or repeated block is ever formed.
+    :meth:`act` applies, so no zero or repeated block is ever formed; it is the
+    one statement of this algebra, which the integrator's step maps read.
     """
 
     dim: int
@@ -430,19 +431,13 @@ class CompiledGenerator:
             start += width
         return out.view(complex).reshape(times.shape + (len(thetas), sum(widths) // (2 * self.dim), self.dim))
 
-    def sandwiches(self, x: np.ndarray) -> np.ndarray:
-        """[L_0 X, ..., L_(m-1) X] side by side for every matrix X of x (..., d, d):
-        shape (..., d, m d)."""
-        return (self.jumps @ x).reshape(x.shape[:-1] + (len(self.jumps),))
-
     def act(self, operators: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The stack's time derivative for Hermitian x of shape (..., k, d, d), from
-        :meth:`operators` at the matching times: every member through K in one
-        product, plus dK/dtheta on rho for each drho_dtheta."""
+        """The stack's time derivative for Hermitian x (..., k, d, d), from :meth:`operators`
+        at the matching times: the sandwiches [L_0 X, ..., L_(m-1) X] of every member through
+        K in one product, plus dK/dtheta on rho for each drho_dtheta."""
         d = self.dim
         per = 2 if self.derivative else 1
-        p = self.sandwiches(x)
-        p = p.reshape(x.shape[:-3] + (x.shape[-3] // per, per * d, p.shape[-1]))
+        p = (self.jumps @ x).reshape(x.shape[:-3] + (x.shape[-3] // per, per * d, len(self.jumps)))
         k = self.blocks[0]
         t = p[..., k] @ operators[..., : k.stop - k.start, :]
         for dk in self.blocks[1:]:
@@ -459,6 +454,7 @@ def compile_generator(model: ModelSpec, derivative: bool = True) -> CompiledGene
     d = model.dim
     forms: dict = {}
     bases = [np.eye(d, dtype=complex)]
+    first = dict.fromkeys([0])  # jumps as sandwiches first use them, so bases registered earlier (H's) reorder none
 
     def column(form) -> int:
         return forms.setdefault(form, len(forms))
@@ -472,26 +468,22 @@ def compile_generator(model: ModelSpec, derivative: bool = True) -> CompiledGene
     def live(op: TimeDependentOperator) -> list:
         # terms on one base are one, their modulations summed: a cancelling sum then
         # rounds once, not in each product gamma f_a f_b of W_ab
-        groups: list = []
+        groups: dict = {}
         for t in op.terms:
-            if scalar_is_zero(t.modulation) or not np.any(t.base):
-                continue
-            fs = next((fs for base, fs in groups if np.array_equal(base, t.base)), None)
-            if fs is None:
-                groups.append((t.base, [t.modulation]))
-            else:
-                fs.append(t.modulation)
-        return [(base, fs[0] if len(fs) == 1 else _ScalarSum(tuple(fs))) for base, fs in groups]
+            if not scalar_is_zero(t.modulation) and np.any(t.base):
+                groups.setdefault(jump(t.base), []).append(t.modulation)
+        return [(j, fs[0] if len(fs) == 1 else _ScalarSum(tuple(fs))) for j, fs in groups.items()]
 
     def hamiltonian(op: TimeDependentOperator) -> list:
-        return [((column(f), -1, -1), {0: 1j * dagger(h)}) for h, f in live(op)]
+        return [((column(f), -1, -1), {0: 1j * dagger(bases[h])}) for h, f in live(op)]
 
     def sandwich(rate, left: list, right: list) -> list:
         # rate f_a f_b for every a of left and b of right: -1/2 L_b† L_a in R_0, 1/2 L_b† in R_a
+        first.update(dict.fromkeys(a for a, _ in left if right))
         return [
-            ((column(rate), column(fa), column(fb)), {0: -0.5 * dagger(lb) @ la, jump(la): 0.5 * dagger(lb)})
-            for la, fa in left
-            for lb, fb in right
+            ((column(rate), column(fa), column(fb)), {0: -0.5 * dagger(bases[b]) @ bases[a], a: 0.5 * dagger(bases[b])})
+            for a, fa in left
+            for b, fb in right
         ]
 
     k_terms = hamiltonian(model.H)
@@ -507,7 +499,7 @@ def compile_generator(model: ModelSpec, derivative: bool = True) -> CompiledGene
             dk_terms += sandwich(ch.gamma, c, a) + sandwich(ch.gamma, a, c)
     # jumps of dK/dtheta alone, then shared ones (L_0 among them), then those of K alone
     k_used, dk_used = ({j for _, mats in terms for j in mats} for terms in (k_terms, dk_terms))
-    order = sorted(dk_used - k_used) + sorted(dk_used & k_used) + sorted(k_used - dk_used)
+    order = [j for used in (dk_used - k_used, dk_used & k_used, k_used - dk_used) for j in first if j in used]
     position = {j: i for i, j in enumerate(order)}
     spans = [(len(dk_used - k_used), len(order))] + ([(0, len(dk_used))] if dk_terms else [])
 
@@ -638,16 +630,15 @@ def probe_theta_dependence(
 def validate_model(
     model: ModelSpec,
     theta: float | None = None,
-    times: tuple[float, ...] = (0.0, 0.37, 1.0),
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
     delta_theta: float = DEFAULT_DELTA_THETA,
 ) -> None:
-    """Spot-check model invariants: Hermitian H and dH at sampled (theta, t),
+    """Spot-check model invariants: Hermitian H and dH at theta and t = 0, 0.37, 1,
     a valid initial density matrix at theta and theta +/- delta_theta, and a
     Hermitian, traceless initial-state derivative."""
     if theta is None:
         theta = model.theta
-    times = np.asarray(times, dtype=float)
+    times = np.array([0.0, 0.37, 1.0])
     names, ops = ("H", "dH_dtheta"), (model.H, model.dH_dtheta)
     defects = np.stack([hermiticity_defect(op.evaluate_many(times, theta)) for op in ops], axis=1)
     bad = np.flatnonzero(defects > tol.herm)

@@ -15,12 +15,13 @@ t_k + dt/2, t_(k+1) (t_k's carried over); a path only advances the stack.
 The equation is linear, so one RK4 step is a fixed real matrix in real
 Hermitian coordinates (per member: the diagonal, then the real parts of the
 upper triangle, then its imaginary parts).  Where the unit maps (from a
-block's operators at one time to its matrix in these coordinates) and one
-block of step maps fit ``COEFFICIENT_BYTES``, S(t) is assembled from those
-matrices a batch of steps at a time, batched matrix products give the step
-maps, chunked prefix products advance the coordinates with no loop over
-steps, and the rebuilt states are exactly Hermitian.  Otherwise (large d)
-RK4 steps act on the matrices themselves and re-hermitize after every step.
+block's operators at one time to its matrix in these coordinates, read from
+the generator's ``act``) and one block of step maps fit ``COEFFICIENT_BYTES``,
+S(t) is assembled from those matrices a batch of steps at a time, batched
+matrix products give the step maps, chunked prefix products advance the
+coordinates with no loop over steps, and the rebuilt states are exactly
+Hermitian.  Otherwise (large d) RK4 steps act on the matrices themselves and
+re-hermitize after every step.
 Sizes alone choose the path (:func:`_block_steps`); the two agree to rounding.
 Each state's derivative is formed once: S(t) c, or its step's first RK4 stage.
 
@@ -28,8 +29,9 @@ Every state passes a stacked density gate per block, whose first failing
 state is reported with its time: ``density_eigh``, whose eigendecomposition
 the flow's SLD reuses, or for the theta check ``validate_density``.  The
 trace is *not* renormalized: drift is measured and reported so integrator
-defects stay visible.  A trajectory whose two ``(N + 1, d, d)`` stacks
-would exceed ``TRAJECTORY_BYTES`` is rejected before anything is allocated.
+defects stay visible.  A grid of fewer than 3 points (:func:`grid_steps`), or
+a trajectory whose two ``(N + 1, d, d)`` stacks would exceed
+``TRAJECTORY_BYTES``, is rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -94,10 +96,9 @@ class Trajectory:
 class PropagationError(RuntimeError):
     """Integration aborted; carries the failure time and the triggering diagnostic."""
 
-    def __init__(self, message: str, t: float, cause: Exception | None = None):
+    def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
-        self.cause = cause
 
 
 def _rk4_step(act, ops: np.ndarray, x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
@@ -143,31 +144,26 @@ def _half_grid(t: np.ndarray, dt: float) -> np.ndarray:
     return np.stack([t[:-1] + 0.5 * dt, t[1:]], axis=-1).ravel()
 
 
-def _unit_maps(gen: CompiledGenerator) -> list[np.ndarray]:
-    """Per distinct block of the generator (K, then dK/dtheta), the real-linear map
-    from its w reals of operators at one time to its d^2 x d^2 matrix in
-    coordinates, shape (w, d^4): row r is the block's action, through the
-    sandwiches of the Hermitian basis, with the r-th real unit as operators."""
-    d = gen.dim
-    p = gen.sandwiches(_matrices(np.eye(d * d), d))[:, None]
-    maps = []
-    for block in gen.blocks:
-        rows = block.stop - block.start
-        t = p[..., block] @ np.eye(2 * rows * d).view(complex).reshape(2 * rows * d, rows, d)
-        maps.append(_coordinates(t + t.conj().swapaxes(-1, -2)).transpose(1, 2, 0).reshape(-1, d**4))
-    return maps
+def _unit_maps(gen: CompiledGenerator) -> list[tuple[slice, np.ndarray]]:
+    """Per distinct block of the generator (K, then dK/dtheta), its w columns of the operators'
+    real view and the real-linear map from them at one time to its d^2 x d^2 matrix in
+    coordinates, (w, d^4): row r is ``gen.act`` on the Hermitian basis as rho (drho_dtheta = 0)
+    under the r-th real unit, read from the member the block writes (K: rho, dK: drho_dtheta)."""
+    d, widths = gen.dim, [c.shape[1] for c in gen.constants]
+    x = np.zeros((sum(widths), d * d, 2 if gen.derivative else 1, d, d), dtype=complex)
+    x[:, :, 0] = _matrices(np.eye(d * d), d)
+    y = gen.act(np.eye(len(x)).view(complex).reshape(len(x), 1, 1, len(x) // (2 * d), d), x)
+    cols = [slice(end - w, end) for w, end in zip(widths, np.cumsum(widths).tolist())]
+    return [(c, _coordinates(y[c, :, i]).swapaxes(1, 2).reshape(c.stop - c.start, d**4)) for i, c in enumerate(cols)]
 
 
-def _generator_maps(ops: np.ndarray, units: list[np.ndarray], per: int) -> np.ndarray:
+def _generator_maps(ops: np.ndarray, units: list, per: int) -> np.ndarray:
     """S(t) at every time of the stack's operators, the k d^2 x k d^2 real matrix of
     the generator in coordinates: one gemm per distinct block gives S_K and S_dK,
     placed per theta as [[S_K, 0], [S_dK, S_K]] for a pair (per = 2), else S_K."""
     n_times, n_thetas, _, d = ops.shape
     flat = ops.reshape(n_times * n_thetas, -1).view(float)
-    ends = np.cumsum([len(u) for u in units])
-    s_k, *s_dk = (
-        (flat[:, end - len(u) : end] @ u).reshape(n_times, n_thetas, d * d, d * d) for u, end in zip(units, ends)
-    )
+    s_k, *s_dk = ((flat[:, cols] @ u).reshape(n_times, n_thetas, d * d, d * d) for cols, u in units)
     s = np.zeros((n_times, n_thetas, per, d * d, n_thetas, per, d * d))
     for i in range(n_thetas):
         for r in range(per):
@@ -298,8 +294,15 @@ def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.nd
                 gated = gate(block.reshape((-1,) + block.shape[-2:]))
             except ValueError as exc:
                 t = grid[k + exc.index // block.shape[1]].item()
-                raise PropagationError(f"state invalid at t={t!r}: {exc}", t, exc) from exc
+                raise PropagationError(f"state invalid at t={t!r}: {exc}", t) from exc
             visit(k, xs, dots, gated)
+
+
+def grid_steps(t_end: float, dt: float) -> int:
+    """Steps of the grid t_k = k dt up to t_end; ValueError under the 3 points the flow's stencil needs."""
+    if t_end / dt < 1.5:
+        raise ValueError(f"the grid needs at least 3 points, so t_end >= 1.5 dt (t_end / dt = {t_end / dt:.6g})")
+    return int(round(t_end / dt))
 
 
 def propagate(
@@ -321,7 +324,7 @@ def propagate(
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = grid_steps(t_end, dt)
     nbytes = 2 * (n_steps + 1) * model.dim**2 * np.dtype(complex).itemsize
     if nbytes > TRAJECTORY_BYTES:
         raise ValueError(

@@ -31,9 +31,9 @@ def random_traceless_hermitian(rng, n):
     return sig - (np.trace(sig) / n) * np.eye(n)
 
 
-def sld_one(rho, sig, **kwargs):
+def sld_one(rho, sig):
     """sld_stack on one state: (L, QFI, thresholded pairs)."""
-    L, qfi, cut = sld_stack(np.asarray(rho)[None], np.asarray(sig)[None], **kwargs)
+    L, qfi, cut = sld_stack(np.asarray(rho)[None], np.asarray(sig)[None])
     return L[0], qfi[0], cut[0]
 
 
@@ -180,10 +180,6 @@ class TestSldErrors:
     def test_non_hermitian_derivative_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             sld_one(IDENTITY_2 / 2, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-    def test_bad_eps_rank(self):
-        with pytest.raises(ValueError):
-            sld_one(IDENTITY_2 / 2, np.zeros((2, 2), complex), eps_rank=0.0)
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

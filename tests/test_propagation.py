@@ -221,6 +221,17 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(model, model.theta, 1.0, 1e-9)  # over the trajectory byte budget
 
+    def test_grid_rule_rejects_before_integrating(self, monkeypatch):
+        model = builtin_model("ad-nm")
+        assert len(propagate(model, model.theta, 1.5e-3, 1e-3).grid) == 3
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before the grid rule")
+
+        monkeypatch.setattr(propagation, "_integrate", no_integration)
+        with pytest.raises(ValueError, match="the grid needs at least 3 points"):
+            propagate(model, model.theta, 1e-3, 1e-3)
+
     def test_byte_budget_rejects_before_allocating(self, monkeypatch):
         model = builtin_model("ad-nm")
         need = 2 * 101 * 2 * 2 * 16  # two (101, 2, 2) complex stacks
