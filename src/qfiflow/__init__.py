@@ -9,7 +9,6 @@ quantifies when that decomposition is exact.
 """
 
 from .config import builtin_model
-from .estimation import sld_stack
 from .flow import (
     FlowTable,
     IntervalReport,

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CheckFlags, ConfigError, RunConfig, parse_config
-from .estimation import DEFAULT_EPS_RANK
 from .flow import (
+    DEFAULT_EPS_RANK,
     SIGN_THRESHOLD,
     FlowTable,
     IntervalReport,

@@ -8,6 +8,13 @@ operators.  The remainder is reported as a residual rather than expanded in
 closed form; an independent finite-difference derivative of the QFI series
 validates the whole assembly.
 
+The SLD L_jk = 2 s_jk / (p_j + p_k), s = U† drho_dtheta U, solves drho_dtheta
+= (rho L + L rho)/2 in the eigenbasis of rho; pairs below a relative rank
+cutoff are zeroed (support convention) and counted.  The QFI, the sum over
+kept pairs of 2 |s_jk|^2 / (p_j + p_k), is real and non-negative by
+construction.  The flow products take Hermitian inputs and return the real
+part of their traces.
+
 Sign convention: J_i = -Tr{rho [L,A_i]† [L,A_i]} is nonpositive for any
 valid state, so the sign of the subflow I_i = gamma_i * J_i follows the sign
 of the decay rate -- negative rates show up as positive subflows.
@@ -21,19 +28,18 @@ one :class:`FlowTable` of arrays over the grid.  :func:`subflow_J`,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import _sld_in_eigenbasis
 from .model import ModelSpec, scalar_values
-from .operators import DimensionMismatchError, ToleranceConfig, matmul
+from .operators import DimensionMismatchError, ToleranceConfig, hermiticity_defect, hermitize, matmul
 
 __all__ = [
     "FlowTable",
     "IntervalReport",
     "SIGN_THRESHOLD",
+    "DEFAULT_EPS_RANK",
     "subflow_J",
     "hamiltonian_term",
     "full_flow",
@@ -46,7 +52,8 @@ __all__ = [
 # from rounding noise near their zeros.
 SIGN_THRESHOLD = 1e-10
 
-_IMAG_WARN = 1e-10
+# SLD rank cutoff, relative to each state's largest eigenvalue.
+DEFAULT_EPS_RANK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,19 +94,6 @@ class IntervalReport:
     overlap_fraction: float | None
 
 
-def _real_parts(vals: np.ndarray, what: str) -> np.ndarray:
-    """Real parts of traces; warns once, for the first with a non-rounding imaginary residue."""
-    residue = np.abs(vals.imag) > _IMAG_WARN * np.maximum(1.0, np.abs(vals.real))
-    if residue.any():
-        warnings.warn(
-            f"{what} has imaginary residue {vals.imag.flat[np.argmax(residue)]:.3e}; "
-            "likely Hermiticity loss upstream",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return vals.real
-
-
 def _stacks(*ms) -> list[np.ndarray]:
     """Complex ``(..., n, d, d)`` stacks sharing their last three axes, or DimensionMismatchError."""
     out = [np.asarray(m, dtype=complex) for m in ms]
@@ -115,21 +109,21 @@ def subflow_J(rho: np.ndarray, L: np.ndarray, A: np.ndarray) -> np.ndarray:
     rho and [L,A]†[L,A] are PSD.  Taken as -sum conj(C) * (C rho), C = [L, A]."""
     rho, L, A = _stacks(rho, L, A)
     C = matmul(L, A) - matmul(A, L)
-    return -_real_parts(np.einsum("...ij,...ij->...", C.conj(), matmul(C, rho)), "subflow")
+    return -np.einsum("...ij,...ij->...", C.conj(), matmul(C, rho)).real
 
 
 def hamiltonian_term(dH: np.ndarray, rho: np.ndarray, L: np.ndarray) -> np.ndarray:
     """-2i Tr(L [dH/dtheta, rho]) per matrix of ``(n, d, d)`` stacks."""
     dH, rho, L = _stacks(dH, rho, L)
     commutator = matmul(dH, rho) - matmul(rho, dH)
-    return _real_parts(np.trace(-2.0j * matmul(L, commutator), axis1=-2, axis2=-1), "hamiltonian term")
+    return np.trace(-2.0j * matmul(L, commutator), axis1=-2, axis2=-1).real
 
 
 def full_flow(L: np.ndarray, rhodot: np.ndarray, sigdot: np.ndarray) -> np.ndarray:
     """Complete flow Tr{L [2 d/dt(drho_dtheta) - L drho/dt]} per matrix of
     ``(n, d, d)`` stacks, from the generator's drho/dt and d/dt(drho_dtheta)."""
     L, rhodot, sigdot = _stacks(L, rhodot, sigdot)
-    return _real_parts(np.trace(matmul(L, 2.0 * sigdot - matmul(L, rhodot)), axis1=-2, axis2=-1), "full flow")
+    return np.trace(matmul(L, 2.0 * sigdot - matmul(L, rhodot)), axis1=-2, axis2=-1).real
 
 
 def _fd_series(f: np.ndarray, dt: float) -> np.ndarray:
@@ -148,6 +142,36 @@ def _fd_series(f: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _sld_in_eigenbasis(sig: np.ndarray, p: np.ndarray, U: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, ...]:
+    """The SLDs ``(n, d, d)``, QFIs ``(n,)`` and thresholded-pair counts ``(n,)`` of an
+    ``(n, d, d)`` stack drho_dtheta, from the eigendecomposition (p, U) of the hermitized states.
+
+    Eigenvalues slightly negative (within the positivity tolerance) are clamped
+    to zero for the pair denominators; the QFI sum over kept pairs then exceeds
+    Tr[L^2 rho] by exactly sum_k max(0, -p_k) (L^2)_kk.  Raises ValueError for a
+    non-finite or non-Hermitian drho_dtheta or a state without positive eigenvalues.
+    """
+    if not np.isfinite(sig).all():
+        raise ValueError("matrix contains non-finite entries")
+    defect = hermiticity_defect(sig)
+    bound = 10.0 * tol.herm * np.maximum(1.0, np.abs(sig).max(axis=(1, 2)))
+    if np.any(defect > bound):
+        raise ValueError(f"drho_dtheta is not Hermitian: defect {defect[np.argmax(defect > bound)]:.3e}")
+    p_max = p[:, -1]
+    if np.any(p_max <= 0.0):
+        raise ValueError("rho has no positive eigenvalues")
+    p_clamped = np.clip(p, 0.0, None)
+    denom = p_clamped[:, :, None] + p_clamped[:, None, :]
+    keep = denom > DEFAULT_EPS_RANK * p_max[:, None, None]
+    U_h = U.conj().swapaxes(1, 2)
+    sig_eig = matmul(matmul(U_h, hermitize(sig)), U)
+    L_eig = np.where(keep, 2.0 * sig_eig / np.where(keep, denom, 1.0), 0.0)
+    L = hermitize(matmul(matmul(U, L_eig), U_h))
+    # Re(L_jk conj(s_jk)) = 2 |s_jk|^2 / (p_j + p_k): each product pairs equal signs
+    qfi = (L_eig.real * sig_eig.real + L_eig.imag * sig_eig.imag).sum(axis=(1, 2))
+    return L, qfi, np.count_nonzero(~keep, axis=(1, 2))
+
+
 def flow_block(
     model: ModelSpec, theta: float, times: np.ndarray, pairs: np.ndarray, dots: np.ndarray, eig, tol: ToleranceConfig
 ) -> tuple[np.ndarray, ...]:
@@ -156,11 +180,11 @@ def flow_block(
 
     ``pairs[j]`` is (rho, drho_dtheta) at ``times[j]``, ``dots[j]`` its time
     derivative and ``eig`` the eigendecomposition ``(p, U)`` of the hermitized
-    states, which gives the SLDs as ``sld_stack`` would; :func:`subflow_J`
-    takes every channel in one stack.
+    states, from which the SLDs are formed; :func:`subflow_J` takes every
+    channel in one stack.
     """
-    rho, sig = pairs[:, 0], pairs[:, 1]
-    L, qfi, thresholded = _sld_in_eigenbasis(rho, sig, *eig, tol)
+    rho = pairs[:, 0]
+    L, qfi, thresholded = _sld_in_eigenbasis(pairs[:, 1], *eig, tol)
     gammas = np.empty((len(model.channels), len(times)))
     A = np.empty((len(model.channels),) + rho.shape, dtype=complex)
     for i, ch in enumerate(model.channels):

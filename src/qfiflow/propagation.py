@@ -27,11 +27,11 @@ Each state's derivative is formed once: S(t) c, or its step's first RK4 stage.
 
 Every state passes a stacked density gate per block, whose first failing
 state is reported with its time: ``density_eigh``, whose eigendecomposition
-the flow's SLD reuses, or for the theta check ``validate_density``.  The
-trace is *not* renormalized: drift is measured and reported so integrator
-defects stay visible.  A grid of fewer than 3 points (:func:`grid_steps`), or
-a trajectory whose two ``(N + 1, d, d)`` stacks would exceed
-``TRAJECTORY_BYTES``, is rejected before anything is allocated.
+the flow's SLD and QFI reuse, or for the theta check ``validate_density``.
+The trace is *not* renormalized: drift is measured and reported so integrator
+defects stay visible.  A grid of fewer than 3 points or of no finite size
+(:func:`grid_steps`), or a trajectory whose two ``(N + 1, d, d)`` stacks
+would exceed ``TRAJECTORY_BYTES``, is rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -299,10 +299,13 @@ def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.nd
 
 
 def grid_steps(t_end: float, dt: float) -> int:
-    """Steps of the grid t_k = k dt up to t_end; ValueError under the 3 points the flow's stencil needs."""
-    if t_end / dt < 1.5:
-        raise ValueError(f"the grid needs at least 3 points, so t_end >= 1.5 dt (t_end / dt = {t_end / dt:.6g})")
-    return int(round(t_end / dt))
+    """Steps of the grid t_k = k dt up to t_end; ValueError if not finite or under the 3 points the stencil needs."""
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"the grid needs a finite number of steps (t_end / dt = {ratio})")
+    if ratio < 1.5:
+        raise ValueError(f"the grid needs at least 3 points, so t_end >= 1.5 dt (t_end / dt = {ratio:.6g})")
+    return int(round(ratio))
 
 
 def propagate(

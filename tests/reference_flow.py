@@ -11,7 +11,8 @@ generator that ``propagate`` uses.
 library did before ``propagate`` formed it in its own pass: the time
 derivatives of every stored state from the compiled generator, one more
 eigendecomposition per state, then the library's ``flow_block`` and
-``flow_table``.
+``flow_table``.  ``library_sld`` is the library's SLD of two stacks of
+states, from its own eigendecomposition the same way.
 """
 
 import warnings
@@ -20,10 +21,9 @@ from typing import NamedTuple
 import numpy as np
 from reference_generator import evaluate, reference_generator, reference_generator_theta_derivative
 
-from qfiflow.estimation import DEFAULT_EPS_RANK
-from qfiflow.flow import flow_block, flow_table
+from qfiflow.flow import DEFAULT_EPS_RANK, _sld_in_eigenbasis, flow_block, flow_table
 from qfiflow.model import compile_generator
-from qfiflow.operators import DimensionMismatchError, as_operator, commutator, dagger, hermitize
+from qfiflow.operators import DEFAULT_TOLERANCES, DimensionMismatchError, as_operator, commutator, dagger, hermitize
 
 _IMAG_WARN = 1e-10
 
@@ -43,7 +43,9 @@ def _real_trace(m: np.ndarray, what: str) -> float:
 
 def sld(rho: np.ndarray, drho_dtheta: np.ndarray, eps_rank: float = DEFAULT_EPS_RANK) -> SldResult:
     """L_jk = 2 (drho)_jk / (p_j + p_k) in the eigenbasis of rho, with pairs whose
-    clamped sum is at most eps_rank * p_max zeroed and counted."""
+    clamped sum is at most eps_rank * p_max zeroed and counted, and the QFI
+    Tr[L^2 rho] plus sum_k max(0, -p_k) (L^2)_kk: the pair denominators see the
+    eigenvalues clamped at zero, so the QFI does too."""
     rho = as_operator(rho)
     sig = as_operator(drho_dtheta)
     if rho.shape != sig.shape:
@@ -55,7 +57,15 @@ def sld(rho: np.ndarray, drho_dtheta: np.ndarray, eps_rank: float = DEFAULT_EPS_
     sig_eig = U.conj().T @ hermitize(sig) @ U
     L_eig = np.where(keep, 2.0 * sig_eig / np.where(keep, denom, 1.0), 0.0)
     L = hermitize(U @ L_eig @ U.conj().T)
-    return SldResult(L, _real_trace(L @ L @ rho, "QFI"), int(np.count_nonzero(~keep)))
+    clamp = np.clip(-p, 0.0, None) @ np.diagonal(U.conj().T @ L @ L @ U).real
+    return SldResult(L, _real_trace(L @ L @ rho, "QFI") + clamp, int(np.count_nonzero(~keep)))
+
+
+def library_sld(rho: np.ndarray, drho_dtheta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The library's SLDs, QFIs and thresholded-pair counts of two ``(n, d, d)``
+    stacks, from ``eigh`` of the hermitized states, as a propagation forms them."""
+    eig = np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
+    return _sld_in_eigenbasis(np.asarray(drho_dtheta, dtype=complex), *eig, DEFAULT_TOLERANCES)
 
 
 def subflow_J(rho: np.ndarray, L: np.ndarray, A: np.ndarray) -> float:

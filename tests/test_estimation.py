@@ -2,14 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qfiflow.estimation import sld_stack
-from qfiflow.operators import (
-    IDENTITY_2,
-    SIGMA_X,
-    DimensionMismatchError,
-    hermitize,
-    hermiticity_defect,
-)
+from reference_flow import library_sld
+
+from qfiflow.operators import IDENTITY_2, SIGMA_X, hermitize, hermiticity_defect
 
 
 def sld_lstsq(rho, sig):
@@ -32,8 +27,8 @@ def random_traceless_hermitian(rng, n):
 
 
 def sld_one(rho, sig):
-    """sld_stack on one state: (L, QFI, thresholded pairs)."""
-    L, qfi, cut = sld_stack(np.asarray(rho)[None], np.asarray(sig)[None])
+    """library_sld on one state: (L, QFI, thresholded pairs)."""
+    L, qfi, cut = library_sld(np.asarray(rho)[None], np.asarray(sig)[None])
     return L[0], qfi[0], cut[0]
 
 
@@ -68,7 +63,7 @@ class TestSldExamples:
         # on the diagonal: pair sums of 2e-13 are cut against p_max = 1, not against 1e-3
         p = np.array([[1.0, 1e-13, 1e-13], [1e-13, 1e-13, 1.0], [1e-3, 1e-13, 1e-13]])
         rho = np.array([np.diag(row) for row in p]).astype(complex)
-        L, _, cut = sld_stack(rho, np.stack([np.eye(3, dtype=complex)] * 3))
+        L, _, cut = library_sld(rho, np.stack([np.eye(3, dtype=complex)] * 3))
         npt.assert_array_equal(cut, [4, 4, 0])
         npt.assert_allclose(np.diagonal(L, axis1=1, axis2=2).real, [[1, 0, 0], [0, 0, 1], 1.0 / p[2]], rtol=1e-12)
 
@@ -85,21 +80,13 @@ class TestQfiExamples:
         sig = np.diag([1.0, -1.0]).astype(complex)
         assert sld_one(rho, sig)[1] == pytest.approx(16.0 / 3.0)
 
-    def test_dimension_mismatch(self):
-        rho = np.stack([IDENTITY_2 / 2] * 2)
-        for sig in (np.zeros((2, 3, 3), complex), np.zeros((3, 2, 2), complex)):
-            with pytest.raises(DimensionMismatchError):
-                sld_stack(rho, sig)
-        with pytest.raises(DimensionMismatchError):
-            sld_stack(IDENTITY_2 / 2, SIGMA_X / 2)
-
 
 class TestSldAgainstIndependentSolver:
     def test_full_rank_random_states(self):
         rng = np.random.default_rng(21)
         for n in (2, 3, 4):
             rho, sig = random_stacks(rng, n, 10)
-            L, _, cut = sld_stack(rho, sig)
+            L, _, cut = library_sld(rho, sig)
             for k in range(10):
                 npt.assert_allclose(L[k], sld_lstsq(rho[k], sig[k]), atol=1e-8)
             npt.assert_array_equal(cut, 0)
@@ -107,7 +94,7 @@ class TestSldAgainstIndependentSolver:
     def test_sld_equation_residual(self):
         rng = np.random.default_rng(22)
         rho, sig = random_stacks(rng, 3, 20)
-        L, _, _ = sld_stack(rho, sig)
+        L, _, _ = library_sld(rho, sig)
         recon = 0.5 * (rho @ L + L @ rho)
         assert np.all(np.abs(recon - sig).max(axis=(1, 2)) <= 1e-8 * np.abs(sig).max(axis=(1, 2)))
 
@@ -115,21 +102,21 @@ class TestSldAgainstIndependentSolver:
 class TestSldInvariants:
     def test_L_hermitian_and_qfi_nonnegative(self):
         rng = np.random.default_rng(23)
-        L, qfi, _ = sld_stack(*random_stacks(rng, 3, 30))
+        L, qfi, _ = library_sld(*random_stacks(rng, 3, 30))
         assert max(hermiticity_defect(m) for m in L) <= 1e-10
-        assert np.all(qfi >= -1e-12)
+        assert qfi.dtype == float and np.all(qfi >= 0.0)
 
     def test_trace_rho_L_vanishes_for_traceless_sig(self):
         rng = np.random.default_rng(24)
         rho, sig = random_stacks(rng, 4, 30)
-        L, _, _ = sld_stack(rho, sig)
+        L, _, _ = library_sld(rho, sig)
         assert np.max(np.abs(np.trace(rho @ L, axis1=1, axis2=2))) <= 1e-9
 
     def test_qfi_equals_trace_L_dsig(self):
         # second identity from the defining equation: Tr[L^2 rho] = Tr[L drho]
         rng = np.random.default_rng(25)
         rho, sig = random_stacks(rng, 3, 30)
-        L, qfi, _ = sld_stack(rho, sig)
+        L, qfi, _ = library_sld(rho, sig)
         rhs = np.trace(L @ sig, axis1=1, axis2=2).real
         assert np.all(np.abs(qfi - rhs) <= 1e-9 * np.maximum(1.0, np.abs(qfi)))
 
@@ -155,17 +142,9 @@ class TestSldInvariants:
         rho = np.diag([0.2, 0.35, 0.45]).astype(complex)
         sig = random_traceless_hermitian(rng, 3)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        L, qfi, _ = sld_stack(np.stack([rho, q @ rho @ q.conj().T]), np.stack([sig, q @ sig @ q.conj().T]))
+        L, qfi, _ = library_sld(np.stack([rho, q @ rho @ q.conj().T]), np.stack([sig, q @ sig @ q.conj().T]))
         assert np.max(np.abs(L[1] - q @ L[0] @ q.conj().T)) <= 1e-9
         assert abs(qfi[1] - qfi[0]) <= 1e-10
-
-
-class TestDiagnostics:
-    def test_imaginary_residue_warns(self):
-        # rho's anti-Hermitian part (0.1i Z) reaches Tr[L^2 rho] through L^2 = diag(1, 0)
-        rho = np.diag([0.5 + 0.1j, 0.5 - 0.1j])
-        with pytest.warns(RuntimeWarning, match="imaginary residue"):
-            sld_one(rho, np.diag([0.5, 0.0]).astype(complex))
 
 
 class TestSldErrors:
@@ -173,14 +152,6 @@ class TestSldErrors:
         with pytest.raises(ValueError, match="no positive eigenvalues"):
             sld_one(np.zeros((2, 2), complex), np.zeros((2, 2), complex))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            sld_stack(np.stack([IDENTITY_2 / 2]), np.zeros((1, 3, 3), complex))
-
     def test_non_hermitian_derivative_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             sld_one(IDENTITY_2 / 2, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-    def test_non_finite_entries_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            sld_one(np.diag([np.nan, 1.0]), np.zeros((2, 2), complex))

@@ -14,7 +14,6 @@ from strategies import models, real
 
 from qfiflow import propagation
 from qfiflow.config import builtin_model, parse_config
-from qfiflow.estimation import sld_stack
 from qfiflow.flow import (
     FlowTable,
     _fd_series,
@@ -92,11 +91,6 @@ class TestSubflowJ:
         with pytest.raises(DimensionMismatchError):
             subflow_J(IDENTITY_2 / 2, SIGMA_X, SIGMA_Z)
 
-    def test_non_hermitian_state_warns(self):
-        bad_rho = np.array([[1j, 0.0], [0.0, 0.0]], dtype=complex)
-        with pytest.warns(RuntimeWarning, match="imaginary residue"):
-            subflow_J(*one(bad_rho, SIGMA_X, SIGMA_MINUS))
-
     def test_sign_property_random_sample(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
@@ -154,7 +148,7 @@ class TestChannelDecomposition:
         traj = propagate(model, model.theta, 1.0, 1e-3)
         (ch,) = model.channels
         t, rho, sig = traj.grid[::100], traj.rho[::100], traj.drho_dtheta[::100]
-        L = sld_stack(rho, sig)[0]
+        L = ref.library_sld(rho, sig)[0]
         gamma = scalar_values(ch.gamma, t, model.theta)
         I = gamma * subflow_J(rho, L, ch.A.evaluate_many(t, model.theta))
         assert np.any(gamma > 0) and np.all(I[gamma > 0] <= 1e-12)
@@ -200,7 +194,7 @@ class TestFullFlow:
         assert np.max(np.abs(table.full_flow)) <= 1e-9
         assert np.max(np.abs(table.qfi - table.qfi[0])) <= 1e-6
         t, rho, sig = traj.grid[500], traj.rho[500], traj.drho_dtheta[500]
-        L = sld_stack(rho[None], sig[None])[0]
+        L = ref.library_sld(rho[None], sig[None])[0]
         rhodot = reference_generator(model, 0.4, t, rho)
         sigdot = reference_generator_theta_derivative(model, 0.4, t, rho, sig)
         assert abs(full_flow(L, *one(rhodot, sigdot))[0]) <= 1e-9
@@ -348,7 +342,7 @@ BUILTIN_PARAMS = {
 
 class TestExactQubitOracle:
     # reference settings; the closed form shares no code with propagate,
-    # sld_stack, the flow or the finite-difference stencil
+    # the SLD, the flow or the finite-difference stencil
 
     @pytest.mark.parametrize("name", BUILTIN_MODEL_NAMES)
     def test_qfi_matches_closed_form(self, name):
@@ -551,6 +545,6 @@ class TestStackedFlowMatchesScalarReferences:
             X = X.astype(x)
             return gamma * (Ax @ X @ Ad - (Ad @ Ax @ X + X @ Ad @ Ax) / 2)
 
-        L = sld_stack(rho, sig)[0].astype(x)
+        L = ref.library_sld(rho, sig)[0].astype(x)
         want = np.array([np.trace(Lk @ (2 * K(s) - Lk @ K(r))).real for Lk, r, s in zip(L, rho, sig)])
         assert np.all(np.abs(table.full_flow - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

@@ -231,6 +231,9 @@ class TestPropagate:
         monkeypatch.setattr(propagation, "_integrate", no_integration)
         with pytest.raises(ValueError, match="the grid needs at least 3 points"):
             propagate(model, model.theta, 1e-3, 1e-3)
+        for t_end, dt in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (1e308, 1e-10)):
+            with pytest.raises(ValueError, match="the grid needs a finite number of steps"):
+                propagate(model, model.theta, t_end, dt)
 
     def test_byte_budget_rejects_before_allocating(self, monkeypatch):
         model = builtin_model("ad-nm")
