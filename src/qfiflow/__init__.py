@@ -43,7 +43,6 @@ from .operators import (
     NotHermitianError,
     ToleranceConfig,
     TraceDeviationError,
-    commutator,
     hermitize,
     validate_density,
 )

@@ -37,12 +37,11 @@ from .flow import (
     IntervalReport,
     classify_intervals,
 )
-from .model import ScalarPoleError, probe_theta_dependence, validate_model
+from .model import ScalarPoleError, ThetaDependence, probe_theta_dependence, validate_model
 from .operators import ToleranceConfig
 from .propagation import PropagationError, fd_theta_consistency, propagate
 
 __all__ = [
-    "Verdict",
     "CheckOutcome",
     "RunSummary",
     "parse_config",
@@ -58,15 +57,6 @@ __all__ = [
 FLOW_ACCEPT_FACTOR = 1e-5
 THETA_CONSISTENCY_TOL = 1e-5
 INTERVAL_OVERLAP_MIN = 0.99
-THETA_DEPENDENCE_EPS = 1e-10
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Measured theta-(in)dependence of one generator ingredient."""
-
-    status: str  # "holds" | "violated"
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -96,7 +86,7 @@ class RunSummary:
     sld_support_cut_max_pairs: int
     sld_support_cut_first_t: float | None
     interval_reports: tuple[IntervalReport, ...]
-    theta_independence: dict[str, Verdict]
+    theta_independence: dict[str, ThetaDependence]
     checks: dict[str, CheckOutcome]
     tolerances: dict[str, float]
 
@@ -129,18 +119,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     max_residual = float(np.max(np.abs(table.residual_T)))
     cuts = np.flatnonzero(table.thresholded_pairs)
 
-    probe_times = tuple(float(x) for x in np.linspace(0.0, config.t_end, 5))
-    probes = probe_theta_dependence(model, theta, probe_times, config.delta_theta)
-    verdicts = {}
-    declarations_consistent = True
-    for key, probe in probes.items():
-        dependent = probe.fd_magnitude > THETA_DEPENDENCE_EPS
-        verdicts[key] = Verdict(
-            status="violated" if dependent else "holds",
-            magnitude=probe.fd_magnitude,
-        )
-        if dependent == probe.declared_zero:
-            declarations_consistent = False
+    probes = probe_theta_dependence(model, theta, tuple(np.linspace(0.0, config.t_end, 5).tolist()), config.delta_theta)
 
     interval_reports = tuple(classify_intervals(table))
 
@@ -148,7 +127,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
         return CheckOutcome(True, *measure(), tolerance) if enabled else CheckOutcome(False, None, None, tolerance)
 
     def oracle() -> tuple:
-        passed, value = max_completeness <= flow_accept and declarations_consistent, max_completeness
+        passed, value = max_completeness <= flow_accept and all(p.consistent for p in probes.values()), max_completeness
         if all(p.declared_zero for p in probes.values()):
             passed, value = passed and max_decomposition <= flow_accept, max(value, max_decomposition)
         return passed, value
@@ -183,7 +162,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
         sld_support_cut_max_pairs=int(np.max(table.thresholded_pairs)),
         sld_support_cut_first_t=float(table.t[cuts[0]]) if len(cuts) else None,
         interval_reports=interval_reports,
-        theta_independence=verdicts,
+        theta_independence=probes,
         checks=checks,
         tolerances={
             **dataclasses.asdict(config.tolerances),
@@ -333,11 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         if outcome.value is not None:
             detail = f" (value {outcome.value:.3e}, tolerance {outcome.tolerance:.3e})"
         print(f"check {name}: {status}{detail}")
-    for key, verdict in summary.theta_independence.items():
-        if verdict.status == "holds":
-            print(f"theta-independence {key}: holds")
-        else:
-            print(f"theta-independence {key}: violated (magnitude {verdict.magnitude:.6g})")
+    for key, probe in summary.theta_independence.items():
+        verdict = "holds" if probe.holds else f"violated (magnitude {probe.fd_magnitude:.6g})"
+        print(f"theta-independence {key}: {verdict}")
     return 0 if summary.all_checks_passed else 1
 
 

@@ -413,7 +413,8 @@ def parse_config(text: bytes | str, flags: dict | None = None) -> RunConfig:
 
     ``flags`` is a partial config document, merged over the file's top-level
     keys before validation; its ``tolerances`` object merges into the file's.
-    The grid t_k = k dt up to t_end needs 3 points (:func:`~qfiflow.propagation.grid_steps`).
+    The grid t_k = k dt up to t_end needs 3 points and a trajectory within the byte
+    budget (:func:`~qfiflow.propagation.grid_steps`).
     """
     if isinstance(text, bytes):
         try:
@@ -438,7 +439,7 @@ def parse_config(text: bytes | str, flags: dict | None = None) -> RunConfig:
     t_end = _positive(d["t_end"], "/t_end")
     dt = _positive(d["dt"], "/dt")
     try:
-        grid_steps(t_end, dt)
+        grid_steps(t_end, dt, model.dim)
     except ValueError as exc:
         raise ConfigError(str(exc), "/t_end") from exc
     seen: set[str] = set()

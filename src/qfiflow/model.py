@@ -33,7 +33,6 @@ from .operators import (
     DimensionMismatchError,
     ToleranceConfig,
     as_operator,
-    commutator,
     dagger,
     hermiticity_defect,
     validate_density,
@@ -281,7 +280,8 @@ class RyStateFamily:
         return ket @ dagger(ket)
 
     def drho0_dtheta(self, theta: float) -> np.ndarray:
-        return -0.5j * commutator(SIGMA_Y, self.rho0(theta))
+        rho = self.rho0(theta)
+        return -0.5j * (SIGMA_Y @ rho - rho @ SIGMA_Y)
 
     def dim(self) -> int:
         return 2
@@ -577,15 +577,36 @@ BUILTIN_MODEL_NAMES = tuple(sorted(BUILTINS))
 
 # Step of every central difference in theta: probes, model checks, the theta check.
 DEFAULT_DELTA_THETA = 1e-4
+# Measured theta dependence above which an ingredient violates condition (ii).
+THETA_DEPENDENCE_EPS = 1e-10
+# A probe's defect allowance, in eps / delta times max(1, |f|, |declared|): every theta
+# dependence is affine (theta-scaled forms, modulated terms), so the central difference has
+# no truncation term, only the eps/2 roundings of theta +/- delta, of f there and of f+ - f-.
+THETA_DEFECT_ROUNDINGS = 16
 
 
 @dataclass(frozen=True)
 class ThetaDependence:
-    """Finite-difference probe of one generator ingredient's theta dependence."""
+    """Finite-difference probe of one generator ingredient's theta dependence.
+
+    Condition (ii) ``holds`` for the ingredient when ``fd_magnitude`` is at most
+    ``THETA_DEPENDENCE_EPS``; its declarations are ``consistent`` when it is declared
+    zero exactly then and the ``defect`` is within ``defect_tolerance``, the rounding
+    of the central difference.
+    """
 
     fd_magnitude: float
     declared_zero: bool
     defect: float
+    defect_tolerance: float
+
+    @property
+    def holds(self) -> bool:
+        return self.fd_magnitude <= THETA_DEPENDENCE_EPS
+
+    @property
+    def consistent(self) -> bool:
+        return self.holds == self.declared_zero and self.defect <= self.defect_tolerance
 
 
 def probe_theta_dependence(
@@ -599,19 +620,27 @@ def probe_theta_dependence(
     Returns probes keyed by ingredient ("hamiltonian", "decay_rates",
     "lindblad_operators"); channel results are aggregated by maximum.
     ``fd_magnitude`` is the measured theta dependence, ``defect`` the
-    disagreement between the finite difference and the declared derivative.
+    disagreement between the finite difference and the declared derivative,
+    ``defect_tolerance`` its rounding (``THETA_DEFECT_ROUNDINGS``).
     """
     times = np.asarray(times, dtype=float)
 
+    def largest(x) -> float:
+        return float(np.max(np.abs(x), initial=0.0))
+
     def dependence(ingredients: list, declared_zero: bool) -> ThetaDependence:
         """Largest |central difference in theta| over the times and the ingredients,
-        pairs (values at a theta, declared derivative), and its largest |defect|."""
-        magnitude = defect = 0.0
+        pairs (values at a theta, declared derivative), its largest |defect|, and the
+        rounding allowance at the largest scale max(1, |f|, |declared|)."""
+        magnitude, defect, scale = 0.0, 0.0, 1.0
         for values, declared in ingredients:
-            fd = (values(theta + delta) - values(theta - delta)) / (2.0 * delta)
-            magnitude = max(magnitude, float(np.max(np.abs(fd), initial=0.0)))
-            defect = max(defect, float(np.max(np.abs(fd - declared), initial=0.0)))
-        return ThetaDependence(magnitude, declared_zero, defect)
+            plus, minus = values(theta + delta), values(theta - delta)
+            fd = (plus - minus) / (2.0 * delta)
+            magnitude = max(magnitude, largest(fd))
+            defect = max(defect, largest(fd - declared))
+            scale = max(scale, largest(plus), largest(minus), largest(declared))
+        tolerance = THETA_DEFECT_ROUNDINGS * float(np.finfo(float).eps) / delta * scale
+        return ThetaDependence(magnitude, declared_zero, defect, tolerance)
 
     H, dH, channels = model.H, model.dH_dtheta, model.channels
     return {

@@ -35,7 +35,6 @@ __all__ = [
     "NegativeEigenvalueError",
     "dagger",
     "matmul",
-    "commutator",
     "hermitize",
     "hermiticity_defect",
     "validate_density",
@@ -113,13 +112,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-2:] == b.shape[-2:] == (2, 2):
         return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
     return a @ b
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
-    return a @ b - b @ a
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -29,9 +29,10 @@ Every state passes a stacked density gate per block, whose first failing
 state is reported with its time: ``density_eigh``, whose eigendecomposition
 the flow's SLD and QFI reuse, or for the theta check ``validate_density``.
 The trace is *not* renormalized: drift is measured and reported so integrator
-defects stay visible.  A grid of fewer than 3 points or of no finite size
-(:func:`grid_steps`), or a trajectory whose two ``(N + 1, d, d)`` stacks
-would exceed ``TRAJECTORY_BYTES``, is rejected before anything is allocated.
+defects stay visible.  A grid of fewer than 3 points, of no finite size, or
+whose trajectory's two ``(N + 1, d, d)`` stacks would exceed
+``TRAJECTORY_BYTES`` (:func:`grid_steps`) is rejected before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -298,14 +299,19 @@ def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.nd
             visit(k, xs, dots, gated)
 
 
-def grid_steps(t_end: float, dt: float) -> int:
-    """Steps of the grid t_k = k dt up to t_end; ValueError if not finite or under the 3 points the stencil needs."""
+def grid_steps(t_end: float, dt: float, dim: int) -> int:
+    """Steps of the grid t_k = k dt up to t_end; ValueError if not finite, under the 3 points
+    the stencil needs, or over ``TRAJECTORY_BYTES`` for the two stacks of states of dimension dim."""
     ratio = t_end / dt
     if not math.isfinite(ratio):
         raise ValueError(f"the grid needs a finite number of steps (t_end / dt = {ratio})")
     if ratio < 1.5:
         raise ValueError(f"the grid needs at least 3 points, so t_end >= 1.5 dt (t_end / dt = {ratio:.6g})")
-    return int(round(ratio))
+    points = int(round(ratio)) + 1
+    nbytes = 2 * points * dim**2 * np.dtype(complex).itemsize
+    if nbytes > TRAJECTORY_BYTES:
+        raise ValueError(f"{points} states of dimension {dim} need {nbytes} bytes, over the budget of {TRAJECTORY_BYTES}")
+    return points - 1
 
 
 def propagate(
@@ -327,13 +333,7 @@ def propagate(
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n_steps = grid_steps(t_end, dt)
-    nbytes = 2 * (n_steps + 1) * model.dim**2 * np.dtype(complex).itemsize
-    if nbytes > TRAJECTORY_BYTES:
-        raise ValueError(
-            f"{n_steps + 1} states of dimension {model.dim} need {nbytes} bytes, "
-            f"over the budget of {TRAJECTORY_BYTES}"
-        )
+    n_steps = grid_steps(t_end, dt, model.dim)
     grid = np.arange(n_steps + 1) * dt
     gen = compile_generator(model)
     for form in gen.forms + tuple(ch.gamma for ch in model.channels):

@@ -19,11 +19,11 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from reference_generator import evaluate, reference_generator, reference_generator_theta_derivative
+from reference_generator import commutator, evaluate, reference_generator, reference_generator_theta_derivative
 
 from qfiflow.flow import DEFAULT_EPS_RANK, _sld_in_eigenbasis, flow_block, flow_table
 from qfiflow.model import compile_generator
-from qfiflow.operators import DEFAULT_TOLERANCES, DimensionMismatchError, as_operator, commutator, dagger, hermitize
+from qfiflow.operators import DEFAULT_TOLERANCES, DimensionMismatchError, as_operator, dagger, hermitize
 
 _IMAG_WARN = 1e-10
 

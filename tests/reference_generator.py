@@ -18,6 +18,7 @@ chunked prefix products did.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -27,12 +28,13 @@ from qfiflow.model import (
     ModelSpec,
     ScalarPoleError,
     SinusoidalScalar,
+    THETA_DEFECT_ROUNDINGS,
     ThetaDependence,
     ThetaScaledScalar,
     compile_generator,
     scalar_is_zero,
 )
-from qfiflow.operators import DimensionMismatchError, commutator, dagger
+from qfiflow.operators import DimensionMismatchError, dagger
 from qfiflow.propagation import _rk4_step
 
 
@@ -98,29 +100,39 @@ def scan_poles(s, times) -> None:
 
 def probe_theta_dependence(model: ModelSpec, theta: float, times, delta: float = 1e-4) -> dict:
     """Central differences in theta of H, every gamma_i and every A_i, one time at a
-    time, against the declared derivatives; channels aggregated by maximum."""
-    h_mag = h_defect = g_mag = g_defect = a_mag = a_defect = 0.0
+    time, against the declared derivatives; channels aggregated by maximum.  The
+    defect tolerance is THETA_DEFECT_ROUNDINGS eps / delta times the largest of 1,
+    |f(theta +/- delta)| and |declared|."""
+    worst = {key: [0.0, 0.0, 1.0] for key in ("hamiltonian", "decay_rates", "lindblad_operators")}
+
+    def probe(key, value, declared, t):
+        plus, minus, slope = value(t, theta + delta), value(t, theta - delta), declared(t, theta)
+        fd = (plus - minus) / (2.0 * delta)
+        w = worst[key]  # magnitude, defect, scale
+        w[0] = max(w[0], float(np.max(np.abs(fd))))
+        w[1] = max(w[1], float(np.max(np.abs(fd - slope))))
+        w[2] = max(w[2], *(float(np.max(np.abs(x))) for x in (plus, minus, slope)))
+
     for t in times:
-        fd = (evaluate(model.H, t, theta + delta) - evaluate(model.H, t, theta - delta)) / (2.0 * delta)
-        h_mag = max(h_mag, float(np.max(np.abs(fd))))
-        h_defect = max(h_defect, float(np.max(np.abs(fd - evaluate(model.dH_dtheta, t, theta)))))
+        probe("hamiltonian", partial(evaluate, model.H), partial(evaluate, model.dH_dtheta), t)
     for ch in model.channels:
         for t in times:
-            fd_g = (scalar(ch.gamma, t, theta + delta) - scalar(ch.gamma, t, theta - delta)) / (2.0 * delta)
-            g_mag = max(g_mag, abs(fd_g))
-            g_defect = max(g_defect, abs(fd_g - scalar(ch.dgamma_dtheta, t, theta)))
-            fd_a = (evaluate(ch.A, t, theta + delta) - evaluate(ch.A, t, theta - delta)) / (2.0 * delta)
-            a_mag = max(a_mag, float(np.max(np.abs(fd_a))))
-            a_defect = max(a_defect, float(np.max(np.abs(fd_a - evaluate(ch.dA_dtheta, t, theta)))))
-    return {
-        "hamiltonian": ThetaDependence(h_mag, model.dH_dtheta.is_zero, h_defect),
-        "decay_rates": ThetaDependence(
-            g_mag, all(scalar_is_zero(ch.dgamma_dtheta) for ch in model.channels), g_defect
-        ),
-        "lindblad_operators": ThetaDependence(
-            a_mag, all(ch.dA_dtheta.is_zero for ch in model.channels), a_defect
-        ),
+            probe("decay_rates", partial(scalar, ch.gamma), partial(scalar, ch.dgamma_dtheta), t)
+            probe("lindblad_operators", partial(evaluate, ch.A), partial(evaluate, ch.dA_dtheta), t)
+    declared_zero = {
+        "hamiltonian": model.dH_dtheta.is_zero,
+        "decay_rates": all(scalar_is_zero(ch.dgamma_dtheta) for ch in model.channels),
+        "lindblad_operators": all(ch.dA_dtheta.is_zero for ch in model.channels),
     }
+    rounding = THETA_DEFECT_ROUNDINGS * float(np.finfo(float).eps) / delta
+    return {key: ThetaDependence(m, declared_zero[key], d, rounding * s) for key, (m, d, s) in worst.items()}
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] = ab - ba."""
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
+    return a @ b - b @ a
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -368,6 +368,11 @@ REJECTIONS = [
     ),
     # the grid again, last so that the rows above keep their test ids
     (_top(t_end=1e300, dt=1e-300), "/t_end", "the grid needs a finite number of steps (t_end / dt = inf)"),
+    (
+        _top(t_end=1e12, dt=1e-3),
+        "/t_end",
+        "1000000000000001 states of dimension 2 need 128000000000000128 bytes, over the budget of 1073741824",
+    ),
 ]
 
 
@@ -506,7 +511,7 @@ class TestRunSimulate:
         assert summary.all_checks_passed
         assert summary.checks["oracle"].passed is True
         assert summary.max_abs_flow_fd_minus_subflow_sum <= summary.tolerances["flow_accept"]
-        assert all(v.status == "holds" for v in summary.theta_independence.values())
+        assert all(p.holds and p.consistent for p in summary.theta_independence.values())
         assert csv.exists() and summ.exists()
         assert json.loads(summ.read_text()) == summary_to_dict(summary)
 
@@ -522,9 +527,9 @@ class TestRunSimulate:
             )
         )
         summary = run_simulate(cfg)
-        assert summary.theta_independence["hamiltonian"].status == "violated"
-        assert summary.theta_independence["hamiltonian"].magnitude == pytest.approx(0.5)
-        assert summary.theta_independence["decay_rates"].status == "holds"
+        assert not summary.theta_independence["hamiltonian"].holds
+        assert summary.theta_independence["hamiltonian"].fd_magnitude == pytest.approx(0.5)
+        assert summary.theta_independence["decay_rates"].holds
         assert summary.max_abs_ham_term > 0.0
         # decomposition-only residual is large, full-flow residual small
         assert summary.max_abs_flow_fd_minus_subflow_sum > 100 * summary.tolerances["flow_accept"]
@@ -543,7 +548,7 @@ class TestRunSimulate:
             )
         )
         summary = run_simulate(cfg)
-        assert summary.theta_independence["decay_rates"].status == "violated"
+        assert not summary.theta_independence["decay_rates"].holds
         assert summary.max_abs_residual_t > 0.0
         assert summary.all_checks_passed
 
@@ -588,6 +593,58 @@ class TestRunSimulate:
         summary = run_simulate(cfg)
         emit_summary(summary, str(summ))
         assert json.loads(summ.read_bytes()) == summary_to_dict(summary)
+
+
+SIGMA_MINUS_DOC = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+# A qubit decaying through A = theta sigma_minus, so dA_dtheta = sigma_minus.
+THETA_A_MODEL = {
+    "dim": 2,
+    "hamiltonian": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+    "channels": [
+        {
+            "label": "ad",
+            "A": [{"matrix": SIGMA_MINUS_DOC, "modulation": {"form": "theta_scaled", "base": 1.0}}],
+            "gamma": 1.0,
+            "dA_dtheta": [{"matrix": SIGMA_MINUS_DOC, "modulation": 1.0}],
+        }
+    ],
+    "rho0_family": {"family": "ry_fixed", "angle": 1.5707963267948966},
+    "theta": 1.0,
+}
+
+
+class TestDeclaredDerivatives:
+    """A wrong declared theta-derivative fails the oracle check.  The run forms
+    drho_dtheta, F and every flow column from the declarations, so the flow agrees
+    with its oracle either way; only the probe's defect shows the mistake."""
+
+    @staticmethod
+    def _check(tmp_path, model, key, double, defect):
+        def run(doc):
+            outputs = [{"csv_path": str(tmp_path / "o.csv")}]
+            return run_simulate(parse_config(json.dumps({"model": doc, "t_end": 0.5, "dt": 0.001, "outputs": outputs})))
+
+        right = run(model)
+        assert right.checks["oracle"].passed is True
+        assert right.theta_independence[key].consistent
+        double(model)  # the declared derivative: 1 -> 2
+        wrong = run(model)
+        assert wrong.theta_independence[key].defect == pytest.approx(defect)
+        assert not wrong.theta_independence[key].consistent
+        assert wrong.checks["oracle"].passed is False
+
+    def test_doubled_dH_dtheta(self, tmp_path):
+        model = model_to_config(builtin_model("phase-dephasing"))
+        self._check(tmp_path, model, "hamiltonian", lambda m: m["dH_dtheta"][0].update(modulation=2.0), 0.5)
+
+    def test_doubled_dgamma_dtheta(self, tmp_path):
+        model = model_to_config(builtin_model("rate-estimation"))
+        self._check(tmp_path, model, "decay_rates", lambda m: m["channels"][0].update(dgamma_dtheta=2.0), 1.0)
+
+    def test_doubled_dA_dtheta(self, tmp_path):
+        model = json.loads(json.dumps(THETA_A_MODEL))
+        double = lambda m: m["channels"][0]["dA_dtheta"][0].update(modulation=2.0)  # noqa: E731
+        self._check(tmp_path, model, "lindblad_operators", double, 1.0)
 
 
 class TestMain:
@@ -647,6 +704,14 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert "check oracle: pass" in proc.stdout
         assert len(csv.read_text().splitlines()) == 52
+
+    def test_wrong_declared_derivative_exit_one(self, tmp_path, capsys):
+        # rate-estimation inline, gamma = theta with dgamma_dtheta declared 2, default checks
+        model = model_to_config(builtin_model("rate-estimation"))
+        model["channels"][0]["dgamma_dtheta"] = 2.0
+        doc = {"model": model, "t_end": 1.0, "dt": 0.001, "outputs": [{"csv_path": str(tmp_path / "o.csv")}]}
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 1
+        assert "check oracle: FAIL" in capsys.readouterr().out
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -500,6 +501,21 @@ class TestBuiltinModels:
             validate_model(bad)
 
 
+def _declared_from_forms(model: ModelSpec) -> ModelSpec:
+    """The model with every theta-derivative declared from its forms: a rate or a
+    term's modulation theta f declares f, any other declares nothing."""
+
+    def slope(s):
+        return s.base if isinstance(s, ThetaScaledScalar) else ConstantScalar(0.0)
+
+    def d_op(op):
+        terms = (t for t in op.terms if isinstance(t.modulation, ThetaScaledScalar))
+        return TimeDependentOperator(op.dim, tuple(OperatorTerm(t.base, t.modulation.base) for t in terms))
+
+    channels = [dataclasses.replace(ch, dA_dtheta=d_op(ch.A), dgamma_dtheta=slope(ch.gamma)) for ch in model.channels]
+    return dataclasses.replace(model, dH_dtheta=d_op(model.H), channels=tuple(channels))
+
+
 class TestThetaDependenceProbe:
     def test_ad_nm_independent(self):
         probes = probe_theta_dependence(builtin_model("ad-nm"), 0.7, (0.0, 1.0, 2.0))
@@ -532,15 +548,18 @@ class TestThetaDependenceProbe:
         # |theta| <= 1, so |f| < 64 and one ulp is at most 2**-47.  The central
         # difference multiplies an ulp on each side by 1 / (2 delta) = 5000:
         # at most 2 * 5000 * 2**-47 = 7.1e-11 < 1e-10, in fd_magnitude and in
-        # the defect alike.
+        # the defect alike; the defect tolerance is a multiple of the largest |f|.
         got = probe_theta_dependence(model, theta, tuple(times))
         expected = ref.probe_theta_dependence(model, theta, times)
         assert got.keys() == expected.keys()
         for key, probe in expected.items():
             assert got[key].declared_zero == probe.declared_zero
-            for field in ("fd_magnitude", "defect"):
+            for field in ("fd_magnitude", "defect", "defect_tolerance"):
                 value = getattr(probe, field)
                 assert abs(getattr(got[key], field) - value) <= 1e-10 * max(1.0, abs(value))
+        # the same draw with its declarations made right passes the defect check
+        for probe in probe_theta_dependence(_declared_from_forms(model), theta, tuple(times)).values():
+            assert probe.defect <= probe.defect_tolerance
 
 
 class TestStateFamilies:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from reference_generator import anticommutator
+from reference_generator import anticommutator, commutator
 
 from qfiflow.operators import (
     IDENTITY_2,
@@ -18,7 +18,6 @@ from qfiflow.operators import (
     NotHermitianError,
     ToleranceConfig,
     TraceDeviationError,
-    commutator,
     density_eigh,
     hermiticity_defect,
     hermitize,
