@@ -119,7 +119,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     max_residual = float(np.max(np.abs(table.residual_T)))
     cuts = np.flatnonzero(table.thresholded_pairs)
 
-    probes = probe_theta_dependence(model, theta, tuple(np.linspace(0.0, config.t_end, 5).tolist()), config.delta_theta)
+    probes = probe_theta_dependence(model, theta, traj.grid, config.dt)
 
     interval_reports = tuple(classify_intervals(table))
 
@@ -128,7 +128,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
 
     def oracle() -> tuple:
         passed, value = max_completeness <= flow_accept and all(p.consistent for p in probes.values()), max_completeness
-        if all(p.declared_zero for p in probes.values()):
+        if all(p.holds for p in probes.values()):  # condition (ii): the subflows sum to the flow
             passed, value = passed and max_decomposition <= flow_accept, max(value, max_decomposition)
         return passed, value
 
@@ -313,7 +313,10 @@ def main(argv: list[str] | None = None) -> int:
             detail = f" (value {outcome.value:.3e}, tolerance {outcome.tolerance:.3e})"
         print(f"check {name}: {status}{detail}")
     for key, probe in summary.theta_independence.items():
-        verdict = "holds" if probe.holds else f"violated (magnitude {probe.fd_magnitude:.6g})"
+        verdict = "holds" if probe.holds else f"violated (magnitude {probe.magnitude:.6g})"
+        if not probe.consistent:
+            verdict += f"; declared derivative inconsistent (defect {probe.defect:.3e}, "
+            verdict += f"tolerance {probe.defect_tolerance:.3e})"
         print(f"theta-independence {key}: {verdict}")
     return 0 if summary.all_checks_passed else 1
 

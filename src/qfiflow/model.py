@@ -66,6 +66,7 @@ __all__ = [
     "DEFAULT_DELTA_THETA",
     "ThetaDependence",
     "probe_theta_dependence",
+    "theta_slope",
     "validate_model",
     "ry_rotation",
 ]
@@ -575,84 +576,79 @@ BUILTINS = {
 
 BUILTIN_MODEL_NAMES = tuple(sorted(BUILTINS))
 
-# Step of every central difference in theta: probes, model checks, the theta check.
+# Step of every central difference in theta: the model checks and the theta check.
 DEFAULT_DELTA_THETA = 1e-4
-# Measured theta dependence above which an ingredient violates condition (ii).
-THETA_DEPENDENCE_EPS = 1e-10
-# A probe's defect allowance, in eps / delta times max(1, |f|, |declared|): every theta
-# dependence is affine (theta-scaled forms, modulated terms), so the central difference has
-# no truncation term, only the eps/2 roundings of theta +/- delta, of f there and of f+ - f-.
-THETA_DEFECT_ROUNDINGS = 16
+# A probe's defect allowance, in eps times max(1, |slope|, |declared|): both are sums of (form
+# value) x (matrix) terms from the same evaluators, so a declaration written with the slope's own
+# forms and matrices reads 0, and one written otherwise differs by the two sums' roundings: up to
+# four products and four additions of at most eps/2 of the scale, 4 eps per side, 8 for both.
+THETA_DEFECT_ROUNDINGS = 8
+
+
+def theta_slope(x):
+    """The exact theta-derivative of a scalar form or an operator: every theta dependence a
+    form can express is theta * base, base theta-independent, of slope base; any other form
+    has slope zero.  An operator's slope is its terms with their modulations' non-zero slopes."""
+    if not isinstance(x, TimeDependentOperator):
+        return x.base if isinstance(x, ThetaScaledScalar) else _ZERO_SCALAR
+    slopes = ((t.base, theta_slope(t.modulation)) for t in x.terms)
+    return TimeDependentOperator(x.dim, tuple(OperatorTerm(b, s) for b, s in slopes if not scalar_is_zero(s)))
 
 
 @dataclass(frozen=True)
 class ThetaDependence:
-    """Finite-difference probe of one generator ingredient's theta dependence.
+    """One ingredient's theta dependence: condition (ii) ``holds`` when the ``magnitude`` of its
+    exact slope is 0; its declarations are ``consistent`` when ``defect <= defect_tolerance``."""
 
-    Condition (ii) ``holds`` for the ingredient when ``fd_magnitude`` is at most
-    ``THETA_DEPENDENCE_EPS``; its declarations are ``consistent`` when it is declared
-    zero exactly then and the ``defect`` is within ``defect_tolerance``, the rounding
-    of the central difference.
-    """
-
-    fd_magnitude: float
-    declared_zero: bool
+    magnitude: float
     defect: float
     defect_tolerance: float
 
     @property
     def holds(self) -> bool:
-        return self.fd_magnitude <= THETA_DEPENDENCE_EPS
+        return self.magnitude == 0.0
 
     @property
     def consistent(self) -> bool:
-        return self.holds == self.declared_zero and self.defect <= self.defect_tolerance
+        return self.defect <= self.defect_tolerance
 
 
-def probe_theta_dependence(
-    model: ModelSpec,
-    theta: float,
-    times: tuple[float, ...],
-    delta: float = DEFAULT_DELTA_THETA,
-) -> dict[str, ThetaDependence]:
-    """Central-difference check of the declared theta-derivatives.
+def probe_theta_dependence(model: ModelSpec, theta: float, grid: np.ndarray, dt: float) -> dict[str, ThetaDependence]:
+    """Condition (ii) and the declared theta-derivatives, exactly, at every time ``propagate``
+    evaluates the generator on the grid t_k = k dt: grid points and step midpoints t_k + dt/2.
 
-    Returns probes keyed by ingredient ("hamiltonian", "decay_rates",
-    "lindblad_operators"); channel results are aggregated by maximum.
-    ``fd_magnitude`` is the measured theta dependence, ``defect`` the
-    disagreement between the finite difference and the declared derivative,
-    ``defect_tolerance`` its rounding (``THETA_DEFECT_ROUNDINGS``).
+    Per ingredient ("hamiltonian", "decay_rates", "lindblad_operators"; channels by maximum):
+    ``magnitude``, the largest |slope| (:func:`theta_slope`); ``defect``, the largest |slope -
+    declared|; ``defect_tolerance``, THETA_DEFECT_ROUNDINGS eps times max(1, |slope|, |declared|).
+    Rates are 1 x 1 operators; structurally zero pairs are skipped, all-constant ones evaluated
+    at one time, others a block of times at a time, at most ``np.getbufsize()`` reals a stack.
     """
-    times = np.asarray(times, dtype=float)
 
     def largest(x) -> float:
         return float(np.max(np.abs(x), initial=0.0))
 
-    def dependence(ingredients: list, declared_zero: bool) -> ThetaDependence:
-        """Largest |central difference in theta| over the times and the ingredients,
-        pairs (values at a theta, declared derivative), its largest |defect|, and the
-        rounding allowance at the largest scale max(1, |f|, |declared|)."""
-        magnitude, defect, scale = 0.0, 0.0, 1.0
-        for values, declared in ingredients:
-            plus, minus = values(theta + delta), values(theta - delta)
-            fd = (plus - minus) / (2.0 * delta)
-            magnitude = max(magnitude, largest(fd))
-            defect = max(defect, largest(fd - declared))
-            scale = max(scale, largest(plus), largest(minus), largest(declared))
-        tolerance = THETA_DEFECT_ROUNDINGS * float(np.finfo(float).eps) / delta * scale
-        return ThetaDependence(magnitude, declared_zero, defect, tolerance)
+    rate = partial(modulated_operator, np.ones((1, 1)))
 
-    H, dH, channels = model.H, model.dH_dtheta, model.channels
+    def dependence(pairs: list) -> ThetaDependence:  # (ingredient, declared derivative) operators
+        magnitude, defect, scale = 0.0, 0.0, 1.0
+        for ops in ((theta_slope(x), declared) for x, declared in pairs):
+            if all(op.is_zero for op in ops):
+                continue
+            varying = any(np.ndim(scalar_values(t.modulation, grid[:1], theta)) for op in ops for t in op.terms)
+            span, step = (len(grid) if varying else 1), max(1, np.getbufsize() // (4 * ops[0].dim**2))
+            for i in range(0, span, step):
+                points = grid[i : min(i + step, span)]
+                at = np.concatenate([points, points[: len(grid) - 1 - i] + 0.5 * dt])
+                slope, value = (op.evaluate_many(at, theta) for op in ops)
+                magnitude = max(magnitude, largest(slope))
+                scale = max(scale, magnitude, largest(value))
+                defect = max(defect, largest(np.subtract(slope, value, out=slope)))
+        return ThetaDependence(magnitude, defect, THETA_DEFECT_ROUNDINGS * float(np.finfo(float).eps) * scale)
+
     return {
-        "hamiltonian": dependence([(partial(H.evaluate_many, times), dH.evaluate_many(times, theta))], dH.is_zero),
-        "decay_rates": dependence(
-            [(partial(scalar_values, ch.gamma, times), scalar_values(ch.dgamma_dtheta, times, theta)) for ch in channels],
-            all(scalar_is_zero(ch.dgamma_dtheta) for ch in channels),
-        ),
-        "lindblad_operators": dependence(
-            [(partial(ch.A.evaluate_many, times), ch.dA_dtheta.evaluate_many(times, theta)) for ch in channels],
-            all(ch.dA_dtheta.is_zero for ch in channels),
-        ),
+        "hamiltonian": dependence([(model.H, model.dH_dtheta)]),
+        "decay_rates": dependence([(rate(ch.gamma), rate(ch.dgamma_dtheta)) for ch in model.channels]),
+        "lindblad_operators": dependence([(ch.A, ch.dA_dtheta) for ch in model.channels]),
     }
 
 

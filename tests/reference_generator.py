@@ -4,8 +4,9 @@ for the library's stacked evaluators and its compiled generator.
 ``scalar`` and ``evaluate`` give a scalar form or an operator at one (theta, t)
 with the math and cmath functions, the way the library evaluated them
 before ``scalar_values`` and ``evaluate_many`` became its only forms;
-``scan_poles`` and ``probe_theta_dependence`` are the pole scan and the
-theta probe built on them, point by point.  The generator loops evaluate
+``scan_poles`` is the pole scan built on them, point by point, and
+``probe_theta_dependence`` the central difference in theta that the library's
+theta probe replaced with exact slopes.  The generator loops evaluate
 every operator at (theta, t) and apply K and the product rule for
 d/dtheta (K rho) term by term, the way the library did before the
 generator was compiled into scalar coefficients on constant matrices.
@@ -28,11 +29,8 @@ from qfiflow.model import (
     ModelSpec,
     ScalarPoleError,
     SinusoidalScalar,
-    THETA_DEFECT_ROUNDINGS,
-    ThetaDependence,
     ThetaScaledScalar,
     compile_generator,
-    scalar_is_zero,
 )
 from qfiflow.operators import DimensionMismatchError, dagger
 from qfiflow.propagation import _rk4_step
@@ -100,18 +98,15 @@ def scan_poles(s, times) -> None:
 
 def probe_theta_dependence(model: ModelSpec, theta: float, times, delta: float = 1e-4) -> dict:
     """Central differences in theta of H, every gamma_i and every A_i, one time at a
-    time, against the declared derivatives; channels aggregated by maximum.  The
-    defect tolerance is THETA_DEFECT_ROUNDINGS eps / delta times the largest of 1,
-    |f(theta +/- delta)| and |declared|."""
-    worst = {key: [0.0, 0.0, 1.0] for key in ("hamiltonian", "decay_rates", "lindblad_operators")}
+    time: per ingredient (channels aggregated by maximum), the largest |difference|
+    and the largest |difference - declared derivative|."""
+    worst = {key: [0.0, 0.0] for key in ("hamiltonian", "decay_rates", "lindblad_operators")}
 
     def probe(key, value, declared, t):
-        plus, minus, slope = value(t, theta + delta), value(t, theta - delta), declared(t, theta)
-        fd = (plus - minus) / (2.0 * delta)
-        w = worst[key]  # magnitude, defect, scale
+        fd = (value(t, theta + delta) - value(t, theta - delta)) / (2.0 * delta)
+        w = worst[key]  # magnitude, defect
         w[0] = max(w[0], float(np.max(np.abs(fd))))
-        w[1] = max(w[1], float(np.max(np.abs(fd - slope))))
-        w[2] = max(w[2], *(float(np.max(np.abs(x))) for x in (plus, minus, slope)))
+        w[1] = max(w[1], float(np.max(np.abs(fd - declared(t, theta)))))
 
     for t in times:
         probe("hamiltonian", partial(evaluate, model.H), partial(evaluate, model.dH_dtheta), t)
@@ -119,13 +114,7 @@ def probe_theta_dependence(model: ModelSpec, theta: float, times, delta: float =
         for t in times:
             probe("decay_rates", partial(scalar, ch.gamma), partial(scalar, ch.dgamma_dtheta), t)
             probe("lindblad_operators", partial(evaluate, ch.A), partial(evaluate, ch.dA_dtheta), t)
-    declared_zero = {
-        "hamiltonian": model.dH_dtheta.is_zero,
-        "decay_rates": all(scalar_is_zero(ch.dgamma_dtheta) for ch in model.channels),
-        "lindblad_operators": all(ch.dA_dtheta.is_zero for ch in model.channels),
-    }
-    rounding = THETA_DEFECT_ROUNDINGS * float(np.finfo(float).eps) / delta
-    return {key: ThetaDependence(m, declared_zero[key], d, rounding * s) for key, (m, d, s) in worst.items()}
+    return {key: tuple(w) for key, w in worst.items()}
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

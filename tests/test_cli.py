@@ -528,7 +528,7 @@ class TestRunSimulate:
         )
         summary = run_simulate(cfg)
         assert not summary.theta_independence["hamiltonian"].holds
-        assert summary.theta_independence["hamiltonian"].fd_magnitude == pytest.approx(0.5)
+        assert summary.theta_independence["hamiltonian"].magnitude == 0.5
         assert summary.theta_independence["decay_rates"].holds
         assert summary.max_abs_ham_term > 0.0
         # decomposition-only residual is large, full-flow residual small
@@ -706,12 +706,36 @@ class TestMain:
         assert len(csv.read_text().splitlines()) == 52
 
     def test_wrong_declared_derivative_exit_one(self, tmp_path, capsys):
-        # rate-estimation inline, gamma = theta with dgamma_dtheta declared 2, default checks
+        # rate-estimation inline, gamma = theta with dgamma_dtheta declared 2, default checks;
+        # the oracle value is the flow residual, within its tolerance, so only the probe's
+        # line can say why the check failed
         model = model_to_config(builtin_model("rate-estimation"))
         model["channels"][0]["dgamma_dtheta"] = 2.0
         doc = {"model": model, "t_end": 1.0, "dt": 0.001, "outputs": [{"csv_path": str(tmp_path / "o.csv")}]}
         assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 1
-        assert "check oracle: FAIL" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("check oracle: FAIL")
+        assert lines[-3:] == [
+            "theta-independence hamiltonian: holds",
+            "theta-independence decay_rates: violated (magnitude 1); "
+            "declared derivative inconsistent (defect 1.000e+00, tolerance 3.553e-15)",
+            "theta-independence lindblad_operators: holds",
+        ]
+
+    def test_derivative_wrong_between_sample_times_exit_one(self, tmp_path, capsys):
+        # gamma = theta with dgamma_dtheta = 1 + sin(4 pi t / 5): right at t = 0, 1.25,
+        # 2.5, 3.75 and 5, wrong by up to 1 in between, so a probe sampling those five
+        # times passes it; the run evaluates the generator at every grid point and midpoint
+        model = model_to_config(builtin_model("rate-estimation"))
+        model["channels"][0]["dgamma_dtheta"] = {"form": "sinusoidal", "c0": 1, "a": 1, "omega": 4 * math.pi / 5}
+        doc = {"model": model, "t_end": 5, "dt": 0.001, "outputs": [{"csv_path": str(tmp_path / "o.csv")}]}
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 1
+        out = capsys.readouterr().out
+        assert "check oracle: FAIL" in out
+        assert (
+            "theta-independence decay_rates: violated (magnitude 1); "
+            "declared derivative inconsistent (defect 1.000e+00, tolerance 3.553e-15)\n"
+        ) in out
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -24,6 +24,7 @@ from qfiflow.model import (
     ConstantScalar,
     FixedRyStateFamily,
     JcLorentzianScalar,
+    LinearStateFamily,
     ModelSpec,
     OperatorTerm,
     RyStateFamily,
@@ -40,6 +41,7 @@ from qfiflow.model import (
     scalar_is_zero,
     scalar_values,
     scan_scalar_poles,
+    theta_slope,
     validate_model,
     zero_operator,
 )
@@ -516,50 +518,97 @@ def _declared_from_forms(model: ModelSpec) -> ModelSpec:
     return dataclasses.replace(model, dH_dtheta=d_op(model.H), channels=tuple(channels))
 
 
+def _grid(n: int, dt: float) -> np.ndarray:
+    return np.arange(n + 1) * dt
+
+
 class TestThetaDependenceProbe:
+    def test_slope_of_each_form(self):
+        g = SinusoidalScalar(0.5, 0.3, 2.0)
+        assert theta_slope(ThetaScaledScalar(g)) == g
+        for s in (ConstantScalar(2.0), g, JcLorentzianScalar(1.0, 3.0)):
+            assert scalar_is_zero(theta_slope(s))
+        op = TimeDependentOperator(2, (OperatorTerm(SIGMA_X, g), OperatorTerm(SIGMA_Z, ThetaScaledScalar(g))))
+        (term,) = theta_slope(op).terms
+        assert term.base is SIGMA_Z and term.modulation == g
+
     def test_ad_nm_independent(self):
-        probes = probe_theta_dependence(builtin_model("ad-nm"), 0.7, (0.0, 1.0, 2.0))
+        probes = probe_theta_dependence(builtin_model("ad-nm"), 0.7, _grid(2000, 1e-3), 1e-3)
         for probe in probes.values():
-            assert probe.fd_magnitude == 0.0
-            assert probe.declared_zero
-            assert probe.defect <= 1e-12
+            assert probe.magnitude == 0.0 and probe.holds
+            assert probe.defect == 0.0 and probe.consistent
 
     def test_phase_dephasing_hamiltonian_dependence(self):
-        probes = probe_theta_dependence(builtin_model("phase-dephasing"), 0.3, (0.0, 1.0))
-        assert probes["hamiltonian"].fd_magnitude == pytest.approx(0.5)
-        assert not probes["hamiltonian"].declared_zero
-        assert probes["hamiltonian"].defect <= 1e-10
-        assert probes["decay_rates"].fd_magnitude == 0.0
+        probes = probe_theta_dependence(builtin_model("phase-dephasing"), 0.3, _grid(1000, 1e-3), 1e-3)
+        assert probes["hamiltonian"].magnitude == 0.5
+        assert not probes["hamiltonian"].holds
+        assert probes["hamiltonian"].defect == 0.0
+        assert probes["decay_rates"].magnitude == 0.0
 
     def test_rate_estimation_rate_dependence(self):
-        probes = probe_theta_dependence(builtin_model("rate-estimation"), 1.0, (0.0, 1.0))
-        assert probes["decay_rates"].fd_magnitude == pytest.approx(1.0)
-        assert not probes["decay_rates"].declared_zero
-        assert probes["decay_rates"].defect <= 1e-10
-        assert probes["hamiltonian"].fd_magnitude == 0.0
+        probes = probe_theta_dependence(builtin_model("rate-estimation"), 1.0, _grid(1000, 1e-3), 1e-3)
+        assert probes["decay_rates"].magnitude == 1.0
+        assert not probes["decay_rates"].holds
+        assert probes["decay_rates"].defect == 0.0
+        assert probes["hamiltonian"].magnitude == 0.0
 
     @settings(max_examples=150, deadline=None)
-    @given(models(), real(1.0), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5))
-    def test_matches_per_point_reference(self, model, theta, times):
-        # Both take central differences of the same closed forms, and differ only
-        # in np.sin against math.sin and in stacked against one-matrix sums: at
-        # most one ulp of each evaluated entry f.  An entry of a models() draw is
-        # a sum of at most 3 terms of modulus at most 2 * 6 * (1 + delta) at
-        # |theta| <= 1, so |f| < 64 and one ulp is at most 2**-47.  The central
-        # difference multiplies an ulp on each side by 1 / (2 delta) = 5000:
-        # at most 2 * 5000 * 2**-47 = 7.1e-11 < 1e-10, in fd_magnitude and in
-        # the defect alike; the defect tolerance is a multiple of the largest |f|.
-        got = probe_theta_dependence(model, theta, tuple(times))
-        expected = ref.probe_theta_dependence(model, theta, times)
+    @given(models(), real(1.0), st.integers(1, 6), st.floats(0.01, 0.5))
+    def test_matches_per_point_reference(self, model, theta, n, dt):
+        # The library's exact slope against the reference's central difference of the
+        # same closed forms, at the grid points and step midpoints.  An entry of a
+        # models() draw sums at most 3 terms, a modulation of modulus at most 6 (times
+        # |theta +/- delta| <= 1 + delta where theta-scaled) on a matrix part of modulus
+        # at most 2.  In f(theta +/- delta) each term rounds at most three times (theta
+        # +/- delta, its product with the modulation, the product with the matrix), at
+        # most 12.01 u each (u = 2**-53), and the sum twice, at most 24.01 u and 36.01 u:
+        # 168.1 u per real part of each side.  The central difference divides the two
+        # sides' errors by 2 delta = 2e-4: 2 * 168.1 u / 2e-4 = 1.87e-10 per real part,
+        # 2.64e-10 in modulus.  math.sin against np.sin and the library's own sums add
+        # below 1e-13, so magnitudes and defects agree within 3e-10.
+        grid = _grid(n, dt)
+        got = probe_theta_dependence(model, theta, grid, dt)
+        expected = ref.probe_theta_dependence(model, theta, list(grid) + [t + 0.5 * dt for t in grid[:-1]])
         assert got.keys() == expected.keys()
-        for key, probe in expected.items():
-            assert got[key].declared_zero == probe.declared_zero
-            for field in ("fd_magnitude", "defect", "defect_tolerance"):
-                value = getattr(probe, field)
-                assert abs(getattr(got[key], field) - value) <= 1e-10 * max(1.0, abs(value))
+        for key, (magnitude, defect) in expected.items():
+            assert abs(got[key].magnitude - magnitude) <= 3e-10
+            assert abs(got[key].defect - defect) <= 3e-10
         # the same draw with its declarations made right passes the defect check
-        for probe in probe_theta_dependence(_declared_from_forms(model), theta, tuple(times)).values():
+        for probe in probe_theta_dependence(_declared_from_forms(model), theta, grid, dt).values():
             assert probe.defect <= probe.defect_tolerance
+
+    @staticmethod
+    def _peaked(d: int, t_peak: float, omega: float = 7.3) -> ModelSpec:
+        """A d-level model whose A = theta (1 + sin(omega t + phi)) sigma_x (x) 1, dA_dtheta
+        = sigma_x (x) 1: slope 2 and defect 1 at t_peak, smaller at every other time."""
+        base = np.kron(SIGMA_X, np.eye(d // 2)).astype(complex)
+        form = SinusoidalScalar(1.0, 1.0, omega, math.pi / 2 - omega * t_peak)
+        channel = Channel("x", modulated_operator(base, ThetaScaledScalar(form)), ConstantScalar(0.5), constant_operator(base), ConstantScalar(0.0))
+        return ModelSpec(d, zero_operator(d), zero_operator(d), (channel,), LinearStateFamily(np.eye(d) / d, np.zeros((d, d)), 0.0), 0.3)
+
+    def test_reads_the_last_step_midpoint(self):
+        # at d = 16 the 300 steps take many blocks; a probe that missed the last block,
+        # or the step midpoints, would read at most cos(omega dt / 2) = 1 - 6.7e-4 there
+        dt, n = 0.01, 300
+        probe = probe_theta_dependence(self._peaked(16, n * dt - 0.5 * dt), 0.3, _grid(n, dt), dt)["lindblad_operators"]
+        assert probe.magnitude == pytest.approx(2.0, abs=1e-12)
+        assert probe.defect == pytest.approx(1.0, abs=1e-12)
+        assert not probe.consistent
+
+    def test_transient_memory_does_not_grow_with_the_run(self):
+        dt = 1e-3
+        model = self._peaked(16, 0.1)
+        peaks = []
+        for n in (250, 1000):
+            grid = _grid(n, dt)
+            tracemalloc.start()
+            try:
+                probe_theta_dependence(model, 0.3, grid, dt)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096
+        assert peaks[1] <= COEFFICIENT_BYTES // 2
 
 
 class TestStateFamilies:
