@@ -133,7 +133,7 @@ class _ScalarSum:
 
 
 def scalar_is_zero(s: TimeDependentScalar) -> bool:
-    """Structurally identically zero (used for declared-derivative bookkeeping)."""
+    """Structurally identically zero: the zero rule of compile_generator (no coefficient) and theta_slope (no term)."""
     if isinstance(s, ConstantScalar):
         return s.c == 0.0
     if isinstance(s, SinusoidalScalar):
@@ -391,7 +391,7 @@ class CompiledGenerator:
     state per theta under K(theta) or, with ``derivative``, the pair
     (rho, drho_dtheta) per theta under [[K, 0], [dK/dtheta, K]], a structure
     :meth:`act` applies, so no zero or repeated block is ever formed; it is the
-    one statement of this algebra, which the integrator's step maps read.
+    one statement of this algebra, which the integrator's unit map reads whole.
     """
 
     dim: int
@@ -576,7 +576,7 @@ BUILTINS = {
 
 BUILTIN_MODEL_NAMES = tuple(sorted(BUILTINS))
 
-# Step of every central difference in theta: the model checks and the theta check.
+# Step of the theta check, the one central difference in theta; validate_model checks rho0 at theta +/- it.
 DEFAULT_DELTA_THETA = 1e-4
 # A probe's defect allowance, in eps times max(1, |slope|, |declared|): both are sums of (form
 # value) x (matrix) terms from the same evaluators, so a declaration written with the slope's own

@@ -14,14 +14,14 @@ distinct blocks (K, and dK/dtheta where theta enters it; see
 t_k + dt/2, t_(k+1) (t_k's carried over); a path only advances the stack.
 The equation is linear, so one RK4 step is a fixed real matrix in real
 Hermitian coordinates (per member: the diagonal, then the real parts of the
-upper triangle, then its imaginary parts).  Where the unit maps (from a
-block's operators at one time to its matrix in these coordinates, read from
-the generator's ``act``) and one block of step maps fit ``COEFFICIENT_BYTES``,
-S(t) is assembled from those matrices a batch of steps at a time, batched
-matrix products give the step maps, chunked prefix products advance the
-coordinates with no loop over steps, and the rebuilt states are exactly
-Hermitian.  Otherwise (large d) RK4 steps act on the matrices themselves and
-re-hermitize after every step.
+upper triangle, then its imaginary parts).  Where the unit map (from one
+theta's operators at one time to its matrix in these coordinates, read whole
+from the generator's ``act``) and one block of step maps fit
+``COEFFICIENT_BYTES``, one product with it gives S(t) a batch of steps at a
+time, batched matrix products give the step maps, chunked prefix products
+advance the coordinates with no loop over steps, and the rebuilt states are
+exactly Hermitian.  Otherwise (large d) RK4 steps act on the matrices
+themselves and re-hermitize after every step.
 Sizes alone choose the path (:func:`_block_steps`); the two agree to rounding.
 Each state's derivative is formed once: S(t) c, or its step's first RK4 stage.
 
@@ -145,33 +145,30 @@ def _half_grid(t: np.ndarray, dt: float) -> np.ndarray:
     return np.stack([t[:-1] + 0.5 * dt, t[1:]], axis=-1).ravel()
 
 
-def _unit_maps(gen: CompiledGenerator) -> list[tuple[slice, np.ndarray]]:
-    """Per distinct block of the generator (K, then dK/dtheta), its w columns of the operators'
-    real view and the real-linear map from them at one time to its d^2 x d^2 matrix in
-    coordinates, (w, d^4): row r is ``gen.act`` on the Hermitian basis as rho (drho_dtheta = 0)
-    under the r-th real unit, read from the member the block writes (K: rho, dK: drho_dtheta)."""
-    d, widths = gen.dim, [c.shape[1] for c in gen.constants]
-    x = np.zeros((sum(widths), d * d, 2 if gen.derivative else 1, d, d), dtype=complex)
-    x[:, :, 0] = _matrices(np.eye(d * d), d)
-    y = gen.act(np.eye(len(x)).view(complex).reshape(len(x), 1, 1, len(x) // (2 * d), d), x)
-    cols = [slice(end - w, end) for w, end in zip(widths, np.cumsum(widths).tolist())]
-    return [(c, _coordinates(y[c, :, i]).swapaxes(1, 2).reshape(c.stop - c.start, d**4)) for i, c in enumerate(cols)]
+def _unit_maps(gen: CompiledGenerator) -> np.ndarray:
+    """The real-linear map from one theta's operators at one time to its m x m matrix in
+    coordinates, (w, m^2), m = k d^2 for the k members of a theta (rho and drho_dtheta for
+    a pair, else one state): row r is ``gen.act`` on the coordinate basis of all k members
+    under the r-th of the operators' w real units, so a pair's [[S_K, 0], [S_dK, S_K]]
+    comes out of ``act`` whole."""
+    d, w, k = gen.dim, sum(c.shape[1] for c in gen.constants), 2 if gen.derivative else 1
+    m = k * d * d
+    x = np.broadcast_to(_matrices(np.eye(m).reshape(m, k, d * d), d), (w, m, k, d, d))
+    y = gen.act(np.eye(w).view(complex).reshape(w, 1, 1, w // (2 * d), d), x)
+    return _coordinates(y).reshape(w, m, m).swapaxes(1, 2).reshape(w, m * m)
 
 
-def _generator_maps(ops: np.ndarray, units: list, per: int) -> np.ndarray:
-    """S(t) at every time of the stack's operators, the k d^2 x k d^2 real matrix of
-    the generator in coordinates: one gemm per distinct block gives S_K and S_dK,
-    placed per theta as [[S_K, 0], [S_dK, S_K]] for a pair (per = 2), else S_K."""
-    n_times, n_thetas, _, d = ops.shape
-    flat = ops.reshape(n_times * n_thetas, -1).view(float)
-    s_k, *s_dk = ((flat[:, cols] @ u).reshape(n_times, n_thetas, d * d, d * d) for cols, u in units)
-    s = np.zeros((n_times, n_thetas, per, d * d, n_thetas, per, d * d))
+def _generator_maps(ops: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """S(t) at every time of the stack's operators, the n x n real matrix of the
+    generator in coordinates: one gemm gives every theta's map, placed on the
+    diagonal, as the thetas evolve independently."""
+    n_times, n_thetas = ops.shape[:2]
+    m = math.isqrt(units.shape[1])
+    maps = (ops.reshape(n_times * n_thetas, -1).view(float) @ units).reshape(n_times, n_thetas, m, m)
+    s = np.zeros((n_times, n_thetas, m, n_thetas, m))
     for i in range(n_thetas):
-        for r in range(per):
-            s[:, i, r, :, i, r] = s_k[:, i]
-        for m in s_dk:
-            s[:, i, 1, :, i, 0] = m[:, i]
-    return s.reshape(n_times, n_thetas * per * d * d, -1)
+        s[:, i, :, i] = maps[:, i]
+    return s.reshape(n_times, n_thetas * m, -1)
 
 
 def _rk4_increments(s: np.ndarray, dt: float, out: np.ndarray) -> None:
@@ -207,7 +204,7 @@ def _chain(n: np.ndarray, c: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
 
 
 def _block_steps(gen: CompiledGenerator, n_thetas: int) -> tuple[int, int, int]:
-    """Steps per block, per batch and per chunk; batch 0 where the unit maps and one
+    """Steps per block, per batch and per chunk; batch 0 where the unit map and one
     block of step maps do not fit COEFFICIENT_BYTES, selecting RK4 on the matrices,
     whose blocks take as many steps as their half grid's operators fit.  A map block
     evaluates its operators at two half-grid times per step, then keeps them, its
@@ -215,11 +212,12 @@ def _block_steps(gen: CompiledGenerator, n_thetas: int) -> tuple[int, int, int]:
     derivatives; a batch forms S(t) and two RK4 stage products per step in an eighth
     of the budget.  A chunk is the square root of how many increments the budget
     holds, so stacks of equal n split the grid alike; blocks hold whole chunks.  The
-    w x d^4 unit map of w reals takes 8 w d^4 reals and w x w units."""
-    per_time, widths = gen.bytes_per_time(n_thetas), [c.shape[1] for c in gen.constants]
-    d, n = gen.dim, (2 * n_thetas if gen.derivative else n_thetas) * gen.dim**2
-    budget = COEFFICIENT_BYTES - sum(64 * w * d**4 + 8 * w**2 for w in widths)
-    kept = 16 * n_thetas * sum(widths) + 8 * n * n + 48 * n
+    unit map, w x m^2 reals for w real units and m = n / n_thetas, stays through every
+    block; it is built once, before the first."""
+    per_time, w = gen.bytes_per_time(n_thetas), sum(c.shape[1] for c in gen.constants)
+    n = (2 * n_thetas if gen.derivative else n_thetas) * gen.dim**2
+    budget = COEFFICIENT_BYTES - 8 * w * (n // n_thetas) ** 2
+    kept = 16 * n_thetas * w + 8 * n * n + 48 * n
     steps = min(budget // (2 * per_time), (budget - COEFFICIENT_BYTES // 8) // kept)
     batch = (COEFFICIENT_BYTES // 8 - 16 * n * n) // (48 * n * n)
     chunk = max(1, math.isqrt(COEFFICIENT_BYTES // (8 * n * n)))
@@ -228,23 +226,22 @@ def _block_steps(gen: CompiledGenerator, n_thetas: int) -> tuple[int, int, int]:
     return max(1, (COEFFICIENT_BYTES // per_time - 1) // 2), 0, 0
 
 
-def _advance_maps(gen: CompiledGenerator, units: list, batch: int, chunk: int, ops, carry: tuple, dt: float):
+def _advance_maps(gen: CompiledGenerator, units: np.ndarray, batch: int, chunk: int, ops, carry: tuple, dt: float):
     """A block's states by RK4 step maps in real Hermitian coordinates, from its
     half-grid operators ops and carry, t_k's operators and the coordinates c of the
     state there: returns (xs, dots, carry), dots being S(t) c, which only a pair's
     flow reads (None without ``gen.derivative``)."""
     last, c = carry
-    per = 2 if gen.derivative else 1
     n = np.empty((len(ops) // 2, len(c), len(c)))
     for j in range(0, len(n), batch):
         times = ops[2 * j - 1 : 2 * (j + batch)] if j else np.concatenate([last, ops[: 2 * batch]])
-        _rk4_increments(_generator_maps(times, units, per), dt, n[j : j + batch])
+        _rk4_increments(_generator_maps(times, units), dt, n[j : j + batch])
     cs, c = _chain(n, c, chunk)
     del n
     shape, dots = (len(cs), -1, gen.dim**2), None
     if gen.derivative:  # S(t) c, with S at the grid times formed again a batch at a time
         dots = [
-            _generator_maps(ops[2 * j + 1 : 2 * (j + batch) : 2], units, per) @ cs[j : j + batch, :, None]
+            _generator_maps(ops[2 * j + 1 : 2 * (j + batch) : 2], units) @ cs[j : j + batch, :, None]
             for j in range(0, len(cs), batch)
         ]
         dots = _matrices(np.concatenate(dots).reshape(shape), gen.dim)

@@ -423,7 +423,7 @@ class TestStepMapPath:
         from workloads import qubit_model
 
         config = parse_config(json.dumps({"model": qubit_model(0), "t_end": 0.002, "dt": 1e-3}))
-        # checked first: on the map path this model's unit map alone would take 1.6 GB
+        # checked first: on the map path this model's unit map alone would take 10.7 GB
         assert propagation._block_steps(model_module.compile_generator(config.model), 1)[1] == 0
         calls.update(maps=0, stacked=0)
         propagate(config.model, config.theta, 0.002, 1e-3)
@@ -485,8 +485,9 @@ class TestStepMapPath:
 
 
 def _first_full_block_peak(gen, thetas, x) -> tuple[int, int]:
-    """The steps of a full block of the map path and the traced peak of the memory
-    allocated while its operators are evaluated and its states advanced."""
+    """The steps of a full block of the map path and the bytes it holds at its peak: the
+    unit map kept through the run, plus the traced peak of the memory allocated while
+    the block's operators are evaluated and its states advanced."""
     steps, batch, chunk = propagation._block_steps(gen, len(thetas))
     grid = np.arange(steps + 1) * 1e-3
     carry = gen.operators(grid[:1], thetas), propagation._coordinates(hermitize(x)).ravel()
@@ -499,7 +500,7 @@ def _first_full_block_peak(gen, thetas, x) -> tuple[int, int]:
     finally:
         tracemalloc.stop()
     assert len(xs) == steps
-    return steps, peak
+    return steps, units.nbytes + peak
 
 
 class TestMapBlocks:
@@ -507,7 +508,10 @@ class TestMapBlocks:
     # S(t) and RK4 stage products: the ad-nm pair took 183 steps per block
     PAIR_STEPS_BEFORE = 183
 
-    @pytest.mark.parametrize("case", ["ad-nm pair", "phase-dephasing theta stack", "qutrit pair"])
+    @pytest.mark.parametrize(
+        "case",
+        ["ad-nm pair", "phase-dephasing theta stack", "rate-estimation pair", "qutrit pair", "qutrit theta stack"],
+    )
     def test_a_block_fits_coefficient_bytes(self, case, qutrit_model):
         name, stack = case.split(" ", 1)
         model = qutrit_model if name == "qutrit" else builtin_model(name)
@@ -582,6 +586,44 @@ class TestMapBlocks:
             cs, last = propagation._chain(n, rng.standard_normal(8), 10)
         assert np.all(np.isfinite(cs[:j]))
         assert not np.any(np.isfinite(cs[j:, 3])) and not np.isfinite(last[3])
+
+
+class TestGeneratorMaps:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "phase-dephasing pair",
+            "phase-dephasing theta stack",
+            "rate-estimation pair",
+            "rate-estimation theta stack",
+            "qutrit pair",
+            "qutrit theta stack",
+        ],
+    )
+    def test_map_applies_the_generator(self, case, qutrit_model):
+        # Bound, derived before measuring: every real term either side sums is
+        # +/- (an operator real) (a jump entry, or a unit) (a coordinate), of
+        # magnitude at most f l c (l >= 1, as L_0 = I).  S c sums at most 2 w n
+        # of them (a unit-map entry is t_ij + conj(t_ji) of one product each),
+        # act at most 16 j d^2 (4 per complex triple product, nj d^2 of them per
+        # entry, doubled by t + t^H and by a pair's dK/dtheta), and no term is
+        # more than r = w + n + 4 j d + 8 roundings deep on either side, so
+        # |S c - act| <= gamma_r (2 w n + 16 j d^2) f l c, gamma_r = r u / (1 - r u).
+        name, stack = case.split(" ", 1)
+        model = qutrit_model if name == "qutrit" else builtin_model(name)
+        gen = model_module.compile_generator(model, derivative=stack == "pair")
+        thetas = (model.theta,) if stack == "pair" else (model.theta + 0.1, model.theta - 0.1)
+        rng = np.random.default_rng(len(case))
+        ops = gen.operators(rng.uniform(0.0, 5.0, 7), thetas)
+        d, j, w = gen.dim, len(gen.jumps) // gen.dim, ops.shape[-2] * 2 * gen.dim
+        n = (2 if stack == "pair" else 1) * len(thetas) * d * d
+        c = rng.uniform(-1.0, 1.0, (len(ops), n))
+        got = (propagation._generator_maps(ops, propagation._unit_maps(gen)) @ c[..., None])[..., 0]
+        want = propagation._coordinates(gen.act(ops, propagation._matrices(c.reshape(len(ops), -1, d * d), d)))
+        r, u = w + n + 4 * j * d + 8, 2.0**-53
+        scale = np.abs(ops.view(float)).max() * np.abs(gen.jumps).max() * np.abs(c).max()
+        bound = r * u / (1 - r * u) * (2 * w * n + 16 * j * d * d) * scale
+        assert np.max(np.abs(got - want.reshape(got.shape))) <= bound
 
 
 def _qubit_model(monkeypatch):
