@@ -261,19 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sim = sub.add_parser("simulate", help="run a configured simulation")
     sim.add_argument("--config", required=True, help="path to the JSON run configuration")
-    sim.add_argument("--out", default=None, help="CSV output path (overrides config outputs)")
-    sim.add_argument("--summary", default=None, help="JSON summary path (overrides config outputs)")
-    sim.add_argument(
-        "--check",
-        default=None,
-        help="comma-separated checks to enable: oracle,theta,intervals",
-    )
-    sim.add_argument("--dt", type=float, default=None, help="override time step")
-    sim.add_argument("--t-end", dest="t_end", type=float, default=None, help="override end time")
+    sim.add_argument("--out", help="CSV output path (overrides config outputs)")
+    sim.add_argument("--summary", help="JSON summary path (overrides config outputs)")
+    sim.add_argument("--check", help="comma-separated checks to enable: oracle,theta,intervals")
+    sim.add_argument("--dt", type=float, help="override time step")
+    sim.add_argument("--t-end", dest="t_end", type=float, help="override end time")
     for f in dataclasses.fields(ToleranceConfig):
-        sim.add_argument(
-            f"--tol-{f.name}", type=float, default=None, help=f"override tolerances/{f.name}"
-        )
+        sim.add_argument(f"--tol-{f.name}", type=float, help=f"override tolerances/{f.name}")
     return parser
 
 
@@ -302,15 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
     for name, outcome in summary.checks.items():
-        if not outcome.enabled:
-            status = "skipped"
-        elif outcome.passed is None:
-            status = "n/a"
-        else:
-            status = "pass" if outcome.passed else "FAIL"
-        detail = ""
-        if outcome.value is not None:
-            detail = f" (value {outcome.value:.3e}, tolerance {outcome.tolerance:.3e})"
+        status = {None: "n/a", True: "pass", False: "FAIL"}[outcome.passed] if outcome.enabled else "skipped"
+        detail = "" if outcome.value is None else f" (value {outcome.value:.3e}, tolerance {outcome.tolerance:.3e})"
         print(f"check {name}: {status}{detail}")
     for key, probe in summary.theta_independence.items():
         verdict = "holds" if probe.holds else f"violated (magnitude {probe.magnitude:.6g})"

@@ -225,10 +225,12 @@ class TimeDependentOperator:
                 )
 
     def evaluate_many(self, times: np.ndarray, theta: float = 0.0) -> np.ndarray:
-        """The operator at every time, shape ``(len(times), dim, dim)``: its terms in order."""
+        """The operator at every time, ``(len(times), dim, dim)``: its terms in order, real and imaginary parts apart."""
         out = np.zeros((len(times), self.dim, self.dim), dtype=complex)
         for term in self.terms:
-            out += np.multiply.outer(scalar_values(term.modulation, times, theta), term.base)
+            values = np.reshape(scalar_values(term.modulation, times, theta), (-1, 1, 1))
+            out.real += values * term.base.real
+            out.imag += values * term.base.imag
         return out
 
     @property
@@ -277,8 +279,7 @@ class RyStateFamily:
     """Pure qubit family R_y(theta)|0><0|R_y(theta)†; theta is the estimated angle."""
 
     def rho0(self, theta: float) -> np.ndarray:
-        ket = ry_rotation(theta)[:, :1]
-        return ket @ dagger(ket)
+        return FixedRyStateFamily(theta).rho0(theta)
 
     def drho0_dtheta(self, theta: float) -> np.ndarray:
         rho = self.rho0(theta)
@@ -342,20 +343,12 @@ class ModelSpec:
     theta: float
 
     def __post_init__(self):
-        ops = [("H", self.H), ("dH_dtheta", self.dH_dtheta)]
+        dims = [("H", self.H.dim), ("dH_dtheta", self.dH_dtheta.dim)]
         for ch in self.channels:
-            ops.append((f"channel {ch.label!r} A", ch.A))
-            ops.append((f"channel {ch.label!r} dA_dtheta", ch.dA_dtheta))
-        for what, op in ops:
-            if op.dim != self.dim:
-                raise DimensionMismatchError(
-                    f"{what} has dimension {op.dim}, model has {self.dim}"
-                )
-        if self.rho0_family.dim() != self.dim:
-            raise DimensionMismatchError(
-                f"initial-state family has dimension {self.rho0_family.dim()}, "
-                f"model has {self.dim}"
-            )
+            dims += [(f"channel {ch.label!r} A", ch.A.dim), (f"channel {ch.label!r} dA_dtheta", ch.dA_dtheta.dim)]
+        for what, dim in dims + [("initial-state family", self.rho0_family.dim())]:
+            if dim != self.dim:
+                raise DimensionMismatchError(f"{what} has dimension {dim}, model has {self.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -661,8 +654,7 @@ def validate_model(
     """Spot-check model invariants: Hermitian H and dH at theta and t = 0, 0.37, 1,
     a valid initial density matrix at theta and theta +/- delta_theta, and a
     Hermitian, traceless initial-state derivative."""
-    if theta is None:
-        theta = model.theta
+    theta = model.theta if theta is None else theta
     times = np.array([0.0, 0.37, 1.0])
     names, ops = ("H", "dH_dtheta"), (model.H, model.dH_dtheta)
     defects = np.stack([hermiticity_defect(op.evaluate_many(times, theta)) for op in ops], axis=1)

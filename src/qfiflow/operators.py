@@ -4,9 +4,9 @@ Everything downstream (generators, propagation, SLD computation, flow
 decomposition) is built on the small set of operations in this module.
 Matrices are plain ``numpy`` arrays of complex dtype; dimensions stay at
 desk scale (tensor products of a few qubits), so there are no sparse paths.
-The one structured path is :func:`matmul` on stacks of 2 x 2 matrices
-(qubits), which it multiplies elementwise: stacked ``@`` makes one BLAS call
-per matrix, whose overhead dwarfs eight complex products.
+Stacks of 2 x 2 matrices (qubits) take two structured paths, as a stacked
+BLAS or LAPACK call costs about 1 us per matrix: :func:`matmul` multiplies
+them elementwise, and the density gate decomposes them in closed form.
 
 Basis convention for the qubit helpers: index 0 is the ground state |0>,
 index 1 the excited state |1>, and ``SIGMA_MINUS`` = |0><1| generates the
@@ -136,7 +136,7 @@ def validate_density(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
     The error raised is that of the first failing matrix in stack order, and
     its ``index`` attribute is that matrix's position (0 for a single
     matrix).  Only matrices before the first non-finite, non-Hermitian or
-    off-trace one reach the (single, batched) eigenvalue solver.
+    off-trace one reach the solver, in one call (closed form for 2 x 2 matrices).
     """
     return float(_gate(m, tol, vectors=False)[:, 0].min())
 
@@ -159,7 +159,7 @@ def _gate(m: np.ndarray, tol: ToleranceConfig, vectors: bool):
     tr = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
     off = (herm > tol.herm) | (tr > tol.trace)
     n_checked = int(np.argmax(off)) if off.any() else n_finite
-    eig = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(hermitize(stack[:n_checked]))
+    eig = _spectrum(hermitize(stack[:n_checked]), vectors)
     lam = (eig[0] if vectors else eig)[:, 0]  # numpy < 2.0 returns a plain (w, v) tuple
     negative = lam < -tol.positivity
     if negative.any():
@@ -180,3 +180,25 @@ def _gate(m: np.ndarray, tol: ToleranceConfig, vectors: bool):
         return eig
     exc.index = k
     raise exc
+
+
+def _spectrum(h: np.ndarray, vectors: bool):
+    """The gate's ``eigh`` (or ``eigvalsh``); 2 x 2 [[a, b], [b*, c]] in closed form: with h = (a - c)/2 and
+    r = |(h, b)|, eigenvalues (a + c)/2 -/+ r; after (h, b) is scaled by a power of 2 near 1/r, the top eigenvector
+    (h + r, b*) if h > 0, else (b, r - h), of norm sqrt(2 r (r + |h|)); its complement the other; U = I at r = 0."""
+    if h.shape[-1] != 2:
+        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(h)
+    a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 0, 1]
+    half, mid = 0.5 * (a - c), 0.5 * (a + c)
+    r = np.hypot(half, np.abs(b))
+    p = np.stack([mid - r, mid + r], axis=1)
+    if not vectors:
+        return p
+    e = -np.frexp(r)[1]
+    half, b = np.ldexp(half, e), np.ldexp(b.real, e) + 1j * np.ldexp(b.imag, e)
+    r = np.sqrt(half * half + (b * b.conj()).real)
+    top = r + np.abs(half) + (r == 0)
+    norm = np.sqrt(2.0 * r * top) + (r == 0)
+    up, top, b = half > 0, top / norm, b / norm
+    x, y = np.where(up, top, b), np.where(up, b.conj(), top)
+    return p, np.stack([y.conj(), x, -x.conj(), y], axis=1).reshape(-1, 2, 2)

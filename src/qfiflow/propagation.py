@@ -150,12 +150,18 @@ def _unit_maps(gen: CompiledGenerator) -> np.ndarray:
     coordinates, (w, m^2), m = k d^2 for the k members of a theta (rho and drho_dtheta for
     a pair, else one state): row r is ``gen.act`` on the coordinate basis of all k members
     under the r-th of the operators' w real units, so a pair's [[S_K, 0], [S_dK, S_K]]
-    comes out of ``act`` whole."""
+    comes out of ``act`` whole; built in chunks of rows whose transients (per row: j jumps' sandwiches
+    of m states and their copy, 16 j m^2 bytes each; T, T^H, their sum, coordinates) fit COEFFICIENT_BYTES."""
     d, w, k = gen.dim, sum(c.shape[1] for c in gen.constants), 2 if gen.derivative else 1
     m = k * d * d
-    x = np.broadcast_to(_matrices(np.eye(m).reshape(m, k, d * d), d), (w, m, k, d, d))
-    y = gen.act(np.eye(w).view(complex).reshape(w, 1, 1, w // (2 * d), d), x)
-    return _coordinates(y).reshape(w, m, m).swapaxes(1, 2).reshape(w, m * m)
+    basis = _matrices(np.eye(m).reshape(m, k, d * d), d)
+    units = np.eye(w).view(complex).reshape(w, 1, 1, w // (2 * d), d)
+    rows = max(1, (COEFFICIENT_BYTES - 8 * w * m * m) // ((32 * len(gen.jumps) // d + 72) * m * m))
+    out = np.empty((w, m * m))
+    for i in range(0, w, rows):
+        y = gen.act(units[i : i + rows], np.broadcast_to(basis, (min(rows, w - i), m, k, d, d)))
+        out[i : i + rows] = _coordinates(y).reshape(-1, m, m).swapaxes(1, 2).reshape(-1, m * m)
+    return out
 
 
 def _generator_maps(ops: np.ndarray, units: np.ndarray) -> np.ndarray:

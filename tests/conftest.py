@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qfiflow import operators
 from qfiflow.model import (
     Channel,
     ConstantScalar,
@@ -50,3 +51,17 @@ def qutrit_model():
         ),
         theta=0.0,
     )
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The (stack, vectors) of every call of the density gate's solver, in order."""
+    seen = []
+    solver = operators._spectrum
+
+    def spy(h, vectors):
+        seen.append((np.array(h), vectors))
+        return solver(h, vectors)
+
+    monkeypatch.setattr(operators, "_spectrum", spy)
+    return seen

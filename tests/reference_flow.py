@@ -10,9 +10,11 @@ generator that ``propagate`` uses.
 ``flow_records`` is the flow of a trajectory computed after the fact, as the
 library did before ``propagate`` formed it in its own pass: the time
 derivatives of every stored state from the compiled generator, one more
-eigendecomposition per state, then the library's ``flow_block`` and
-``flow_table``.  ``library_sld`` is the library's SLD of two stacks of
-states, from its own eigendecomposition the same way.
+eigendecomposition per state from the solver of the library's density gate
+(closed form for 2 x 2 states), then its ``flow_block`` and ``flow_table``.
+``library_sld`` is the library's SLD of two stacks of states, from the
+gate's solver the same way.  Neither checks the states, so a test may hand
+them any stack.
 """
 
 import warnings
@@ -23,7 +25,14 @@ from reference_generator import commutator, evaluate, reference_generator, refer
 
 from qfiflow.flow import DEFAULT_EPS_RANK, _sld_in_eigenbasis, flow_block, flow_table
 from qfiflow.model import compile_generator
-from qfiflow.operators import DEFAULT_TOLERANCES, DimensionMismatchError, as_operator, dagger, hermitize
+from qfiflow.operators import (
+    DEFAULT_TOLERANCES,
+    DimensionMismatchError,
+    _spectrum,
+    as_operator,
+    dagger,
+    hermitize,
+)
 
 _IMAG_WARN = 1e-10
 
@@ -63,8 +72,8 @@ def sld(rho: np.ndarray, drho_dtheta: np.ndarray, eps_rank: float = DEFAULT_EPS_
 
 def library_sld(rho: np.ndarray, drho_dtheta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The library's SLDs, QFIs and thresholded-pair counts of two ``(n, d, d)``
-    stacks, from ``eigh`` of the hermitized states, as a propagation forms them."""
-    eig = np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
+    stacks, from the density gate's ``eigh`` of the hermitized states, as a propagation forms them."""
+    eig = _spectrum(hermitize(np.asarray(rho, dtype=complex)), vectors=True)
     return _sld_in_eigenbasis(np.asarray(drho_dtheta, dtype=complex), *eig, DEFAULT_TOLERANCES)
 
 
@@ -102,12 +111,12 @@ def fd_flow_oracle(qfi_series, dt: float, k: int) -> float:
 
 def flow_records(traj):
     """The FlowTable of a trajectory's stored states, in one block: their time
-    derivatives from ``act`` on the generator at the grid times, and ``eigh`` of
-    every state."""
+    derivatives from ``act`` on the generator at the grid times, and the
+    eigendecomposition of every state from the density gate's solver, as a propagation forms them."""
     model, theta = traj.model, traj.theta
     gen = compile_generator(model)
     pairs = np.stack([traj.rho, traj.drho_dtheta], axis=1)
     dots = gen.act(gen.operators(traj.grid, (theta,)), pairs)
-    eig = np.linalg.eigh(hermitize(traj.rho))
+    eig = _spectrum(hermitize(traj.rho), vectors=True)
     block = flow_block(model, theta, traj.grid, pairs, dots, eig, traj.tolerances)
     return flow_table(model, traj.grid, traj.dt, [block])

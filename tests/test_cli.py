@@ -661,6 +661,18 @@ class TestMain:
         assert "check oracle: pass" in out
         assert "theta-independence hamiltonian: holds" in out
 
+    def test_qubit_run_makes_no_lapack_call(self, tmp_path, monkeypatch, solver_calls):
+        # a d = 2 run's eigendecompositions, the pair's and the theta check's
+        # eigenvalues alike, are the density gate's closed form
+        lapack = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kwargs: lapack.append(name))
+        doc = dict(AD_NM_CONFIG, t_end=0.5, outputs=[{"csv_path": str(tmp_path / "o.csv")}])
+        argv = ["simulate", "--config", self._write_config(tmp_path, doc), "--check", "oracle,theta,intervals"]
+        assert main(argv) == 0
+        assert lapack == []
+        assert {vectors for _, vectors in solver_calls} == {True, False}
+
     def test_module_entry_point_runs_without_runpy_warning(self):
         # runpy warns when the package __init__ has already imported qfiflow.cli
         src = os.path.dirname(os.path.dirname(os.path.abspath(qfiflow.__file__)))

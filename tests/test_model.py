@@ -443,6 +443,48 @@ class TestCompiledGenerator:
             propagate(damping(JcLorentzianScalar(1.0, 0.5), ConstantScalar(0.1)), 0.3, 5.0, 1e-3)
 
 
+class TestEvaluateMany:
+    @staticmethod
+    def _operator(d, rng):
+        terms = []
+        for form in (SinusoidalScalar(1.0, 0.5, 2.0), ConstantScalar(0.3), ConstantScalar(np.inf)):
+            base = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            base.real[0], base.imag[-1] = 0.0, 0.0
+            terms.append(OperatorTerm(base, form))
+        return TimeDependentOperator(d, tuple(terms))
+
+    def test_terms_add_as_their_complex_products(self):
+        # the sum of each term's complex product values x base, bit for bit, also
+        # where a value is infinite and meets a zero part of its base
+        rng = np.random.default_rng(5)
+        op, times = self._operator(3, rng), rng.uniform(0.0, 5.0, 40)
+        want = np.zeros((len(times), 3, 3), dtype=complex)
+        with np.errstate(invalid="ignore"):
+            for term in op.terms:
+                want += np.multiply.outer(scalar_values(term.modulation, times, 0.0), term.base)
+            got = op.evaluate_many(times)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_is_a_bounded_multiple_of_the_result(self):
+        # Bound, derived before measuring: the result, 16 n d^2 bytes; one real
+        # part of a term's product, 8 n d^2, freed before the next; a modulation's
+        # values and the sinusoidal form's temporaries, at most 4 arrays of n
+        # reals; and the buffers of one ufunc on the strided real or imaginary
+        # part of the result, 3 operands of np.getbufsize() reals.  A complex
+        # product per term, cast through those buffers, took 2.3 times the result.
+        n, d = 4096, 4
+        op, times = self._operator(d, np.random.default_rng(6)), np.linspace(0.0, 5.0, n)
+        bound = 16 * n * d * d + 8 * n * d * d + 4 * 8 * n + 3 * 8 * np.getbufsize()
+        tracemalloc.start()
+        try:
+            with np.errstate(invalid="ignore"):
+                op.evaluate_many(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound < 2 * 16 * n * d * d
+
+
 class TestBuiltinModels:
     def test_registry(self):
         assert BUILTIN_MODEL_NAMES == ("ad-jc", "ad-nm", "phase-dephasing", "rate-estimation")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from reference_generator import anticommutator, commutator
 
+from qfiflow import operators
 from qfiflow.operators import (
     IDENTITY_2,
     SIGMA_MINUS,
@@ -156,11 +157,11 @@ class TestValidateDensity:
             validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
 
 
-def _mixed_states(n, seed=3):
+def _mixed_states(n, seed=3, d=2):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = g @ g.conj().T
         out.append(hermitize(rho / np.trace(rho).real))
     return np.array(out)
@@ -205,38 +206,70 @@ class TestValidateDensityStack:
         assert err.value.deviation == alone.value.deviation
 
     @pytest.mark.parametrize("bad", [0, 2, 6])
-    def test_non_finite_matrix_never_reaches_the_eigensolver(self, monkeypatch, bad):
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def spy(a, *args, **kwargs):
-            seen.append(np.array(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    def test_non_finite_matrix_never_reaches_the_eigensolver(self, solver_calls, bad):
         stack = _mixed_states(7)
         stack[bad, 1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite") as err:
             validate_density(stack)
         assert err.value.index == bad
-        assert all(np.isfinite(a).all() for a in seen)
-        assert sum(len(a) for a in seen) == bad
+        assert all(np.isfinite(h).all() for h, _ in solver_calls)
+        assert sum(len(h) for h, _ in solver_calls) == bad
+
+
+def _lapack_spectrum(h, vectors):
+    return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(h)
 
 
 class TestDensityEigh:
     def test_a_plain_eigh_tuple_as_numpy_1x_returns(self, monkeypatch):
-        # numpy < 2.0 returns (w, v) as a plain tuple, without .eigenvalues
+        # numpy < 2.0 returns (w, v) as a plain tuple, without .eigenvalues; only
+        # stacks of d >= 3 still reach LAPACK
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: tuple(eigh(a, *args, **kwargs)))
-        stack = _mixed_states(7)
+        stack = _mixed_states(7, d=3)
         p, U = density_eigh(stack)
         want = eigh(hermitize(stack))
         npt.assert_array_equal(p, want[0])
         npt.assert_array_equal(U, want[1])
-        stack[4] = _negative(-0.1)(stack[4])
+        stack[4] = np.diag([1.1, 0.0, -0.1]).astype(complex)
         with pytest.raises(NegativeEigenvalueError) as err:
             density_eigh(stack)
         assert err.value.index == 4
+
+
+def _rotated(m, seed):
+    """m in a random basis: a negative member whose gate error is not read off a diagonal."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q @ m @ q.conj().T
+
+
+class TestQubitGateMatchesLapack:
+    # The closed-form solver sits behind the same filters as LAPACK did: on a
+    # qubit stack with one bad member, both gates raise the same error class,
+    # index and message as the gate whose solver is LAPACK's.
+    BREAKS = {
+        "negative": lambda m: _rotated(np.diag([1.1, -0.1]).astype(complex), 7),
+        "slightly negative": lambda m: _rotated(np.diag([1.0 + 3e-9, -3e-9]).astype(complex), 8),
+        "non-finite": lambda m: np.where([[False, True], [False, False]], np.inf, m),
+        "non-Hermitian": _break_hermiticity,
+        "off-trace": _break_trace,
+    }
+
+    @pytest.mark.parametrize("gate", [validate_density, density_eigh])
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    @pytest.mark.parametrize("kind", list(BREAKS))
+    def test_same_error_as_lapack(self, monkeypatch, gate, bad, kind):
+        stack = _mixed_states(7)
+        stack[bad] = self.BREAKS[kind](stack[bad])
+        with pytest.raises(ValueError) as got:
+            gate(stack)
+        monkeypatch.setattr(operators, "_spectrum", _lapack_spectrum)
+        with pytest.raises(ValueError) as want:
+            gate(stack)
+        assert type(got.value) is type(want.value)
+        assert got.value.index == want.value.index == bad
+        assert str(got.value) == str(want.value)
 
 
 # Stacks of 2 x 2 complex matrices with entries of modulus up to about 1e100,
@@ -248,6 +281,75 @@ _qubit_entries = st.builds(
 
 def _qubit_stacks(shape):
     return hnp.arrays(np.complex128, shape + (2, 2), elements=_qubit_entries)
+
+
+def _hermitian_qubits(n):
+    """n Hermitian 2 x 2 matrices [[a, b], [b*, c]], entries drawn as _qubit_entries."""
+    reals = st.floats(-1e100, 1e100, allow_subnormal=True)
+    return st.tuples(
+        hnp.arrays(np.float64, (n,), elements=reals),
+        hnp.arrays(np.float64, (n,), elements=reals),
+        hnp.arrays(np.complex128, (n,), elements=_qubit_entries),
+    ).map(lambda acb: np.stack([acb[0], acb[2], acb[2].conj(), acb[1]], axis=1).reshape(n, 2, 2).astype(complex))
+
+
+class TestQubitSpectrum:
+    # Bounds, derived before measuring, with u = 2^-53 and |A| = 2 max |a_ij|,
+    # which bounds the Frobenius norm and so the spectral one (a sum of
+    # squares would underflow).  The closed form rounds h, |b|, r, the
+    # mean and mean -/+ r once each, within u of their size (at most |A|), so
+    # its eigenvalues are within 5 u |A| of the exact ones; LAPACK's are within
+    # p(2) u |A| (LAPACK Users' Guide, sec. 4.7), and p(2) <= 3 leaves 8 u |A|
+    # between the two.  Under underflow each rounding is off by at most half
+    # the smallest subnormal instead, 5 2^-1075 < 3 2^-1074.  U's entries
+    # t / n and b / n are within 4 u of exact (t and the scaled r, n and the
+    # quotient), so U^H U is within 16 u of I entrywise.  U diag(p) U^H adds,
+    # to those errors times |A| (two factors of U: 8 u, p: 5 u), its own
+    # rounding, 4 u |A| for two products of three factors and one sum: 17 u
+    # |A|, rounded up to 24 u |A|; where the p_j are subnormal, each of the 4
+    # products per entry may underflow, and with p's 3 2^-1074, 8 2^-1074.
+    U_ROUND = 2.0**-53
+    SUB = 2.0**-1074
+
+    def _check(self, h):
+        p, U = operators._spectrum(h, vectors=True)
+        w = np.linalg.eigvalsh(h)
+        norm = 2 * np.abs(h).max(axis=(1, 2), initial=0.0)[:, None]
+        npt.assert_array_equal(operators._spectrum(h, vectors=False), p)
+        assert np.all(p[:, 0] <= p[:, 1])
+        assert np.all(np.abs(p - w) <= 8 * self.U_ROUND * norm + 3 * self.SUB)
+        identity = np.abs(U.conj().swapaxes(1, 2) @ U - np.eye(2))
+        assert np.all(identity <= 16 * self.U_ROUND)
+        rebuilt = (U * p[:, None, :]) @ U.conj().swapaxes(1, 2)
+        assert np.all(np.abs(rebuilt - h) <= 24 * self.U_ROUND * norm[..., None] + 8 * self.SUB)
+        return p, U
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6).flatmap(_hermitian_qubits))
+    def test_matches_lapack(self, h):
+        self._check(h)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            [[0.5, 0.0], [0.0, 0.5]],
+            [[0.5, 5e-324], [5e-324, 0.5]],
+            [[0.5, 1e-310j], [-1e-310j, 0.5]],
+            [[0.3, 0.0], [0.0, 0.7]],
+            [[0.7, 0.0], [0.0, 0.3]],
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[0.25, 0.25 - 0.25j * np.sqrt(2)], [0.25 + 0.25j * np.sqrt(2), 0.75]],
+            [[0.5, -0.5j], [0.5j, 0.5]],
+        ],
+        ids=["I/2", "I/2 + subnormal b", "I/2 + subnormal imaginary b", "b = 0, a < c", "b = 0, a > c",
+             "pure |0>", "pure |1>", "pure, complex b", "pure, a = c"],
+    )
+    def test_fixed_states(self, h):
+        h = np.array([h], dtype=complex)
+        p, U = self._check(h)
+        if h[0, 0, 1] == 0 and h[0, 0, 0] <= h[0, 1, 1]:  # r = 0, or b = 0 with a <= c: as LAPACK, U = I
+            npt.assert_array_equal(U[0], np.eye(2))
 
 
 class TestMatmul:

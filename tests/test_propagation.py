@@ -626,6 +626,28 @@ class TestGeneratorMaps:
         assert np.max(np.abs(got - want.reshape(got.shape))) <= bound
 
 
+    @pytest.mark.parametrize("case", ["ad-nm pair", "rate-estimation pair", "qutrit pair", "qutrit theta stack"])
+    def test_unit_map_is_built_within_coefficient_bytes(self, case, qutrit_model):
+        # built a chunk of unit rows at a time, the map equals, bit for bit, the one
+        # of a single ``act`` call on all w rows, which peaked at 1.84 MB for the
+        # qutrit pair (about 100 w m^2 bytes)
+        name, stack = case.split(" ", 1)
+        model = qutrit_model if name == "qutrit" else builtin_model(name)
+        gen = model_module.compile_generator(model, derivative=stack == "pair")
+        tracemalloc.start()
+        try:
+            units = propagation._unit_maps(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= propagation.COEFFICIENT_BYTES
+        d, (w, m2) = gen.dim, units.shape
+        m = math.isqrt(m2)
+        x = np.broadcast_to(propagation._matrices(np.eye(m).reshape(m, -1, d * d), d), (w, m, m // (d * d), d, d))
+        y = gen.act(np.eye(w).view(complex).reshape(w, 1, 1, w // (2 * d), d), x)
+        assert np.array_equal(units, propagation._coordinates(y).reshape(w, m, m).swapaxes(1, 2).reshape(w, m2))
+
+
 def _qubit_model(monkeypatch):
     """Model 0 of the benchmark's 4-qubit pool (d = 16), whose unit map alone
     exceeds COEFFICIENT_BYTES: it runs on the stacked path."""
@@ -727,31 +749,17 @@ class TestStackedPath:
         assert calls["stacked"] == 2 * steps and calls["maps"] == 0
 
 
-def _record_inputs(mp, name: str) -> list:
-    """The stacks passed to ``numpy.linalg.<name>``, one per call."""
-    seen = []
-    solver = getattr(np.linalg, name)
-
-    def spy(a, *args, **kwargs):
-        seen.append(np.array(a))
-        return solver(a, *args, **kwargs)
-
-    mp.setattr(np.linalg, name, spy)
-    return seen
-
-
 class TestOnePass:
     @pytest.mark.parametrize("path", ["maps", "stacked"])
-    def test_each_state_decomposed_once(self, monkeypatch, path):
-        # the density gate's eigh feeds the SLD: one eigendecomposition per grid
-        # point, and no eigenvalues-only pass
+    def test_each_state_decomposed_once(self, monkeypatch, solver_calls, path):
+        # the density gate's eigendecomposition feeds the SLD: one per grid point,
+        # and no eigenvalues-only pass
         if path == "maps":
             model = builtin_model("ad-nm")
             n = 2 * propagation._block_steps(model_module.compile_generator(model), 1)[0] + 7
         else:
             model, _ = _qubit_model(monkeypatch)
             n = 40
-        eighs, eigvalshs = _record_inputs(monkeypatch, "eigh"), _record_inputs(monkeypatch, "eigvalsh")
         traj = propagate(model, model.theta, n * 1e-3, 1e-3)
-        assert eigvalshs == []
-        assert np.array_equal(np.concatenate(eighs), hermitize(traj.rho))
+        assert all(vectors for _, vectors in solver_calls)
+        assert np.array_equal(np.concatenate([h for h, _ in solver_calls]), hermitize(traj.rho))
