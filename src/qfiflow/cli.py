@@ -109,7 +109,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     """
     model = config.model
     theta = config.theta
-    validate_model(model, theta, tol=config.tolerances, delta_theta=config.delta_theta)
+    validate_model(model, theta, tol=config.tolerances)
     traj = propagate(model, theta, config.t_end, config.dt, config.tolerances)
     table = traj.flow
     flow_accept = FLOW_ACCEPT_FACTOR * max(1.0, float(np.max(table.qfi)))

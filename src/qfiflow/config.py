@@ -22,7 +22,6 @@ import numpy as np
 from .model import (
     BUILTIN_MODEL_NAMES,
     BUILTINS,
-    DEFAULT_DELTA_THETA,
     Channel,
     ConstantScalar,
     FixedRyStateFamily,
@@ -39,7 +38,7 @@ from .model import (
     zero_operator,
 )
 from .operators import DimensionMismatchError, ToleranceConfig
-from .propagation import grid_steps
+from .propagation import DEFAULT_DELTA_THETA, grid_steps
 
 __all__ = [
     "ConfigError",
@@ -288,11 +287,16 @@ def _operator_to_config(op: TimeDependentOperator) -> list:
     return [{"matrix": matrix_to_config(t.base), "modulation": scalar_to_config(t.modulation)} for t in op.terms]
 
 
-def _channel_from_config(v, dim: int, index: int, ptr: str) -> Channel:
+def _channel_from_config(v, dim: int, ptr: str, taken: list) -> Channel:  # taken: the labels before it
     d = _as_object(v, ptr)
     check_config_keys(d, ("label", "A", "gamma", "dA_dtheta", "dgamma_dtheta"), ("A", "gamma"), ptr)
+    label = _string(d["label"], f"{ptr}/label") if "label" in d else f"ch{len(taken)}"
+    if label in taken:
+        raise ConfigError(f"label {label!r} is already channel {taken.index(label)}'s", f"{ptr}/label")
+    if any(c in label for c in ',"\r\n'):  # it names CSV columns, unquoted
+        raise ConfigError(f"label {label!r} holds a comma, quote or newline, unfit for a CSV column name", f"{ptr}/label")
     return Channel(
-        label=_string(d["label"], f"{ptr}/label") if "label" in d else f"ch{index}",
+        label=label,
         A=_operator_from_config(d["A"], dim, f"{ptr}/A"),
         gamma=scalar_from_config(d["gamma"], f"{ptr}/gamma"),
         dA_dtheta=_operator_from_config(d.get("dA_dtheta", []), dim, f"{ptr}/dA_dtheta"),
@@ -312,11 +316,11 @@ def _model_from_config(v, ptr: str) -> tuple[ModelSpec, str]:
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConfigError("dim must be a positive integer", f"{ptr}/dim")
     try:  # the channels first; an operator's terms of unequal shapes point at the model
+        channels = []
+        for i, c in enumerate(_as_list(d.get("channels", []), f"{ptr}/channels")):
+            channels.append(_channel_from_config(c, dim, f"{ptr}/channels/{i}", [ch.label for ch in channels]))
         model = ModelSpec(
-            channels=tuple(
-                _channel_from_config(c, dim, i, f"{ptr}/channels/{i}")
-                for i, c in enumerate(_as_list(d.get("channels", []), f"{ptr}/channels"))
-            ),
+            channels=tuple(channels),
             dim=dim,
             H=_operator_from_config(d["hamiltonian"], dim, f"{ptr}/hamiltonian"),
             dH_dtheta=_operator_from_config(d.get("dH_dtheta", []), dim, f"{ptr}/dH_dtheta"),

@@ -45,7 +45,6 @@ import numpy as np
 
 from .flow import FlowTable, flow_block, flow_table
 from .model import (
-    DEFAULT_DELTA_THETA,
     CompiledGenerator,
     ModelSpec,
     compile_generator,
@@ -60,6 +59,7 @@ from .operators import (
 )
 
 __all__ = [
+    "DEFAULT_DELTA_THETA",
     "Trajectory",
     "PropagationError",
     "propagate",
@@ -365,6 +365,10 @@ def propagate(
         min_eigenvalue=float(min(lams)),
         flow=flow_table(model, grid, dt, flows),
     )
+
+
+# Step of the theta check, the one central difference in theta.
+DEFAULT_DELTA_THETA = 1e-4
 
 
 def fd_theta_consistency(traj: Trajectory, delta_theta: float = DEFAULT_DELTA_THETA) -> float:

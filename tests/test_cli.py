@@ -204,6 +204,25 @@ INLINE_MODEL = {
     "theta": 0.3,
 }
 
+# rho0 = |0><0| with d rho0 / d theta = sigma_x / 2, the textbook pure-state QFI input
+# (F = 1).  rho0 +/- 1e-4 sigma_x / 2 has eigenvalue -2.5e-9, outside the state space,
+# so only a run that evolves those states, the theta check's, rejects them.
+PURE_STATE = {
+    "model": {
+        "dim": 2,
+        "hamiltonian": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+        "rho0_family": {
+            "family": "linear",
+            "rho0": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+            "drho0_dtheta": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]],
+            "theta_ref": 0,
+        },
+        "theta": 0,
+    },
+    "t_end": 0.05,
+    "dt": 0.001,
+}
+
 EYE3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
 SCALAR_FORMS = "['constant', 'jc_lorentzian', 'sinusoidal', 'theta_scaled']"
 
@@ -215,6 +234,10 @@ def _inline(**changes):
 
 def _gamma(gamma):
     return _inline(channels=[dict(INLINE_MODEL["channels"][0], gamma=gamma)])
+
+
+def _label(label):
+    return _inline(channels=[dict(INLINE_MODEL["channels"][0], label=label)])
 
 
 def _family(family):
@@ -372,6 +395,17 @@ REJECTIONS = [
         _top(t_end=1e12, dt=1e-3),
         "/t_end",
         "1000000000000001 states of dimension 2 need 128000000000000128 bytes, over the budget of 1073741824",
+    ),
+    # channel labels, which name CSV columns unquoted; appended last, as the grid rows above were
+    *(
+        (_label(label), "/model/channels/0/label", f"label {label!r} holds a comma, quote or newline, unfit for a CSV column name")
+        for label in ("a,b", 'say "dz"', "a\rb", "a\nb")
+    ),
+    (_inline(channels=[INLINE_MODEL["channels"][0]] * 2), "/model/channels/1/label", "label 'dz' is already channel 0's"),
+    (
+        _inline(channels=[{"A": INLINE_MODEL["channels"][0]["A"], "gamma": 1}, _label("ch0")["model"]["channels"][0]]),
+        "/model/channels/1/label",
+        "label 'ch0' is already channel 0's",
     ),
 ]
 
@@ -829,6 +863,28 @@ class TestMain:
         }
         assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
         assert capsys.readouterr().err == f"runtime abort: {line}\n"
+
+    def test_pure_state_runs_with_the_default_checks(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", self._write_config(tmp_path, PURE_STATE), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, *rows = out.read_text().splitlines()
+        qfi = np.array([float(row.split(",")[header.split(",").index("F")]) for row in rows])
+        assert np.max(np.abs(qfi - 1.0)) <= 1e-14  # 4 Var(sigma_x / 2) in |0>, kept by a theta-free unitary
+
+    def test_pure_state_theta_check_rejects_its_shifted_states_at_t0(self, tmp_path, capsys):
+        argv = ["simulate", "--config", self._write_config(tmp_path, PURE_STATE), "--check", "oracle,theta,intervals"]
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
+        line = "runtime abort: state invalid at t=0.0: minimum eigenvalue -2.500e-09 < -1.000e-09\n"
+        assert capsys.readouterr().err == line
+
+    def test_off_trace_initial_state_exit_three_at_t0(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PURE_STATE))
+        doc["model"]["rho0_family"]["rho0"][1][1] = [0.2, 0]
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc), "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime abort: state invalid at t=0.0: trace deviation")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_inconsistent_declaration_fails_oracle_check(self, tmp_path, capsys):
         # H depends on theta but the declared derivative field is zero

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 import reference_flow as ref
 from exact_qubit import exact_qfi
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_generator import evaluate, reference_generator, reference_generator_theta_derivative, scalar
 from strategies import models, real
@@ -473,9 +473,21 @@ def _state_pair(rng, d):
     return rho, sig - np.trace(sig).real / d * np.eye(d)
 
 
+# A channel-free d = 4 model.  With seed 3381 and n = 3 its states' QFIs are 105.7, 82.1
+# and 10.8; the one-sided stencil at k = 0, (-3 F0 + 4 F1 - F2) / (2 dt) = 1.014, weighs
+# them by up to 20, so two QFI columns that agree to rounding gave stencils 1.4e-12
+# apart.  The stencil is therefore compared on the library's own QFI column, which the
+# test holds to the reference's at 1e-12 point by point.
+CHANNEL_FREE_D4 = ModelSpec(
+    dim=4, H=zero_operator(4), dH_dtheta=zero_operator(4), channels=(),
+    rho0_family=LinearStateFamily(np.eye(4, dtype=complex) / 4, np.zeros((4, 4), dtype=complex), 0.0), theta=0.0,
+)
+
+
 class TestStackedFlowMatchesScalarReferences:
     @settings(max_examples=60, deadline=None)
     @given(models(), real(1.0), st.integers(3, 8), st.integers(0, 2**32 - 1))
+    @example(CHANNEL_FREE_D4, 0.0, 3, 3381)
     def test_random_models_and_states(self, model, theta, n, seed):
         rng = np.random.default_rng(seed)
         dt = 0.1
@@ -486,7 +498,6 @@ class TestStackedFlowMatchesScalarReferences:
         )
         table = ref.flow_records(traj)
         refs = [ref.sld(r, s) for r, s in zip(rho, sig)]
-        qfis = [res.qfi for res in refs]
 
         def close(got, ref):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -497,7 +508,7 @@ class TestStackedFlowMatchesScalarReferences:
             assert table.t[k] == t
             assert table.thresholded_pairs[k] == res.thresholded_pairs
             close(table.qfi[k], res.qfi)
-            close(table.flow_fd[k], ref.fd_flow_oracle(qfis, dt, k))
+            close(table.flow_fd[k], ref.fd_flow_oracle(table.qfi, dt, k))
             close(table.ham_term[k], ref.hamiltonian_term(model, theta, t, rho[k], res.L))
             close(table.full_flow[k], ref.full_flow(model, theta, t, rho[k], sig[k], res.L))
             for i, ch in enumerate(model.channels):

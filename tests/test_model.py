@@ -544,6 +544,24 @@ class TestBuiltinModels:
         with pytest.raises(ValueError, match="not Hermitian"):
             validate_model(bad)
 
+    def test_validate_model_checks_ingredients_not_states(self):
+        # an off-trace rho0 is the density gate's at t = 0 (see test_cli); the
+        # initial-state derivative, which no gate sees, must still be traceless
+        rho0 = np.diag([1.0, 0.2]).astype(complex)
+        off_trace = ModelSpec(
+            dim=2,
+            H=constant_operator(0.5 * SIGMA_Z),
+            dH_dtheta=zero_operator(2),
+            channels=(),
+            rho0_family=LinearStateFamily(rho0, 0.5 * SIGMA_X, 0.0),
+            theta=0.0,
+        )
+        validate_model(off_trace)
+        with pytest.raises(ValueError, match="not traceless"):
+            validate_model(dataclasses.replace(off_trace, rho0_family=LinearStateFamily(rho0, SIGMA_Z + IDENTITY_2, 0.0)))
+        with pytest.raises(ValueError, match="H not Hermitian"):
+            validate_model(dataclasses.replace(off_trace, H=constant_operator(SIGMA_MINUS)))
+
 
 def _declared_from_forms(model: ModelSpec) -> ModelSpec:
     """The model with every theta-derivative declared from its forms: a rate or a
