@@ -33,12 +33,12 @@ from .model import (
     modulated_operator,
     probe_theta_dependence,
     scalar_values,
-    validate_model,
     zero_operator,
 )
 from .operators import (
     DensityValidationError,
     DimensionMismatchError,
+    ModelError,
     NegativeEigenvalueError,
     NotHermitianError,
     ToleranceConfig,

@@ -37,7 +37,7 @@ from .flow import (
     IntervalReport,
     classify_intervals,
 )
-from .model import ScalarPoleError, ThetaDependence, probe_theta_dependence, validate_model
+from .model import ScalarPoleError, ThetaDependence, probe_theta_dependence
 from .operators import ToleranceConfig
 from .propagation import PropagationError, fd_theta_consistency, propagate
 
@@ -109,7 +109,6 @@ def run_simulate(config: RunConfig) -> RunSummary:
     """
     model = config.model
     theta = config.theta
-    validate_model(model, theta, tol=config.tolerances)
     traj = propagate(model, theta, config.t_end, config.dt, config.tolerances)
     table = traj.flow
     flow_accept = FLOW_ACCEPT_FACTOR * max(1.0, float(np.max(table.qfi)))

@@ -37,7 +37,7 @@ from .model import (
     constant_operator,
     zero_operator,
 )
-from .operators import DimensionMismatchError, ToleranceConfig
+from .operators import ModelError, ToleranceConfig
 from .propagation import DEFAULT_DELTA_THETA, grid_steps
 
 __all__ = [
@@ -217,17 +217,12 @@ _KINDS = {
 }
 
 
-def _family_from_config(v, dim: int, ptr: str):
+def _family_from_config(v, ptr: str):
     d = _as_object(v, ptr)
     if "family" not in d:
         raise ConfigError("missing key(s) ['family']", f"{ptr}/family")
     _string(d["family"], f"{ptr}/family")
-    fam = _from_table(FAMILIES, "family", "family", d, ptr, "{}")
-    if fam.dim() != dim:
-        raise ConfigError(f"family dimension {fam.dim()} does not match model dim {dim}", ptr)
-    if isinstance(fam, LinearStateFamily) and fam.slope.shape != fam.base.shape:
-        raise ConfigError(f"drho0_dtheta has shape {fam.slope.shape}, expected {fam.base.shape}", f"{ptr}/drho0_dtheta")
-    return fam
+    return _from_table(FAMILIES, "family", "family", d, ptr, "{}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,34 +264,25 @@ def _operator_from_config(v, dim: int, ptr: str) -> TimeDependentOperator:
     if not items:
         return zero_operator(dim)
     if all(isinstance(item, list) for item in items):
-        op = constant_operator(matrix_from_config(items, ptr))
-    else:
-        terms = []
-        for i, item in enumerate(items):
-            term = _as_object(item, f"{ptr}/{i}")
-            check_config_keys(term, ("matrix", "modulation"), ("matrix",), f"{ptr}/{i}")
-            base = matrix_from_config(term["matrix"], f"{ptr}/{i}/matrix")
-            terms.append(OperatorTerm(base, scalar_from_config(term.get("modulation", 1.0), f"{ptr}/{i}/modulation")))
-        op = TimeDependentOperator(terms[0].base.shape[0], tuple(terms))
-    if op.dim != dim:
-        raise ConfigError(f"operator dimension {op.dim} does not match model dim {dim}", ptr)
-    return op
+        return constant_operator(matrix_from_config(items, ptr))
+    terms = []
+    for i, item in enumerate(items):
+        term = _as_object(item, f"{ptr}/{i}")
+        check_config_keys(term, ("matrix", "modulation"), ("matrix",), f"{ptr}/{i}")
+        base = matrix_from_config(term["matrix"], f"{ptr}/{i}/matrix")
+        terms.append(OperatorTerm(base, scalar_from_config(term.get("modulation", 1.0), f"{ptr}/{i}/modulation")))
+    return TimeDependentOperator(terms[0].base.shape[0], tuple(terms))
 
 
 def _operator_to_config(op: TimeDependentOperator) -> list:
     return [{"matrix": matrix_to_config(t.base), "modulation": scalar_to_config(t.modulation)} for t in op.terms]
 
 
-def _channel_from_config(v, dim: int, ptr: str, taken: list) -> Channel:  # taken: the labels before it
+def _channel_from_config(v, dim: int, ptr: str, default_label: str) -> Channel:
     d = _as_object(v, ptr)
     check_config_keys(d, ("label", "A", "gamma", "dA_dtheta", "dgamma_dtheta"), ("A", "gamma"), ptr)
-    label = _string(d["label"], f"{ptr}/label") if "label" in d else f"ch{len(taken)}"
-    if label in taken:
-        raise ConfigError(f"label {label!r} is already channel {taken.index(label)}'s", f"{ptr}/label")
-    if any(c in label for c in ',"\r\n'):  # it names CSV columns, unquoted
-        raise ConfigError(f"label {label!r} holds a comma, quote or newline, unfit for a CSV column name", f"{ptr}/label")
     return Channel(
-        label=label,
+        label=_string(d["label"], f"{ptr}/label") if "label" in d else default_label,
         A=_operator_from_config(d["A"], dim, f"{ptr}/A"),
         gamma=scalar_from_config(d["gamma"], f"{ptr}/gamma"),
         dA_dtheta=_operator_from_config(d.get("dA_dtheta", []), dim, f"{ptr}/dA_dtheta"),
@@ -316,19 +302,17 @@ def _model_from_config(v, ptr: str) -> tuple[ModelSpec, str]:
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConfigError("dim must be a positive integer", f"{ptr}/dim")
     try:  # the channels first; an operator's terms of unequal shapes point at the model
-        channels = []
-        for i, c in enumerate(_as_list(d.get("channels", []), f"{ptr}/channels")):
-            channels.append(_channel_from_config(c, dim, f"{ptr}/channels/{i}", [ch.label for ch in channels]))
+        channels = _as_list(d.get("channels", []), f"{ptr}/channels")
         model = ModelSpec(
-            channels=tuple(channels),
+            channels=tuple(_channel_from_config(c, dim, f"{ptr}/channels/{i}", f"ch{i}") for i, c in enumerate(channels)),
             dim=dim,
             H=_operator_from_config(d["hamiltonian"], dim, f"{ptr}/hamiltonian"),
             dH_dtheta=_operator_from_config(d.get("dH_dtheta", []), dim, f"{ptr}/dH_dtheta"),
-            rho0_family=_family_from_config(d["rho0_family"], dim, f"{ptr}/rho0_family"),
+            rho0_family=_family_from_config(d["rho0_family"], f"{ptr}/rho0_family"),
             theta=config_number(d["theta"], f"{ptr}/theta", "theta"),
         )
-    except DimensionMismatchError as exc:
-        raise ConfigError(str(exc), ptr) from exc
+    except ModelError as exc:
+        raise ConfigError(str(exc), ptr + exc.pointer) from exc
     return model, "inline"
 
 

@@ -31,7 +31,7 @@ from .operators import (
     SIGMA_Y,
     SIGMA_Z,
     DimensionMismatchError,
-    ToleranceConfig,
+    ModelError,
     as_operator,
     dagger,
     hermiticity_defect,
@@ -65,7 +65,6 @@ __all__ = [
     "ThetaDependence",
     "probe_theta_dependence",
     "theta_slope",
-    "validate_model",
     "ry_rotation",
 ]
 
@@ -316,6 +315,11 @@ class LinearStateFamily:
     slope: np.ndarray
     theta_ref: float
 
+    def __post_init__(self):
+        if np.shape(self.slope) != np.shape(self.base):
+            message = f"drho0_dtheta has shape {np.shape(self.slope)}, expected {np.shape(self.base)}"
+            raise DimensionMismatchError(message, "/rho0_family/drho0_dtheta")
+
     def rho0(self, theta: float) -> np.ndarray:
         return self.base + (theta - self.theta_ref) * self.slope
 
@@ -331,7 +335,10 @@ StateFamily = Union[RyStateFamily, FixedRyStateFamily, LinearStateFamily]
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Generator ingredients, their theta-derivatives, and the initial-state family."""
+    """Generator ingredients, their theta-derivatives, and the initial-state family, checked when
+    built (:class:`ModelError`).  H and dH_dtheta pass when each group of terms of one modulation
+    (constant terms one group, bases scaled by c) has Hermitian summed bases: as forms are real,
+    sufficient at every (theta, t), and necessary when the groups' modulations are linearly independent."""
 
     dim: int
     H: TimeDependentOperator
@@ -341,12 +348,33 @@ class ModelSpec:
     theta: float
 
     def __post_init__(self):
-        dims = [("H", self.H.dim), ("dH_dtheta", self.dH_dtheta.dim)]
-        for ch in self.channels:
-            dims += [(f"channel {ch.label!r} A", ch.A.dim), (f"channel {ch.label!r} dA_dtheta", ch.dA_dtheta.dim)]
-        for what, dim in dims + [("initial-state family", self.rho0_family.dim())]:
+        dims = [("operator", "/hamiltonian", self.H.dim), ("operator", "/dH_dtheta", self.dH_dtheta.dim)]
+        for i, ch in enumerate(self.channels):
+            dims += [("operator", f"/channels/{i}/A", ch.A.dim), ("operator", f"/channels/{i}/dA_dtheta", ch.dA_dtheta.dim)]
+        for what, pointer, dim in dims + [("family", "/rho0_family", self.rho0_family.dim())]:
             if dim != self.dim:
-                raise DimensionMismatchError(f"{what} has dimension {dim}, model has {self.dim}")
+                raise DimensionMismatchError(f"{what} dimension {dim} does not match model dim {self.dim}", pointer)
+        labels = [ch.label for ch in self.channels]
+        for i, label in enumerate(labels):  # CSV column names, written unquoted
+            if label in labels[:i]:
+                raise ModelError(f"label {label!r} is already channel {labels.index(label)}'s", f"/channels/{i}/label")
+            if any(c in label for c in ',"\r\n'):
+                raise ModelError(f"label {label!r} holds a comma, quote or newline, unfit for a CSV column name", f"/channels/{i}/label")
+        for name, pointer, op in (("H", "/hamiltonian", self.H), ("dH_dtheta", "/dH_dtheta", self.dH_dtheta)):
+            groups: dict = {}  # modulation -> the summed bases of its terms
+            for t in op.terms:
+                constant = isinstance(t.modulation, ConstantScalar)
+                f, c = (ConstantScalar(1.0), t.modulation.c) if constant else (t.modulation, 1.0)
+                groups[f] = groups.get(f, 0.0) + c * t.base
+            for f, bases in groups.items():
+                defect = hermiticity_defect(bases)
+                if defect > DEFAULT_TOLERANCES.herm and not scalar_is_zero(f):
+                    raise ModelError(f"{name} not Hermitian: defect {defect:.3e} on its terms modulated by {f}", pointer)
+        d0 = self.rho0_family.drho0_dtheta(self.theta)
+        if hermiticity_defect(d0) > DEFAULT_TOLERANCES.herm:
+            raise ModelError("initial-state theta-derivative is not Hermitian", "/rho0_family/drho0_dtheta")
+        if abs(np.trace(d0)) > DEFAULT_TOLERANCES.trace:
+            raise ModelError("initial-state theta-derivative is not traceless", "/rho0_family/drho0_dtheta")
 
 
 @dataclass(frozen=True, eq=False)
@@ -639,24 +667,3 @@ def probe_theta_dependence(model: ModelSpec, theta: float, grid: np.ndarray, dt:
         "decay_rates": dependence([(rate(ch.gamma), rate(ch.dgamma_dtheta)) for ch in model.channels]),
         "lindblad_operators": dependence([(ch.A, ch.dA_dtheta) for ch in model.channels]),
     }
-
-
-def validate_model(model: ModelSpec, theta: float | None = None, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> None:
-    """Spot-check the ingredients no density gate sees: Hermitian H and dH at theta and
-    t = 0, 0.37, 1, and a Hermitian, traceless initial-state derivative.  The states
-    themselves, rho0 included, are checked by the gate of the pass that evolves them."""
-    theta = model.theta if theta is None else theta
-    times = np.array([0.0, 0.37, 1.0])
-    names, ops = ("H", "dH_dtheta"), (model.H, model.dH_dtheta)
-    defects = np.stack([hermiticity_defect(op.evaluate_many(times, theta)) for op in ops], axis=1)
-    bad = np.flatnonzero(defects > tol.herm)
-    if bad.size:  # the first in time, H before dH_dtheta
-        k, j = divmod(int(bad[0]), len(ops))
-        raise ValueError(
-            f"{names[j]} not Hermitian at (theta={theta}, t={float(times[k])}): defect {defects[k, j]:.3e}"
-        )
-    d0 = model.rho0_family.drho0_dtheta(theta)
-    if hermiticity_defect(d0) > tol.herm:
-        raise ValueError("initial-state theta-derivative is not Hermitian")
-    if abs(np.trace(d0)) > tol.trace:
-        raise ValueError("initial-state theta-derivative is not traceless")

@@ -28,6 +28,7 @@ __all__ = [
     "SIGMA_PLUS",
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
+    "ModelError",
     "DimensionMismatchError",
     "DensityValidationError",
     "NotHermitianError",
@@ -66,7 +67,15 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-class DimensionMismatchError(ValueError):
+class ModelError(ValueError):
+    """An operand or model ingredient rejected; ``pointer`` locates its field in a model's config."""
+
+    def __init__(self, message: str, pointer: str = ""):
+        super().__init__(message)
+        self.pointer = pointer
+
+
+class DimensionMismatchError(ModelError):
     """Operands do not share one square dimension."""
 
 

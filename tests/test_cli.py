@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from qfiflow.config import (
 )
 from qfiflow.flow import FlowTable
 from qfiflow.model import BUILTIN_MODEL_NAMES, compile_generator, scalar_values
+from qfiflow.operators import ModelError
 
 AD_NM_CONFIG = {
     "model": {
@@ -223,6 +225,8 @@ PURE_STATE = {
     "dt": 0.001,
 }
 
+# 1 - cos(200 pi t), as sinusoidal: zero at every t = k / 100
+NOTCH = {"form": "sinusoidal", "c0": 1, "a": -1, "omega": 200 * math.pi, "phi": math.pi / 2}
 EYE3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
 SCALAR_FORMS = "['constant', 'jc_lorentzian', 'sinusoidal', 'theta_scaled']"
 
@@ -407,6 +411,27 @@ REJECTIONS = [
         "/model/channels/1/label",
         "label 'ch0' is already channel 0's",
     ),
+    # ingredients the model decides when it is built, appended last as the rows above were:
+    # a non-Hermitian term whose modulation 1 - cos(200 pi t) is zero at t = 0, 0.37 and 1
+    (
+        _inline(hamiltonian=[{"matrix": INLINE_MODEL["dH_dtheta"]}, {"matrix": [[[0, 0], [1e-9, 0]], [[0, 0], [0, 0]]], "modulation": NOTCH}]),
+        "/model/hamiltonian",
+        "H not Hermitian: defect 1.000e-09 on its terms modulated by "
+        "SinusoidalScalar(c0=1.0, a=-1.0, omega=628.3185307179587, phi=1.5707963267948966)",
+    ),
+    (
+        _inline(dH_dtheta=[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]),
+        "/model/dH_dtheta",
+        "dH_dtheta not Hermitian: defect 1.000e+00 on its terms modulated by ConstantScalar(c=1.0)",
+    ),
+    *(
+        (
+            _family({"family": "linear", "rho0": INLINE_MODEL["dH_dtheta"], "drho0_dtheta": slope, "theta_ref": 0}),
+            "/model/rho0_family/drho0_dtheta",
+            f"initial-state theta-derivative is not {what}",
+        )
+        for slope, what in (([[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "Hermitian"), ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "traceless"))
+    ),
 ]
 
 
@@ -529,6 +554,17 @@ class TestEmitCsv:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv(_table([]), str(tmp_path / "out.csv"))
+
+    @pytest.mark.parametrize("labels, pointer", [(("a,b",), "/channels/0/label"), (("ad", "ad"), "/channels/1/label")])
+    def test_labels_that_break_the_csv_are_rejected_before_a_run(self, tmp_path, labels, pointer):
+        # through the Python API as through the config: the model is never built
+        cfg = parse_config(_config(t_end=0.05, outputs=[{"csv_path": str(tmp_path / "o.csv")}]))
+        (ch,) = cfg.model.channels
+        with pytest.raises(ModelError) as err:
+            model = dataclasses.replace(cfg.model, channels=tuple(dataclasses.replace(ch, label=x) for x in labels))
+            run_simulate(dataclasses.replace(cfg, model=model))
+        assert err.value.pointer == pointer
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestRunSimulate:

@@ -42,7 +42,6 @@ from qfiflow.model import (
     scalar_values,
     scan_scalar_poles,
     theta_slope,
-    validate_model,
     zero_operator,
 )
 from qfiflow.operators import (
@@ -52,6 +51,7 @@ from qfiflow.operators import (
     SIGMA_Y,
     SIGMA_Z,
     DimensionMismatchError,
+    ModelError,
     hermitize,
     hermiticity_defect,
 )
@@ -410,6 +410,16 @@ class TestCompiledGenerator:
         ):
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale
+        # Hermiticity by structure: H gaining f B and f B† is built, H gaining f (B - B†) is not
+        b, f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), SinusoidalScalar(1.0, 0.5, 7.0)
+
+        def gaining(*bases):
+            terms = model.H.terms + tuple(OperatorTerm(x, f) for x in bases)
+            return dataclasses.replace(model, H=TimeDependentOperator(d, terms))
+
+        gaining(b, b.conj().T)
+        with pytest.raises(ModelError, match="^H not Hermitian"):
+            gaining(b - b.conj().T)
 
     @settings(max_examples=30, deadline=None)
     @given(models(), st.booleans())
@@ -528,23 +538,25 @@ class TestBuiltinModels:
         with pytest.raises(ValueError, match="finite number"):
             builtin_model("ad-nm", {"gamma0": "one"})
 
-    def test_all_builtins_validate(self):
-        for model in all_builtins():
-            validate_model(model)
+    def test_all_builtins_pass_the_construction_checks(self):
+        # the initial-state derivative is checked at the model's theta: each family's at several
+        for name in BUILTIN_MODEL_NAMES:
+            for theta in (-2.0, 0.0, 1.3):
+                assert builtin_model(name, {"theta": theta}).theta == theta
 
-    def test_validate_model_rejects_non_hermitian_hamiltonian(self):
-        bad = ModelSpec(
-            dim=2,
-            H=constant_operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
-            dH_dtheta=zero_operator(2),
-            channels=(),
-            rho0_family=RyStateFamily(),
-            theta=0.1,
-        )
-        with pytest.raises(ValueError, match="not Hermitian"):
-            validate_model(bad)
+    def test_non_hermitian_hamiltonian_rejected_at_construction(self):
+        with pytest.raises(ModelError, match=r"^H not Hermitian: defect 1\.000e\+00") as err:
+            ModelSpec(
+                dim=2,
+                H=constant_operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
+                dH_dtheta=zero_operator(2),
+                channels=(),
+                rho0_family=RyStateFamily(),
+                theta=0.1,
+            )
+        assert err.value.pointer == "/hamiltonian"
 
-    def test_validate_model_checks_ingredients_not_states(self):
+    def test_construction_checks_ingredients_not_states(self):
         # an off-trace rho0 is the density gate's at t = 0 (see test_cli); the
         # initial-state derivative, which no gate sees, must still be traceless
         rho0 = np.diag([1.0, 0.2]).astype(complex)
@@ -556,11 +568,34 @@ class TestBuiltinModels:
             rho0_family=LinearStateFamily(rho0, 0.5 * SIGMA_X, 0.0),
             theta=0.0,
         )
-        validate_model(off_trace)
-        with pytest.raises(ValueError, match="not traceless"):
-            validate_model(dataclasses.replace(off_trace, rho0_family=LinearStateFamily(rho0, SIGMA_Z + IDENTITY_2, 0.0)))
-        with pytest.raises(ValueError, match="H not Hermitian"):
-            validate_model(dataclasses.replace(off_trace, H=constant_operator(SIGMA_MINUS)))
+        with pytest.raises(ModelError, match="not traceless"):
+            dataclasses.replace(off_trace, rho0_family=LinearStateFamily(rho0, SIGMA_Z + IDENTITY_2, 0.0))
+        with pytest.raises(ModelError, match="not Hermitian") as err:
+            dataclasses.replace(off_trace, rho0_family=LinearStateFamily(rho0, SIGMA_MINUS, 0.0))
+        assert err.value.pointer == "/rho0_family/drho0_dtheta"
+        with pytest.raises(ModelError, match="^H not Hermitian"):
+            dataclasses.replace(off_trace, H=constant_operator(SIGMA_MINUS))
+        with pytest.raises(ModelError, match="^dH_dtheta not Hermitian") as err:
+            dataclasses.replace(off_trace, dH_dtheta=constant_operator(SIGMA_MINUS))
+        assert err.value.pointer == "/dH_dtheta"
+        with pytest.raises(DimensionMismatchError, match=r"^drho0_dtheta has shape \(3, 3\), expected \(2, 2\)$"):
+            LinearStateFamily(rho0, np.eye(3), 0.0)
+
+    def test_hermiticity_is_decided_per_modulation_not_per_term(self):
+        # f (X + iY) + f (X - iY) = 2 f X, and 2 |0><1| + 1 (2 |1><0|) = 2 X: Hermitian
+        # though no term is; with two modulations the anti-Hermitian parts no longer cancel
+        f, g = SinusoidalScalar(1.0, 0.5, 2.0), SinusoidalScalar(1.0, 0.5, 3.0)
+        raising, lowering = SIGMA_X + 1j * SIGMA_Y, SIGMA_X - 1j * SIGMA_Y
+
+        def model(*terms):
+            return ModelSpec(2, TimeDependentOperator(2, terms), zero_operator(2), (), RyStateFamily(), 0.3)
+
+        model(OperatorTerm(raising, f), OperatorTerm(lowering, f))
+        model(OperatorTerm(0.5 * raising, ConstantScalar(2.0)), OperatorTerm(lowering, ConstantScalar(1.0)))
+        model(OperatorTerm(raising, ConstantScalar(0.0)), OperatorTerm(raising, SinusoidalScalar(0.0, 1.0, 1.0)))
+        for terms in ((raising, f), (lowering, g)), ((raising, f), (lowering, ConstantScalar(1.0))):
+            with pytest.raises(ModelError, match=r"^H not Hermitian: defect 2\.000e\+00 on its terms modulated by "):
+                model(*(OperatorTerm(b, m) for b, m in terms))
 
 
 def _declared_from_forms(model: ModelSpec) -> ModelSpec:
