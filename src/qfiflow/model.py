@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from typing import Union
 
@@ -44,7 +44,6 @@ __all__ = [
     "JcLorentzianScalar",
     "ThetaScaledScalar",
     "TimeDependentScalar",
-    "scan_scalar_poles",
     "scalar_values",
     "scalar_is_zero",
     "OperatorTerm",
@@ -70,7 +69,7 @@ __all__ = [
 
 
 class ScalarPoleError(ArithmeticError):
-    """A time-dependent rate was evaluated too close to a pole of its closed form."""
+    """A lorentzian form was evaluated at or past the first pole of its closed form (``t``)."""
 
     def __init__(self, message: str, t: float):
         super().__init__(message)
@@ -99,14 +98,29 @@ class JcLorentzianScalar:
     """Exact decay rate of a damped qubit coupled to a Lorentzian reservoir.
 
     t |-> 2*gamma0*lam*sinh(d*t/2) / (d*cosh(d*t/2) + lam*sinh(d*t/2)) with
-    d = sqrt(lam^2 - 2*gamma0*lam).  For lam < 2*gamma0 the root is imaginary
-    and the rate oscillates (sinh(ix) = i sin x), diverging at finite times;
-    :func:`scalar_values` raises :class:`ScalarPoleError` when the denominator
-    is below 1e-9 in the pole-free normal form.
+    d^2 = lam^2 - 2*gamma0*lam, whose denominator over d is cosh z + lam*t*sinhc(z)/2,
+    z = d*t/2.  Its first zero in t > 0, the rate's first pole (inf if none):
+    for imaginary d = i*w, t* = (pi + 2 atan(lam/w))/w, which always exists; for
+    real d > 0, t* = 2 artanh(-d/lam)/d when lam < 0 < gamma0*lam; for d = 0,
+    t* = -2/lam when lam < 0.  A structurally zero form (gamma0 = 0 or lam = 0)
+    has none.  :func:`scalar_values` raises :class:`ScalarPoleError` at times
+    from t* on.
     """
 
     gamma0: float
     lam: float
+
+    @property
+    def first_pole(self) -> float:
+        lam, d2 = self.lam, self.lam * self.lam - 2.0 * self.gamma0 * self.lam
+        if d2 < 0.0:  # pi/2 + atan(lam/w) as atan2, which does not cancel as w -> 0
+            w = math.sqrt(-d2)
+            return 2.0 * math.atan2(w, -lam) / w
+        if lam >= 0.0 or self.gamma0 >= 0.0:  # also the zero forms
+            return math.inf
+        # 2 artanh(x) = log1p(2x/(1 - x)), x = -d/lam, with 1 - x = 2 gamma0 lam/(lam (lam - d)) exactly
+        d = math.sqrt(d2)
+        return math.log1p(d * (d - lam) / (self.gamma0 * lam)) / d if d else -2.0 / lam
 
 
 @dataclass(frozen=True)
@@ -142,12 +156,10 @@ def scalar_is_zero(s: TimeDependentScalar) -> bool:
     raise TypeError(f"unknown scalar form {type(s).__name__}")
 
 
-def _jc_pieces(s: JcLorentzianScalar, times: np.ndarray, message: str, crossings: bool = False):
+def _jc_pieces(s: JcLorentzianScalar, times: np.ndarray):
     """h and den of the lorentzian rate 2 gamma0 lam h / den at every time, z = d t/2: for
     real d, divided by cosh z so nothing overflows, h = t tanh(z)/(2 z), den = 1 + lam h;
-    for imaginary d the pole-free normal form, h = t sinh(z)/(2 z), den = cosh z + lam h.
-    Raises :class:`ScalarPoleError` (``message`` formatted with |den| and t) at the first
-    time where |den| < 1e-9 or, with ``crossings``, den changed sign since the previous time."""
+    for imaginary d the pole-free normal form, h = t sinh(z)/(2 z), den = cosh z + lam h."""
     d = cmath.sqrt(complex(s.lam * s.lam - 2.0 * s.gamma0 * s.lam))
     z = 0.5 * d * times
     with np.errstate(all="ignore"):
@@ -157,20 +169,12 @@ def _jc_pieces(s: JcLorentzianScalar, times: np.ndarray, message: str, crossings
         else:
             z = z.real
             h, c = 0.5 * times * np.where(np.abs(z) < 1e-8, 1.0 - z * z / 3.0, np.tanh(z) / z), 1.0
-        den = c + s.lam * h
-        pole = np.abs(den) < 1e-9
-        if crossings:
-            pole[1:] |= den.real[1:] * den.real[:-1] < 0.0
-    if pole.any():
-        i = int(np.argmax(pole))
-        t = float(times[i])
-        raise ScalarPoleError(message.format(den=abs(den[i]), t=t), t)
-    return h, den
+    return h, c + s.lam * h
 
 
 def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
     """s at every time of a 1-d array (one number if constant), the library's one
-    evaluation of a scalar form; a lorentzian rate raises at its first pole."""
+    evaluation of a scalar form; a lorentzian form raises if any time reaches its first pole."""
     if isinstance(s, ConstantScalar):
         return s.c
     if isinstance(s, SinusoidalScalar):
@@ -179,26 +183,14 @@ def scalar_values(s: TimeDependentScalar, times: np.ndarray, theta: float):
         return theta * scalar_values(s.base, times, theta)
     if isinstance(s, _ScalarSum):
         return reduce(np.add, (scalar_values(part, times, theta) for part in s.parts))
-    h, den = _jc_pieces(s, times, "lorentzian rate denominator |{den:.3e}| < 1e-9 at t={t!r}")
+    if scalar_is_zero(s):
+        return 0.0
+    t = s.first_pole
+    if np.any(times >= t):
+        raise ScalarPoleError(f"run interval contains a pole of the lorentzian rate near t={t:.4g}", t)
+    h, den = _jc_pieces(s, times)
     with np.errstate(all="ignore"):
         return (2.0 * s.gamma0 * s.lam * h / den).real
-
-
-def scan_scalar_poles(scalar: TimeDependentScalar, times) -> None:
-    """Reject a run interval containing a pole of a lorentzian-form rate.
-
-    A pole strictly between samples shows up as a sign change of the
-    normal-form denominator; a near-zero value at a sample is caught
-    directly.  Other scalar forms are pole-free.
-    """
-    if isinstance(scalar, ThetaScaledScalar):
-        scan_scalar_poles(scalar.base, times)
-    elif isinstance(scalar, _ScalarSum):
-        for part in scalar.parts:
-            scan_scalar_poles(part, times)
-    elif isinstance(scalar, JcLorentzianScalar):
-        message = "run interval contains a pole of the lorentzian rate near t={t!r}"
-        _jc_pieces(scalar, np.asarray(times, dtype=float), message, crossings=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,8 +329,9 @@ StateFamily = Union[RyStateFamily, FixedRyStateFamily, LinearStateFamily]
 class ModelSpec:
     """Generator ingredients, their theta-derivatives, and the initial-state family, checked when
     built (:class:`ModelError`).  H and dH_dtheta pass when each group of terms of one modulation
-    (constant terms one group, bases scaled by c) has Hermitian summed bases: as forms are real,
-    sufficient at every (theta, t), and necessary when the groups' modulations are linearly independent."""
+    up to amplitude (bases scaled by a constant's c or a sinusoid's c0) has Hermitian summed bases: as
+    forms are real, sufficient at every (theta, t), and necessary when the groups' modulations are
+    linearly independent."""
 
     dim: int
     H: TimeDependentOperator
@@ -363,8 +356,8 @@ class ModelSpec:
         for name, pointer, op in (("H", "/hamiltonian", self.H), ("dH_dtheta", "/dH_dtheta", self.dH_dtheta)):
             groups: dict = {}  # modulation -> the summed bases of its terms
             for t in op.terms:
-                constant = isinstance(t.modulation, ConstantScalar)
-                f, c = (ConstantScalar(1.0), t.modulation.c) if constant else (t.modulation, 1.0)
+                field = {ConstantScalar: "c", SinusoidalScalar: "c0"}.get(type(t.modulation))
+                f, c = (replace(t.modulation, **{field: 1.0}), getattr(t.modulation, field)) if field else (t.modulation, 1.0)
                 groups[f] = groups.get(f, 0.0) + c * t.base
             for f, bases in groups.items():
                 defect = hermiticity_defect(bases)

@@ -44,12 +44,7 @@ from functools import cache, partial
 import numpy as np
 
 from .flow import FlowTable, flow_block, flow_table
-from .model import (
-    CompiledGenerator,
-    ModelSpec,
-    compile_generator,
-    scan_scalar_poles,
-)
+from .model import CompiledGenerator, ModelSpec, compile_generator
 from .operators import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -339,8 +334,6 @@ def propagate(
     n_steps = grid_steps(t_end, dt, model.dim)
     grid = np.arange(n_steps + 1) * dt
     gen = compile_generator(model)
-    for form in gen.forms + tuple(ch.gamma for ch in model.channels):
-        scan_scalar_poles(form, grid)
     rho = np.empty((n_steps + 1, model.dim, model.dim), dtype=complex)
     sig = np.empty_like(rho)
     x = np.stack([model.rho0_family.rho0(theta), model.rho0_family.drho0_dtheta(theta)])

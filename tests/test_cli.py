@@ -432,6 +432,17 @@ REJECTIONS = [
         )
         for slope, what in (([[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "Hermitian"), ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "traceless"))
     ),
+    # a sinusoid's c0 scales its group's bases, as a constant's c does: 5e-11 |1><0| under c0 = 1e6
+    (
+        _inline(
+            hamiltonian=[
+                {"matrix": INLINE_MODEL["dH_dtheta"]},
+                {"matrix": [[[0, 0], [0, 0]], [[5e-11, 0], [0, 0]]], "modulation": {"form": "sinusoidal", "c0": 1e6, "a": 1, "omega": 1}},
+            ]
+        ),
+        "/model/hamiltonian",
+        "H not Hermitian: defect 5.000e-05 on its terms modulated by SinusoidalScalar(c0=1.0, a=1.0, omega=1.0, phi=0.0)",
+    ),
 ]
 
 
@@ -840,7 +851,7 @@ class TestMain:
         )
 
     def test_pole_of_an_operator_modulation_exit_three(self, tmp_path, capsys):
-        # every lorentzian form of the generator is scanned, not only the rates
+        # every lorentzian form the run evaluates raises at its pole, not only the rates
         jc = {"form": "jc_lorentzian", "gamma0": 1.0, "lambda": 0.5}
         model = dict(INLINE_MODEL, hamiltonian=[{"matrix": INLINE_MODEL["dH_dtheta"], "modulation": jc}])
         doc = {"model": model, "t_end": 5, "dt": 0.001, "outputs": [{"csv_path": str(tmp_path / "o.csv")}]}
@@ -848,6 +859,30 @@ class TestMain:
         assert capsys.readouterr().err == (
             "runtime abort: run interval contains a pole of the lorentzian rate near t=4.837\n"
         )
+
+    def test_pole_of_a_zero_rate_channels_operator_exit_three(self, tmp_path, capsys):
+        # gamma = 0, yet the run evaluates A, whose modulation has its first pole at t = 4.837
+        jc = {"form": "jc_lorentzian", "gamma0": 1.0, "lambda": 0.5}
+        channel = {"label": "ad", "A": [{"matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], "modulation": jc}], "gamma": 0}
+        model = {"dim": 2, "hamiltonian": INLINE_MODEL["dH_dtheta"], "channels": [channel], "rho0_family": {"family": "ry"}, "theta": 0.3}
+        doc = {"model": model, "t_end": 5, "dt": 0.001, "outputs": [{"csv_path": str(tmp_path / "o.csv")}]}
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc), "--check", "oracle,intervals"]) == 3
+        assert capsys.readouterr().err == (
+            "runtime abort: run interval contains a pole of the lorentzian rate near t=4.837\n"
+        )
+
+    def test_structurally_zero_lorentzian_rate_has_no_pole(self, tmp_path, capsys):
+        # gamma0 = 0: the rate is 0 at every time, though its real-root denominator
+        # 1 - tanh(d t/2) falls below 1e-9 near t = 7.76
+        channel = {"label": "ad", "A": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], "gamma": {"form": "jc_lorentzian", "gamma0": 0, "lambda": -2.76}}
+        model = {"dim": 2, "hamiltonian": INLINE_MODEL["dH_dtheta"], "channels": [channel], "rho0_family": {"family": "ry"}, "theta": 0.3}
+        doc = {"model": model, "t_end": 10, "dt": 0.01}
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, *rows = out.read_text().splitlines()
+        column = header.split(",").index("gamma_ad")
+        assert len(rows) == 1001 and all(float(row.split(",")[column]) == 0.0 for row in rows)
 
     def test_long_lorentzian_run_keeps_a_finite_rate(self, tmp_path, capsys):
         # ad-jc past t = 820.39, where sinh(d t/2) overflows (d = sqrt(3)): the rate

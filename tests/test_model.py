@@ -40,7 +40,6 @@ from qfiflow.model import (
     ry_rotation,
     scalar_is_zero,
     scalar_values,
-    scan_scalar_poles,
     theta_slope,
     zero_operator,
 )
@@ -122,47 +121,53 @@ class TestScalars:
     @pytest.mark.parametrize(
         "g0, lam, times",
         [
-            (1.0, 0.5, np.arange(5001) * 1e-3),  # a crossing between samples near t = 4.837
+            (1.0, 0.5, np.arange(5001) * 1e-3),  # a pole between samples near t = 4.837
             (1.0, 0.5, np.arange(4801) * 1e-3),  # pole-free
             (2.0, 0.3, np.arange(1001) * 1e-2),
             (1.0, 3.0, np.arange(90001) * 1e-2),  # past t = 820.39, where float64 cosh overflows
             (0.7, 5.0, np.arange(1001) * 0.5),  # to d t/2 = 1061
             (1.0, 2.0, np.arange(1001) * 1e-2),  # critically damped
+            (-0.25, -1.0, np.arange(5001) * 1e-3),  # real d, lam < 0 < gamma0 lam: a pole near t = 2.493
+            (-0.5, -1.0, np.arange(5001) * 1e-3),  # d = 0: a pole at t = -2/lam = 2
+            (0.0, -2.76, np.arange(2001) * 1e-2),  # structurally zero, also where 1 - tanh(d t/2) rounds to 0
+            (0.3, -2.0, np.arange(1001) * 1e-2),  # real d, lam < 0 and gamma0 lam < 0: no pole
         ],
     )
     def test_pole_scan_matches_the_per_point_reference(self, g0, lam, times):
+        # the first pole t* lies within one step below the reference scan's first flagged
+        # time, and a form raises, bare or theta-scaled, exactly when its times reach t*
         s = JcLorentzianScalar(g0, lam)
+        t_star = s.first_pole
+        try:
+            ref.scan_poles(s, times)
+            flagged = math.inf
+        except ScalarPoleError as exc:
+            flagged = exc.t
+        if scalar_is_zero(s):  # the reference's 1e-9 test flags 1 - tanh(d t/2) on a form that is 0
+            assert t_star == math.inf and np.all(scalar_values(s, times, 0.0) == 0.0)
+            return
+        if flagged == math.inf:
+            assert t_star > times[-1]
+        else:
+            assert flagged - (times[1] - times[0]) <= t_star <= flagged
         for form in (s, ThetaScaledScalar(s)):
-            try:
-                ref.scan_poles(form, times)
-                expected = None
-            except ScalarPoleError as exc:
-                expected = exc
-            if expected is None:
-                scan_scalar_poles(form, times)
+            if times[-1] < t_star:
+                assert np.all(np.isfinite(scalar_values(form, times, 2.0)))
                 continue
             with pytest.raises(ScalarPoleError) as err:
-                scan_scalar_poles(form, times)
-            assert str(err.value) == str(expected) and err.value.t == expected.t
+                scalar_values(form, times, 2.0)
+            assert err.value.t == t_star
+            assert str(err.value) == f"run interval contains a pole of the lorentzian rate near t={t_star:.4g}"
 
     def test_imaginary_root_pole_messages_are_pinned(self):
-        # an imaginary root keeps the bounded sin/cos normal form, whose pole
-        # messages and times the CLI prints and the CI greps
-        s = JcLorentzianScalar(1.0, 0.5)
-        for form in (s, ThetaScaledScalar(s)):
-            with pytest.raises(ScalarPoleError) as err:
-                scan_scalar_poles(form, np.arange(5001) * 1e-3)
-            assert str(err.value) == "run interval contains a pole of the lorentzian rate near t=4.837"
-            assert err.value.t == 4.837
-        with pytest.raises(ScalarPoleError) as err:
-            scan_scalar_poles(JcLorentzianScalar(2.0, 0.3), np.arange(1001) * 1e-2)
-        assert str(err.value) == "run interval contains a pole of the lorentzian rate near t=3.5100000000000002"
-        om = math.sqrt(2 * 1.0 * 0.5 - 0.25)
-        t_pole = 2.0 * (math.pi - math.atan(om / 0.5)) / om
-        with pytest.raises(ScalarPoleError) as err:
-            scalar_values(s, np.r_[np.arange(0.0, 4.8, 1e-3), t_pole], 0.0)
-        assert str(err.value) == "lorentzian rate denominator |3.331e-16| < 1e-9 at t=4.8367983046245815"
-        assert err.value.t == t_pole
+        # the first pole rounded to 4 digits, as the CLI prints it and the CI greps it
+        for g0, lam, times, near in ((1.0, 0.5, np.arange(5001) * 1e-3, "4.837"), (2.0, 0.3, np.arange(1001) * 1e-2, "3.508")):
+            s = JcLorentzianScalar(g0, lam)
+            for form in (s, ThetaScaledScalar(s)):
+                with pytest.raises(ScalarPoleError) as err:
+                    scalar_values(form, times, 0.3)
+                assert str(err.value) == f"run interval contains a pole of the lorentzian rate near t={near}"
+                assert err.value.t == s.first_pole
 
     @pytest.mark.parametrize("g0, lam", [(1.0, 3.0), (0.3, 5.0), (0.7, 5.0)])
     def test_real_root_rate_is_finite_at_its_limit(self, g0, lam):
@@ -195,11 +200,16 @@ class TestScalars:
         assert np.all(np.abs(rate - expected) <= 12 * 2.0**-53 * expected)
 
     def test_pole_scan_catches_crossing_between_samples(self):
+        # exact: times that reach t*, on a sample or past it, raise; one ulp below t* does not
         s = JcLorentzianScalar(1.0, 0.5)
-        with pytest.raises(ScalarPoleError):
-            scan_scalar_poles(s, np.arange(0, 5.001, 1e-3))
-        scan_scalar_poles(s, np.arange(0, 3.0, 1e-3))  # pole-free prefix passes
-        scan_scalar_poles(JcLorentzianScalar(1.0, 3.0), np.arange(0, 10.0, 1e-2))
+        t_star = s.first_pole
+        for form in (s, ThetaScaledScalar(s)):
+            for times in (np.arange(0, 5.001, 1e-3), np.array([0.0, t_star])):
+                with pytest.raises(ScalarPoleError):
+                    scalar_values(form, times, 1.0)
+            scalar_values(form, np.array([0.0, np.nextafter(t_star, 0.0)]), 1.0)
+            scalar_values(form, np.arange(0, 3.0, 1e-3), 1.0)  # pole-free prefix passes
+        assert JcLorentzianScalar(1.0, 3.0).first_pole == math.inf
 
     @pytest.mark.parametrize(
         "g0, lam, t_end",
@@ -219,25 +229,35 @@ class TestScalars:
         # cancellation magnifies float64 rounding beyond 1e-15 of the exact rate
         expected = np.array([ref.scalar(s, t, dtype=complex) for t in times.tolist()])
         assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
-        den = _jc_pieces(s, times, "")[1].real
+        den = _jc_pieces(s, times)[1].real
         d = cmath.sqrt(lam * lam - 2.0 * g0 * lam)
         scale = np.ones_like(times) if d.imag else np.cosh(0.5 * d.real * times)  # real d: divided by cosh(d t/2)
         ref_den = np.array([ref.jc_denominator(s, t, complex) for t in times.tolist()]) / scale
         assert np.all(np.abs(den - ref_den) <= 1e-15 * np.abs(ref_den))
 
     def test_jc_vectorised_falls_back_to_the_scalar_errors(self):
-        s = JcLorentzianScalar(1.0, 0.5)
-        om = math.sqrt(2 * 1.0 * 0.5 - 0.25)
-        t_pole = 2.0 * (math.pi - math.atan(om / 0.5)) / om
-        times = np.r_[np.arange(0.0, 4.8, 1e-3), t_pole, t_pole + 1e-3]
-        with pytest.raises(ScalarPoleError) as err:  # float64, as the message's |den| is
-            ref.scalar(s, t_pole, dtype=complex)
-        with pytest.raises(ScalarPoleError) as vec_err:
-            scalar_values(s, times, 0.0)
-        assert str(vec_err.value) == str(err.value) and vec_err.value.t == t_pole
-        # a real-root rate has no pole, and stays finite where sinh and cosh overflow (t = 2000)
+        # t* within a few ulps of the closed forms written apart from the library's atan2 and
+        # atanh, and a time the per-point form refuses (float64 denominator below 1e-9)
+        for g0, lam in ((1.0, 0.5), (2.0, 0.3), (1.0, 1.999), (-1.0, -0.5), (-0.25, -1.0), (-1.0, -3.0), (-0.5, -1.0)):
+            s = JcLorentzianScalar(g0, lam)
+            d2 = lam * lam - 2.0 * g0 * lam
+            if d2 < 0.0:
+                om = math.sqrt(-d2)
+                expected = (math.pi + 2.0 * math.atan(lam / om)) / om
+            elif d2 > 0.0:
+                d = math.sqrt(d2)
+                expected = math.log((lam - d) / (lam + d)) / d
+            else:
+                expected = -2.0 / lam
+            assert abs(s.first_pole - expected) <= 4 * np.spacing(expected)
+            with pytest.raises(ScalarPoleError):
+                ref.scalar(s, s.first_pole, dtype=complex)
+            with pytest.raises(ScalarPoleError) as err:
+                scalar_values(s, np.r_[np.arange(0.0, 1.0, 1e-3), s.first_pole], 0.0)
+            assert err.value.t == s.first_pole
+        # a real-root rate of lam > 0 has no pole, and stays finite where sinh and cosh overflow (t = 2000)
         assert np.all(np.isfinite(scalar_values(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]), 0.0)))
-        scan_scalar_poles(JcLorentzianScalar(1.0, 3.0), np.array([1.0, 2000.0]))
+        assert JcLorentzianScalar(1.0, 3.0).first_pole == math.inf
 
     def test_theta_scaled(self):
         g = ThetaScaledScalar(SinusoidalScalar(1.0, 0.5, 2.0))
@@ -448,7 +468,7 @@ class TestCompiledGenerator:
         times = np.linspace(0.0, 1.0, 5)
         assert len(two.jumps) == len(one.jumps) and len(two.factors[0][0]) == len(one.factors[0][0])
         npt.assert_array_equal(two.operators(times, (0.3,)), one.operators(times, (0.3,)))
-        # a pole of one summand is still found by the run's scan of every form
+        # a pole of one summand is still found where the run evaluates their sum
         with pytest.raises(ScalarPoleError, match="near t=4.837"):
             propagate(damping(JcLorentzianScalar(1.0, 0.5), ConstantScalar(0.1)), 0.3, 5.0, 1e-3)
 
