@@ -49,7 +49,6 @@ from .operators import (
 from .propagation import (
     PropagationError,
     Trajectory,
-    fd_theta_consistency,
     propagate,
 )
 

@@ -39,7 +39,7 @@ from .flow import (
 )
 from .model import ScalarPoleError, ThetaDependence, probe_theta_dependence
 from .operators import ToleranceConfig
-from .propagation import PropagationError, fd_theta_consistency, propagate
+from .propagation import PropagationError, propagate
 
 __all__ = [
     "CheckOutcome",
@@ -109,7 +109,8 @@ def run_simulate(config: RunConfig) -> RunSummary:
     """
     model = config.model
     theta = config.theta
-    traj = propagate(model, theta, config.t_end, config.dt, config.tolerances)
+    delta_theta = config.delta_theta if config.checks.theta_consistency else None
+    traj = propagate(model, theta, config.t_end, config.dt, config.tolerances, delta_theta)
     table = traj.flow
     flow_accept = FLOW_ACCEPT_FACTOR * max(1.0, float(np.max(table.qfi)))
     max_completeness = float(np.max(np.abs(table.flow_fd - table.full_flow)[1:-1]))
@@ -131,9 +132,8 @@ def run_simulate(config: RunConfig) -> RunSummary:
             passed, value = passed and max_decomposition <= flow_accept, max(value, max_decomposition)
         return passed, value
 
-    def theta_consistency() -> tuple:
-        deviation = fd_theta_consistency(traj, config.delta_theta)
-        return deviation <= THETA_CONSISTENCY_TOL, deviation
+    def theta_consistency() -> tuple:  # measured by propagate
+        return traj.theta_consistency <= THETA_CONSISTENCY_TOL, traj.theta_consistency
 
     def intervals() -> tuple:
         overlaps = [rep.overlap_fraction for rep in interval_reports if rep.overlap_fraction is not None]

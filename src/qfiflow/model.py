@@ -112,15 +112,19 @@ class JcLorentzianScalar:
 
     @property
     def first_pole(self) -> float:
-        lam, d2 = self.lam, self.lam * self.lam - 2.0 * self.gamma0 * self.lam
+        # on the form scaled exactly by 2^-k, |gamma0|, |lam| < 1, so d^2 cannot overflow
+        k = math.frexp(max(abs(self.gamma0), abs(self.lam)))[1]
+        g, lam = math.ldexp(self.gamma0, -k), math.ldexp(self.lam, -k)
+        d2 = lam * lam - 2.0 * g * lam
         if d2 < 0.0:  # pi/2 + atan(lam/w) as atan2, which does not cancel as w -> 0
             w = math.sqrt(-d2)
-            return 2.0 * math.atan2(w, -lam) / w
-        if lam >= 0.0 or self.gamma0 >= 0.0:  # also the zero forms
+            t = 2.0 * math.atan2(w, -lam) / w
+        elif lam >= 0.0 or g >= 0.0:  # also the zero forms
             return math.inf
-        # 2 artanh(x) = log1p(2x/(1 - x)), x = -d/lam, with 1 - x = 2 gamma0 lam/(lam (lam - d)) exactly
-        d = math.sqrt(d2)
-        return math.log1p(d * (d - lam) / (self.gamma0 * lam)) / d if d else -2.0 / lam
+        else:  # 2 artanh(x) = log1p(2x/(1 - x)), x = -d/lam, with 1 - x = 2 gamma0 lam/(lam (lam - d)) exactly
+            d = math.sqrt(d2)
+            t = math.log1p(d * (d - lam) / (g * lam)) / d if d else -2.0 / lam
+        return t / 2.0 ** (k // 2) / 2.0 ** (k - k // 2)  # 2^k in two factors that are floats for any k
 
 
 @dataclass(frozen=True)

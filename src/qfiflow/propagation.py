@@ -1,15 +1,16 @@
-"""Joint fixed-step integration of rho(theta;t) and its theta-derivative.
+"""Joint fixed-step integration of rho(theta;t) and its theta-derivative, streamed.
 
 Classical RK4 advances a stack of states under the compiled generator.
 :func:`propagate` evolves the pair (rho, drho_dtheta) under the
 block-triangular [[K, 0], [dK/dtheta, K]], so the mixed t/theta derivatives
 of the trajectory agree by construction, and forms the QFI flow in the same
-pass; :func:`fd_theta_consistency` measures the residual disagreement
-against an independent central difference over theta, evolving
-rho(theta +/- delta) together in one pass.
+pass.  Given ``delta_theta``, a second stack, rho(theta +/- delta) under K,
+is drained beside it, and its central difference is compared with the
+co-evolved derivative where both have reached.  No run keeps more states
+than one block of each stack.
 
-One loop over blocks of steps drives both paths.  It evaluates the generator's
-distinct blocks (K, and dK/dtheta where theta enters it; see
+One generator over blocks of steps, :func:`_integrate`, drives both stacks.
+It evaluates the generator's distinct blocks (K, and dK/dtheta where theta enters it; see
 :class:`~qfiflow.model.CompiledGenerator`) once per time of a block's half grid
 t_k + dt/2, t_(k+1) (t_k's carried over); a path only advances the stack.
 The equation is linear, so one RK4 step is a fixed real matrix in real
@@ -22,15 +23,15 @@ time, batched matrix products give the step maps, chunked prefix products
 advance the coordinates with no loop over steps, and the rebuilt states are
 exactly Hermitian.  Otherwise (large d) RK4 steps act on the matrices
 themselves and re-hermitize after every step.
-Sizes alone choose the path (:func:`_block_steps`); the two agree to rounding.
+Sizes alone choose each stack's path (:func:`_block_steps`); the two agree to rounding.
 Each state's derivative is formed once: S(t) c, or its step's first RK4 stage.
 
 Every state passes a stacked density gate per block, whose first failing
 state is reported with its time: ``density_eigh``, whose eigendecomposition
-the flow's SLD and QFI reuse, or for the theta check ``validate_density``.
+the flow's SLD and QFI reuse, or for theta +/- delta ``validate_density``.
 The trace is *not* renormalized: drift is measured and reported so integrator
 defects stay visible.  A grid of fewer than 3 points, of no finite size, or
-whose trajectory's two ``(N + 1, d, d)`` stacks would exceed
+whose two ``(N + 1, d, d)`` stacks of states would exceed
 ``TRAJECTORY_BYTES`` (:func:`grid_steps`) is rejected before anything is
 allocated.
 """
@@ -58,10 +59,9 @@ __all__ = [
     "Trajectory",
     "PropagationError",
     "propagate",
-    "fd_theta_consistency",
 ]
 
-# Bytes the two (N + 1, d, d) complex stacks of a trajectory may take; a
+# Bytes two (N + 1, d, d) complex stacks of states of a run may take; a
 # longer or larger run is rejected before anything is allocated.
 TRAJECTORY_BYTES = 2**30
 # Bytes of generator operators evaluated ahead at once: bounds their storage
@@ -71,22 +71,20 @@ COEFFICIENT_BYTES = 2**20
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniform-grid RK4 solution with integrator metadata and health measures.
-
-    ``rho[k]`` and ``drho_dtheta[k]`` are the state and its theta-derivative
-    at ``grid[k]``, stacks of shape ``(len(grid), d, d)``; ``flow`` the QFI flow.
-    """
+    """Uniform-grid RK4 run with integrator metadata and health measures: ``flow``
+    is the QFI flow at every grid point, and ``theta_consistency`` the largest
+    entrywise deviation of drho_dtheta from the central difference in theta
+    (None unless the run was given ``delta_theta``)."""
 
     model: ModelSpec
     theta: float
     grid: np.ndarray
-    rho: np.ndarray
-    drho_dtheta: np.ndarray
     dt: float
     tolerances: ToleranceConfig
     max_trace_drift: float
     min_eigenvalue: float
     flow: FlowTable
+    theta_consistency: float | None
 
 
 class PropagationError(RuntimeError):
@@ -260,21 +258,24 @@ def _advance_steps(gen: CompiledGenerator, xs: np.ndarray, ops, carry: tuple, dt
     return *xs[:, : len(ops) // 2], (x, k1)
 
 
-def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.ndarray, dt: float, gate, visit) -> None:
+def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.ndarray, dt: float, gate):
     """Advance the stack x over the grid with RK4, validating its states at every point.
 
     x holds (rho, drho_dtheta) for a generator compiled with its derivative,
     else one state per theta.  Per block of grid points (the first is x
     alone), ``gate`` checks the states as one ``(n, d, d)`` stack (the first
-    invalid one aborts with its time stamp), then ``visit(k, xs, dots,
-    gated)`` sees ``xs[j]``, the stack at grid point k + j, its derivative
-    ``dots[j]`` and what the gate returned.  Step maps (:func:`_advance_maps`)
-    or RK4 steps (:func:`_advance_steps`) advance it, as :func:`_block_steps` sizes them.
+    invalid one aborts with its time stamp), then the generator yields ``(k,
+    xs, dots, gated)``: ``xs[j]``, the stack at grid point k + j, its derivative
+    ``dots[j]`` and what the gate returned, valid until the next block is drawn.
+    Step maps (:func:`_advance_maps`) or RK4 steps (:func:`_advance_steps`)
+    advance it, as :func:`_block_steps` sizes them.
     """
     states = slice(None, None, 2 if gen.derivative else 1)
     steps, batch, chunk = _block_steps(gen, len(thetas))
-    # Overflow leaves a non-finite state, which the gate reports with its time.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow leaves a non-finite state, which the gate reports with its time; the
+    # consumer runs between blocks, outside this error state.
+    ignore = partial(np.errstate, over="ignore", invalid="ignore")
+    with ignore():
         last = gen.operators(grid[:1], thetas)
         xs, dots = x[None], gen.act(last[0], x)[None]
         if batch:  # what the next block starts from: t_k's operators and coordinates
@@ -283,18 +284,19 @@ def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.nd
         else:  # the state and its derivative
             advance = partial(_advance_steps, gen, np.empty((2, steps) + x.shape, dtype=complex))
             carry = x, dots[0]
-        for k in (0, *range(1, len(grid), steps)):
+    for k in (0, *range(1, len(grid), steps)):
+        with ignore():
             if k:  # the first block is x alone
                 ops = gen.operators(_half_grid(grid[k - 1 : k + steps], dt), thetas)
                 xs, dots, carry = advance(ops, carry, dt)
-                del ops  # only the block and what the next one starts from stay while it is visited
+                del ops  # only the block and what the next one starts from stay while it is used
             block = xs[:, states]
             try:
                 gated = gate(block.reshape((-1,) + block.shape[-2:]))
             except ValueError as exc:
                 t = grid[k + exc.index // block.shape[1]].item()
                 raise PropagationError(f"state invalid at t={t!r}: {exc}", t) from exc
-            visit(k, xs, dots, gated)
+        yield k, xs, dots, gated
 
 
 def grid_steps(t_end: float, dt: float, dim: int) -> int:
@@ -318,71 +320,61 @@ def propagate(
     t_end: float = 5.0,
     dt: float = 1e-3,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    delta_theta: float | None = None,
 ) -> Trajectory:
     """Integrate from t=0 to t_end on the uniform grid t_k = k*dt, with the QFI flow.
 
     The initial derivative comes from the initial-state family's analytic
-    theta-derivative.  Every stored rho must pass density validation at the
-    run tolerances; a violation (including a non-finite state) aborts with
-    the offending time stamp.  Each block of validated states then goes
-    through :func:`~qfiflow.flow.flow_block`.
+    theta-derivative.  Every rho must pass density validation at the run
+    tolerances; a violation (including a non-finite state) aborts with the
+    offending time stamp.  Each block of validated states then goes through
+    :func:`~qfiflow.flow.flow_block`.  Given delta_theta, rho at theta +/-
+    delta_theta evolves beside the pair in one stack, validated alike, and
+    ``theta_consistency`` is the largest entrywise deviation between
+    drho_dtheta and [rho(theta+d) - rho(theta-d)] / (2d) over the grid; that
+    stack's failure is raised once the pair has finished without one.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n_steps = grid_steps(t_end, dt, model.dim)
-    grid = np.arange(n_steps + 1) * dt
-    gen = compile_generator(model)
-    rho = np.empty((n_steps + 1, model.dim, model.dim), dtype=complex)
-    sig = np.empty_like(rho)
-    x = np.stack([model.rho0_family.rho0(theta), model.rho0_family.drho0_dtheta(theta)])
-    lams, flows = [], []
-
-    def store(k, xs, dots, eig):
-        block = slice(k, k + len(xs))
-        rho[block], sig[block] = xs[:, 0], xs[:, 1]
-        lams.append(eig[0][:, 0].min())
-        flows.append(flow_block(model, theta, grid[block], xs, dots, eig, tol))
-
-    _integrate(gen, (theta,), x, grid, dt, partial(density_eigh, tol=tol), store)
+    if delta_theta is not None and delta_theta <= 0.0:
+        raise ValueError(f"delta_theta must be positive, got {delta_theta!r}")
+    grid = np.arange(grid_steps(t_end, dt, model.dim) + 1) * dt
+    family = model.rho0_family
+    x = np.stack([family.rho0(theta), family.drho0_dtheta(theta)])
+    pairs = _integrate(compile_generator(model), (theta,), x, grid, dt, partial(density_eigh, tol=tol))
+    lams, flows, drift = [], [], 0.0
+    fds, fd, done, deviation, held = None, (), 0, None, None  # fd: central differences from point done on
+    if delta_theta is not None:
+        thetas = (theta + delta_theta, theta - delta_theta)
+        x = np.stack([family.rho0(t) for t in thetas])
+        gate = partial(validate_density, tol=tol)
+        stack = _integrate(compile_generator(model, derivative=False), thetas, x, grid, dt, gate)
+        fds, deviation = ((ys[:, 0] - ys[:, 1]) / (2.0 * delta_theta) for _, ys, _, _ in stack), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # as for the states: overflow shows in values
+        for k, xs, dots, eig in pairs:
+            end = k + len(xs)
+            lams.append(eig[0][:, 0].min())
+            drift = max(drift, float(np.max(np.abs(np.trace(xs[:, 0], axis1=1, axis2=2) - 1.0))))
+            flows.append(flow_block(model, theta, grid[k:end], xs, dots, eig, tol))
+            while fds is not None and done < end:  # compare up to end, drawing theta blocks
+                if not len(fd):
+                    try:
+                        fd = next(fds)
+                    except Exception as exc:  # a state or a pole alike: raised if the pair finishes
+                        held, fds = exc, None
+                        break
+                n = min(len(fd), end - done)
+                deviation = max(deviation, float(np.max(np.abs(xs[done - k : done - k + n, 1] - fd[:n]))))
+                fd, done = fd[n:], done + n
+    if held is not None:
+        raise held
     return Trajectory(
-        model=model,
-        theta=theta,
-        grid=grid,
-        rho=rho,
-        drho_dtheta=sig,
-        dt=dt,
-        tolerances=tol,
-        max_trace_drift=float(np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))),
-        min_eigenvalue=float(min(lams)),
-        flow=flow_table(model, grid, dt, flows),
+        model=model, theta=theta, grid=grid, dt=dt, tolerances=tol, max_trace_drift=drift,
+        min_eigenvalue=float(min(lams)), flow=flow_table(model, grid, dt, flows), theta_consistency=deviation,
     )
 
 
 # Step of the theta check, the one central difference in theta.
 DEFAULT_DELTA_THETA = 1e-4
-
-
-def fd_theta_consistency(traj: Trajectory, delta_theta: float = DEFAULT_DELTA_THETA) -> float:
-    """Compare a trajectory's co-evolved derivative against a central difference in theta.
-
-    Evolves rho at theta +/- delta_theta together, in one pass on the
-    trajectory's grid, step and tolerances, validating both states at every
-    point, and returns the maximum entrywise deviation over the whole grid
-    between traj.drho_dtheta and [rho(theta+d) - rho(theta-d)] / (2d).
-    """
-    if delta_theta <= 0.0:
-        raise ValueError(f"delta_theta must be positive, got {delta_theta!r}")
-    thetas = (traj.theta + delta_theta, traj.theta - delta_theta)
-    x = np.stack([traj.model.rho0_family.rho0(theta) for theta in thetas])
-    deviation = 0.0
-
-    def compare(k, xs, dots, lam_min):
-        nonlocal deviation
-        fd = (xs[:, 0] - xs[:, 1]) / (2.0 * delta_theta)
-        deviation = max(deviation, float(np.max(np.abs(traj.drho_dtheta[k : k + len(xs)] - fd))))
-
-    gen = compile_generator(traj.model, derivative=False)
-    _integrate(gen, thetas, x, traj.grid, traj.dt, partial(validate_density, tol=traj.tolerances), compare)
-    return deviation

@@ -1,16 +1,31 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from qfiflow import operators
+from qfiflow import operators, propagation
 from qfiflow.model import (
     Channel,
     ConstantScalar,
     LinearStateFamily,
     ModelSpec,
     SinusoidalScalar,
+    compile_generator,
     constant_operator,
     zero_operator,
 )
+
+
+def run_states(model, theta, t_end, dt, tol=operators.DEFAULT_TOLERANCES):
+    """The grid and the rho and drho_dtheta stacks ``(len(grid), d, d)`` of a run,
+    drawn block by block from the generator that ``propagate`` drains, which
+    stores no states; copied, as the stacked path reuses its buffer."""
+    grid = np.arange(propagation.grid_steps(t_end, dt, model.dim) + 1) * dt
+    x = np.stack([model.rho0_family.rho0(theta), model.rho0_family.drho0_dtheta(theta)])
+    gate = partial(operators.density_eigh, tol=tol)
+    blocks = propagation._integrate(compile_generator(model), (theta,), x, grid, dt, gate)
+    states = np.concatenate([xs.copy() for _, xs, _, _ in blocks])
+    return grid, states[:, 0], states[:, 1]
 
 
 @pytest.fixture

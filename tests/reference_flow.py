@@ -7,9 +7,9 @@ takes its time derivatives from the hand-written generator loops of
 ``reference_generator``, so it shares no code path with the compiled
 generator that ``propagate`` uses.
 
-``flow_records`` is the flow of a trajectory computed after the fact, as the
+``flow_records`` is the flow of a run's states computed after the fact, as the
 library did before ``propagate`` formed it in its own pass: the time
-derivatives of every stored state from the compiled generator, one more
+derivatives of every given state from the compiled generator, one more
 eigendecomposition per state from the solver of the library's density gate
 (closed form for 2 x 2 states), then its ``flow_block`` and ``flow_table``.
 ``library_sld`` is the library's SLD of two stacks of states, from the
@@ -109,14 +109,13 @@ def fd_flow_oracle(qfi_series, dt: float, k: int) -> float:
     return (f[k + 1] - f[k - 1]) / (2.0 * dt)
 
 
-def flow_records(traj):
-    """The FlowTable of a trajectory's stored states, in one block: their time
-    derivatives from ``act`` on the generator at the grid times, and the
+def flow_records(model, theta: float, grid: np.ndarray, dt: float, rho, sig, tol=DEFAULT_TOLERANCES):
+    """The FlowTable of the states rho and drho_dtheta = sig at the grid times, in one
+    block: their time derivatives from ``act`` on the generator at those times, and the
     eigendecomposition of every state from the density gate's solver, as a propagation forms them."""
-    model, theta = traj.model, traj.theta
     gen = compile_generator(model)
-    pairs = np.stack([traj.rho, traj.drho_dtheta], axis=1)
-    dots = gen.act(gen.operators(traj.grid, (theta,)), pairs)
-    eig = _spectrum(hermitize(traj.rho), vectors=True)
-    block = flow_block(model, theta, traj.grid, pairs, dots, eig, traj.tolerances)
-    return flow_table(model, traj.grid, traj.dt, [block])
+    pairs = np.stack([rho, sig], axis=1)
+    dots = gen.act(gen.operators(grid, (theta,)), pairs)
+    eig = _spectrum(hermitize(rho), vectors=True)
+    block = flow_block(model, theta, grid, pairs, dots, eig, tol)
+    return flow_table(model, grid, dt, [block])

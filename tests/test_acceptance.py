@@ -10,12 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_states
 
 from qfiflow.cli import run_simulate
 from qfiflow.config import builtin_model, parse_config
 from qfiflow.flow import classify_intervals, subflow_J
 from qfiflow.operators import hermitize
-from qfiflow.propagation import fd_theta_consistency, propagate
+from qfiflow.propagation import propagate
 
 DT = 1e-3
 T_END = 5.0
@@ -28,15 +29,16 @@ MODEL_PARAMS = {
 }
 
 
-def _run(name, params, t_end=T_END):
+def _run(name, params, t_end=T_END, delta_theta=None):
     model = builtin_model(name, params)
-    traj = propagate(model, model.theta, t_end, DT)
+    traj = propagate(model, model.theta, t_end, DT, delta_theta=delta_theta)
     return model, traj, traj.flow
 
 
 @pytest.fixture(scope="module")
 def runs():
-    return {name: _run(name, params) for name, params in MODEL_PARAMS.items()}
+    # with the theta check's stack of theta +/- 1e-4 drained beside each run
+    return {name: _run(name, params, delta_theta=1e-4) for name, params in MODEL_PARAMS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +193,7 @@ def test_criterion_8_theta_consistency(runs):
     details = []
     ok = True
     for name, (_, traj, _) in runs.items():
-        dev = fd_theta_consistency(traj, 1e-4)
+        dev = traj.theta_consistency
         ok &= dev <= 1e-5
         details.append(f"{name}: {dev:.3e}")
     _report(8, "co-evolved derivative vs finite difference", ok, "; ".join(details) + " <= 1e-5")
@@ -206,8 +208,8 @@ def test_criterion_9_state_integrity(runs):
             f"{name}: drift={traj.max_trace_drift:.1e}, min eig={traj.min_eigenvalue:.1e}"
         )
     bench = builtin_model("ad-nm", {"a": 0.0, "theta": math.pi})
-    traj = propagate(bench, bench.theta, 1.0, DT)
-    err = abs(traj.rho[-1, 1, 1].real - math.exp(-1.0))
+    _, rho, _ = run_states(bench, bench.theta, 1.0, DT)
+    err = abs(rho[-1, 1, 1].real - math.exp(-1.0))
     ok &= err <= 1e-8
     details.append(f"pure damping benchmark |rho11(1) - e^-1| = {err:.1e} <= 1e-8")
     _report(9, "state integrity", ok, "; ".join(details))

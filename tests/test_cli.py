@@ -850,6 +850,21 @@ class TestMain:
             "runtime abort: run interval contains a pole of the lorentzian rate near t=4.837\n"
         )
 
+    def test_pole_of_a_rate_whose_discriminant_overflows_exit_three(self, tmp_path, capsys):
+        # gamma0 = lambda = -1e200: lam^2 - 2 gamma0 lam overflows float64, yet the
+        # first pole, t* = pi/2 1e-200, is found before the first step
+        doc = {
+            "model": {"builtin": "ad-jc", "params": {"gamma0": -1e200, "lambda": -1e200}},
+            "t_end": 0.05,
+            "dt": 0.001,
+            "outputs": [{"csv_path": str(tmp_path / "o.csv")}],
+        }
+        assert main(["simulate", "--config", self._write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err == (
+            "runtime abort: run interval contains a pole of the lorentzian rate near t=1.571e-200\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
+
     def test_pole_of_an_operator_modulation_exit_three(self, tmp_path, capsys):
         # every lorentzian form the run evaluates raises at its pole, not only the rates
         jc = {"form": "jc_lorentzian", "gamma0": 1.0, "lambda": 0.5}

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import reference_flow as ref
+from conftest import run_states
 from exact_qubit import exact_qfi
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -48,7 +49,7 @@ from qfiflow.operators import (
     DimensionMismatchError,
     hermitize,
 )
-from qfiflow.propagation import Trajectory, propagate
+from qfiflow.propagation import propagate
 
 PLUS = 0.5 * (IDENTITY_2 + SIGMA_X)
 
@@ -145,9 +146,9 @@ class TestChannelDecomposition:
 
     def test_positive_rate_instants_give_nonpositive_subflow(self):
         model = builtin_model("ad-nm", {"a": 1.5})
-        traj = propagate(model, model.theta, 1.0, 1e-3)
+        grid, rhos, sigs = run_states(model, model.theta, 1.0, 1e-3)
         (ch,) = model.channels
-        t, rho, sig = traj.grid[::100], traj.rho[::100], traj.drho_dtheta[::100]
+        t, rho, sig = grid[::100], rhos[::100], sigs[::100]
         L = ref.library_sld(rho, sig)[0]
         gamma = scalar_values(ch.gamma, t, model.theta)
         I = gamma * subflow_J(rho, L, ch.A.evaluate_many(t, model.theta))
@@ -193,7 +194,8 @@ class TestFullFlow:
         table = traj.flow
         assert np.max(np.abs(table.full_flow)) <= 1e-9
         assert np.max(np.abs(table.qfi - table.qfi[0])) <= 1e-6
-        t, rho, sig = traj.grid[500], traj.rho[500], traj.drho_dtheta[500]
+        grid, rhos, sigs = run_states(model, 0.4, 2.0, 1e-3)
+        t, rho, sig = grid[500], rhos[500], sigs[500]
         L = ref.library_sld(rho[None], sig[None])[0]
         rhodot = reference_generator(model, 0.4, t, rho)
         sigdot = reference_generator_theta_derivative(model, 0.4, t, rho, sig)
@@ -378,12 +380,13 @@ class TestExactQubitOracle:
 
 class TestFlowOfThePass:
     """``propagate``'s flow, from the derivatives and eigendecompositions of its
-    own pass, against the flow recomputed from the stored states."""
+    own pass, against the flow recomputed from the run's states, collected."""
 
     @staticmethod
-    def _check(traj, rtol=1e-12, column_scale=False):
-        want = ref.flow_records(traj)
-        got = traj.flow
+    def _check(model, theta, t_end, tol=DEFAULT_TOLERANCES, rtol=1e-12, column_scale=False):
+        got = propagate(model, theta, t_end, 1e-3, tol).flow
+        grid, rho, sig = run_states(model, theta, t_end, 1e-3, tol)
+        want = ref.flow_records(model, theta, grid, 1e-3, rho, sig, tol)
         assert got.labels == want.labels
         npt.assert_array_equal(got.t, want.t)
         npt.assert_array_equal(got.thresholded_pairs, want.thresholded_pairs)
@@ -396,10 +399,10 @@ class TestFlowOfThePass:
     def test_builtins(self, name):
         # the step-map path, over several blocks
         model = builtin_model(name)
-        self._check(propagate(model, model.theta, 1.0, 1e-3))
+        self._check(model, model.theta, 1.0)
 
     def test_qutrit(self, qutrit_model):
-        self._check(propagate(qutrit_model, 0.0, 0.5, 1e-3))
+        self._check(qutrit_model, 0.0, 0.5)
 
     def test_four_qubits(self, monkeypatch):
         # d = 16: the stacked path, whose derivatives are carried RK4 stages
@@ -408,7 +411,7 @@ class TestFlowOfThePass:
 
         model = parse_config(json.dumps({"model": qubit_model(3), "t_end": 0.05, "dt": 1e-3})).model
         assert propagation._block_steps(compile_generator(model), 1)[1] == 0
-        self._check(propagate(model, model.theta, 0.05, 1e-3))
+        self._check(model, model.theta, 0.05)
 
     @settings(max_examples=30, deadline=None)
     @given(models(), st.booleans())
@@ -418,8 +421,7 @@ class TestFlowOfThePass:
         # column; a derivative of the wrong state or time would be off by O(1).
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "COEFFICIENT_BYTES", 2**26 if maps else 0)
-            traj = propagate(model, model.theta, 0.02, 1e-3, ANY_FINITE_STATE)
-        self._check(traj, rtol=1e-9, column_scale=True)
+            self._check(model, model.theta, 0.02, ANY_FINITE_STATE, rtol=1e-9, column_scale=True)
 
 
 class TestMultilevelSystem:
@@ -492,11 +494,8 @@ class TestStackedFlowMatchesScalarReferences:
         rng = np.random.default_rng(seed)
         dt = 0.1
         rho, sig = map(np.array, zip(*(_state_pair(rng, model.dim) for _ in range(n))))
-        traj = Trajectory(
-            model=model, theta=theta, grid=np.arange(n) * dt, rho=rho, drho_dtheta=sig,
-            dt=dt, tolerances=DEFAULT_TOLERANCES, max_trace_drift=0.0, min_eigenvalue=0.0, flow=None,
-        )
-        table = ref.flow_records(traj)
+        grid = np.arange(n) * dt
+        table = ref.flow_records(model, theta, grid, dt, rho, sig)
         refs = [ref.sld(r, s) for r, s in zip(rho, sig)]
 
         def close(got, ref):
@@ -504,7 +503,7 @@ class TestStackedFlowMatchesScalarReferences:
 
         assert len(table) == n
         assert table.labels == tuple(ch.label for ch in model.channels)
-        for k, (res, t) in enumerate(zip(refs, traj.grid.tolist())):
+        for k, (res, t) in enumerate(zip(refs, grid.tolist())):
             assert table.t[k] == t
             assert table.thresholded_pairs[k] == res.thresholded_pairs
             close(table.qfi[k], res.qfi)
@@ -541,11 +540,7 @@ class TestStackedFlowMatchesScalarReferences:
         )
         rng = np.random.default_rng(2)
         rho, sig = map(np.array, zip(*(_state_pair(rng, d) for _ in range(3))))
-        traj = Trajectory(
-            model=model, theta=0.0, grid=np.arange(3) * 0.1, rho=rho, drho_dtheta=sig,
-            dt=0.1, tolerances=DEFAULT_TOLERANCES, max_trace_drift=0.0, min_eigenvalue=0.0, flow=None,
-        )
-        table = ref.flow_records(traj)
+        table = ref.flow_records(model, 0.0, np.arange(3) * 0.1, 0.1, rho, sig)
         # extended-precision K X = gamma (A X A^dag - {A^dag A, X}/2), with A from the
         # modulations' float64 values, and Tr{L [2 K sig - L K rho]} with the SLDs L
         x = np.clongdouble

@@ -131,6 +131,8 @@ class TestScalars:
             (-0.5, -1.0, np.arange(5001) * 1e-3),  # d = 0: a pole at t = -2/lam = 2
             (0.0, -2.76, np.arange(2001) * 1e-2),  # structurally zero, also where 1 - tanh(d t/2) rounds to 0
             (0.3, -2.0, np.arange(1001) * 1e-2),  # real d, lam < 0 and gamma0 lam < 0: no pole
+            # lam^2 - 2 gamma0 lam = -1e400 overflows float64: a pole at t = pi/2 1e-200
+            (-1e200, -1e200, np.arange(5001) * 1e-203),
         ],
     )
     def test_pole_scan_matches_the_per_point_reference(self, g0, lam, times):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import run_states
 from exact_qubit import damped_min_eigenvalue, sinusoid_integral, sinusoid_integral_first_root
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +16,7 @@ from strategies import GKSL_GENERATOR_NORM, gksl_models, models
 
 from qfiflow import model as model_module
 from qfiflow import propagation
-from qfiflow.config import builtin_model, parse_config
+from qfiflow.config import builtin_model, matrix_to_config, parse_config
 from qfiflow.model import (
     BUILTIN_MODEL_NAMES,
     Channel,
@@ -36,10 +36,10 @@ from qfiflow.operators import (
     ToleranceConfig,
     hermiticity_defect,
     hermitize,
+    validate_density,
 )
 from qfiflow.propagation import (
     PropagationError,
-    fd_theta_consistency,
     propagate,
 )
 
@@ -107,10 +107,10 @@ class TestStepRk4:
     def test_fourth_order_convergence(self):
         # Richardson: one dt-step vs two dt/2-steps against a fine reference
         model = builtin_model("ad-nm")
-        traj = propagate(model, model.theta, 0.5, 1e-3)
+        grid, rhos, sigs = run_states(model, model.theta, 0.5, 1e-3)
 
         def advance(nsub):
-            t, rho, sig = float(traj.grid[-1]), traj.rho[-1], traj.drho_dtheta[-1]
+            t, rho, sig = float(grid[-1]), rhos[-1], sigs[-1]
             for _ in range(nsub):
                 rho, sig = step_rk4(model, model.theta, t, rho, sig, 0.1 / nsub)
                 t += 0.1 / nsub
@@ -142,8 +142,8 @@ class TestStepRk4:
     def test_pre_hermitize_drift_is_rounding_level(self):
         # the raw RK4 update loses Hermiticity only through floating rounding
         model = builtin_model("ad-nm")
-        traj = propagate(model, model.theta, 0.2, 1e-3)
-        t, rho = float(traj.grid[-1]), traj.rho[-1]
+        grid, rhos, _ = run_states(model, model.theta, 0.2, 1e-3)
+        t, rho = float(grid[-1]), rhos[-1]
         dt = 1e-3
 
         def rhs(t, r):
@@ -161,14 +161,14 @@ class TestPropagate:
     def test_amplitude_damping_benchmark(self):
         # constant gamma = 1 from the excited state: rho11(1) = exp(-1)
         model = builtin_model("ad-nm", {"a": 0.0, "theta": math.pi})
-        traj = propagate(model, model.theta, 1.0, 1e-3)
-        assert abs(traj.rho[-1, 1, 1].real - math.exp(-1.0)) < 1e-8
+        _, rho, _ = run_states(model, model.theta, 1.0, 1e-3)
+        assert abs(rho[-1, 1, 1].real - math.exp(-1.0)) < 1e-8
 
     def test_unitary_spectrum_invariant(self):
         model = builtin_model("phase-dephasing", {"theta": 0.9, "gamma0": 0.0})
-        traj = propagate(model, 0.9, 2.0, 1e-3)
-        ref = np.linalg.eigvalsh(traj.rho[0])
-        for rho in traj.rho[::200]:
+        _, rhos, _ = run_states(model, 0.9, 2.0, 1e-3)
+        ref = np.linalg.eigvalsh(rhos[0])
+        for rho in rhos[::200]:
             npt.assert_allclose(np.linalg.eigvalsh(rho), ref, atol=1e-12)
 
     def test_negative_rate_windows_stay_physical(self):
@@ -183,13 +183,17 @@ class TestPropagate:
             model = builtin_model(name)
             traj = propagate(model, model.theta, 2.0, 1e-3)
             assert traj.max_trace_drift <= 1e-9
-            assert max(abs(np.trace(sig)) for sig in traj.drho_dtheta) <= 1e-9
+            _, _, sigs = run_states(model, model.theta, 2.0, 1e-3)
+            assert max(abs(np.trace(sig)) for sig in sigs) <= 1e-9
 
     def test_grid_and_time_stamps_agree(self):
         model = builtin_model("ad-nm")
         traj = propagate(model, model.theta, 0.05, 1e-3)
         assert len(traj.grid) == 51
-        assert traj.rho.shape == traj.drho_dtheta.shape == (51, 2, 2)
+        npt.assert_array_equal(traj.flow.t, traj.grid)
+        grid, rho, sig = run_states(model, model.theta, 0.05, 1e-3)
+        npt.assert_array_equal(grid, traj.grid)
+        assert rho.shape == sig.shape == (51, 2, 2)
 
     def test_invalid_state_aborts_with_time_stamp(self):
         # constant negative rate inflates the excited population past 1
@@ -269,7 +273,8 @@ class TestGkslIntegrity:
         traj = propagate(model, model.theta, 500 * self.DT, self.DT, tol)
         assert traj.max_trace_drift <= tol.trace
         assert traj.min_eigenvalue >= -tol.positivity
-        assert max(hermiticity_defect(rho) for rho in traj.rho) <= tol.herm
+        _, rhos, _ = run_states(model, model.theta, 500 * self.DT, self.DT, tol)
+        assert max(hermiticity_defect(rho) for rho in rhos) <= tol.herm
 
 
 class TestPositivityGateTiming:
@@ -313,80 +318,132 @@ class TestHealthFigures:
         # the per-matrix helpers are the reference for the batched figures
         for model in (builtin_model("ad-nm"), qutrit_model):
             traj = propagate(model, model.theta, 2.0, 1e-3)
-            assert traj.rho.shape == (len(traj.grid), model.dim, model.dim)
-            drift = max(trace_deviation(rho) for rho in traj.rho)
-            lam_min = min(min_eigenvalue(rho) for rho in traj.rho)
+            _, rhos, _ = run_states(model, model.theta, 2.0, 1e-3)
+            assert rhos.shape == (len(traj.grid), model.dim, model.dim)
+            drift = max(trace_deviation(rho) for rho in rhos)
+            lam_min = min(min_eigenvalue(rho) for rho in rhos)
             assert abs(traj.max_trace_drift - drift) <= 1e-15
             assert abs(traj.min_eigenvalue - lam_min) <= 1e-15
+
+
+# The pure-state ``linear`` family of the CI's pure.json: the run passes, yet
+# rho0(theta +/- delta) leaves the state space at t = 0.
+PURE_LINEAR = {
+    "model": {
+        "dim": 2,
+        "hamiltonian": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+        "rho0_family": {
+            "family": "linear",
+            "rho0": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+            "drho0_dtheta": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]],
+            "theta_ref": 0,
+        },
+        "theta": 0,
+    },
+    "t_end": 0.05,
+    "dt": 0.001,
+}
+
+
+def _two_propagations_deviation(model, theta, delta, t_end):
+    """The theta check's value from separate runs at theta and theta +/- delta."""
+    _, _, sig = run_states(model, theta, t_end, 1e-3)
+    _, plus, _ = run_states(model, theta + delta, t_end, 1e-3)
+    _, minus, _ = run_states(model, theta - delta, t_end, 1e-3)
+    return float(np.max(np.abs(sig - (plus - minus) / (2 * delta))))
 
 
 class TestFdThetaConsistency:
     def test_ad_nm(self):
         model = builtin_model("ad-nm")
-        traj = propagate(model, model.theta, 1.0, 1e-3)
-        assert fd_theta_consistency(traj, 1e-4) <= 1e-5
+        assert propagate(model, model.theta, 1.0, 1e-3, delta_theta=1e-4).theta_consistency <= 1e-5
 
     def test_phase_dephasing(self):
         model = builtin_model("phase-dephasing")
-        traj = propagate(model, model.theta, 1.0, 1e-3)
-        assert fd_theta_consistency(traj, 1e-4) <= 1e-5
+        assert propagate(model, model.theta, 1.0, 1e-3, delta_theta=1e-4).theta_consistency <= 1e-5
 
     def test_fully_theta_independent_problem_is_exact(self):
         # theta enters neither the generator nor the initial state
         model = _constant_damping_model(0.7, angle=math.pi / 3)
-        traj = propagate(model, 0.0, 0.5, 1e-3)
-        assert fd_theta_consistency(traj, 1e-4) <= 1e-13
+        assert propagate(model, 0.0, 0.5, 1e-3, delta_theta=1e-4).theta_consistency <= 1e-13
 
     def test_reuses_trajectory_and_matches_central_difference(self, monkeypatch):
         model = builtin_model("ad-nm")
         theta, delta = model.theta, 1e-4
-        traj = propagate(model, theta, 0.5, 1e-3)
-        plus = propagate(model, theta + delta, 0.5, 1e-3)
-        minus = propagate(model, theta - delta, 0.5, 1e-3)
-        expected = float(np.max(np.abs(traj.drho_dtheta - (plus.rho - minus.rho) / (2 * delta))))
+        expected = _two_propagations_deviation(model, theta, delta, 0.5)
 
         calls = []
+        integrate = propagation._integrate
 
-        def counting_propagate(*args, **kwargs):
-            calls.append(args)
-            return propagate(*args, **kwargs)
+        def counting_integrate(gen, thetas, *args):
+            calls.append(thetas)
+            return integrate(gen, thetas, *args)
 
-        monkeypatch.setattr(propagation, "propagate", counting_propagate)
-        assert fd_theta_consistency(traj, delta) == expected
-        assert calls == []  # theta +/- delta evolve together in one pass
+        monkeypatch.setattr(propagation, "_integrate", counting_integrate)
+        assert propagate(model, theta, 0.5, 1e-3).theta_consistency is None
+        assert propagate(model, theta, 0.5, 1e-3, delta_theta=delta).theta_consistency == expected
+        # theta +/- delta evolve together, in one stack beside the pair
+        assert calls == [(theta,), (theta,), (theta + delta, theta - delta)]
 
     @pytest.mark.parametrize("name", ["phase-dephasing", "rate-estimation"])
     def test_batched_pass_matches_two_propagations(self, name):
         # models whose generator depends on theta through H or gamma
         model = builtin_model(name)
         theta, delta = model.theta, 1e-4
-        traj = propagate(model, theta, 0.5, 1e-3)
-        plus = propagate(model, theta + delta, 0.5, 1e-3)
-        minus = propagate(model, theta - delta, 0.5, 1e-3)
-        expected = float(np.max(np.abs(traj.drho_dtheta - (plus.rho - minus.rho) / (2 * delta))))
-        assert abs(fd_theta_consistency(traj, delta) - expected) <= 1e-12
+        expected = _two_propagations_deviation(model, theta, delta, 0.5)
+        assert abs(propagate(model, theta, 0.5, 1e-3, delta_theta=delta).theta_consistency - expected) <= 1e-12
 
-    def test_gate_reports_first_failing_time_of_either_member(self):
+    def test_gate_reports_first_failing_time_of_either_member(self, monkeypatch):
         # with a = 3 the theta +/- delta states go negative near t = 0.35,
         # inside the first block of steps
         model = builtin_model("ad-nm", {"a": 3.0, "phi": math.pi})
         loose = ToleranceConfig(positivity=1.0)
-        traj = propagate(model, model.theta, 1.0, 1e-3, loose)
-        members = [propagate(model, model.theta + s * 1e-4, 1.0, 1e-3, loose) for s in (1, -1)]
+        grid = run_states(model, model.theta, 1.0, 1e-3, loose)[0]
+        members = [run_states(model, model.theta + s * 1e-4, 1.0, 1e-3, loose)[1] for s in (1, -1)]
         first = next(
-            k for k in range(len(traj.grid))
-            if any(min_eigenvalue(m.rho[k]) < -DEFAULT_TOLERANCES.positivity for m in members)
+            k for k in range(len(grid))
+            if any(min_eigenvalue(m[k]) < -DEFAULT_TOLERANCES.positivity for m in members)
         )
-        assert 0 < first < len(traj.grid) - 1
+        assert 0 < first < len(grid) - 1
+        # the pair passes its gate at the loose tolerances, the theta +/- delta stack's gate keeps the defaults
+        monkeypatch.setattr(propagation, "validate_density", lambda m, tol: validate_density(m, DEFAULT_TOLERANCES))
         with pytest.raises(PropagationError, match="minimum eigenvalue") as err:
-            fd_theta_consistency(dataclasses.replace(traj, tolerances=DEFAULT_TOLERANCES), 1e-4)
-        assert err.value.t == traj.grid.tolist()[first]
+            propagate(model, model.theta, 1.0, 1e-3, loose, delta_theta=1e-4)
+        assert err.value.t == grid.tolist()[first]
 
     def test_rejects_nonpositive_delta(self):
         model = builtin_model("ad-nm")
-        traj = propagate(model, model.theta, 0.1, 1e-3)
         with pytest.raises(ValueError):
-            fd_theta_consistency(traj, 0.0)
+            propagate(model, model.theta, 0.1, 1e-3, delta_theta=0.0)
+
+
+class TestThetaStackErrorPrecedence:
+    def test_theta_only_failure_is_raised_once_the_pair_finishes(self):
+        config = parse_config(json.dumps(PURE_LINEAR))
+        assert propagate(config.model, config.theta, config.t_end, config.dt).theta_consistency is None
+        with pytest.raises(PropagationError, match=r"^state invalid at t=0\.0: ") as err:
+            propagate(config.model, config.theta, config.t_end, config.dt, delta_theta=config.delta_theta)
+        assert err.value.t == 0.0
+
+    def test_pair_failure_wins_over_a_held_theta_failure(self, monkeypatch):
+        # the theta +/- delta stack fails at t = 0 (its gate sees twice the trace),
+        # the pair only later: the pair's error is raised, as it was when the
+        # theta stack ran after the whole pair
+        model = _constant_damping_model(-1.0, angle=math.pi / 2)
+        seen = []
+
+        def doubled(m, tol):
+            seen.append(len(m))
+            return validate_density(2.0 * m, tol)
+
+        monkeypatch.setattr(propagation, "validate_density", doubled)
+        with pytest.raises(PropagationError) as err:
+            propagate(model, 0.0, 5.0, 1e-3, delta_theta=1e-4)
+        assert seen == [2]  # the theta stack failed at its first block and was drawn no further
+        assert err.value.t > 0.0
+        with pytest.raises(PropagationError) as pair_only:
+            propagate(model, 0.0, 5.0, 1e-3)
+        assert str(err.value) == str(pair_only.value) and err.value.t == pair_only.value.t
 
 
 def _spy_paths(mp):
@@ -438,22 +495,22 @@ class TestStepMapPath:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(propagation, "COEFFICIENT_BYTES", budget)
                 calls = _spy_paths(mp)
-                traj = propagate(model, model.theta, 0.02, 1e-3, ANY_FINITE_STATE)
-                deviation = fd_theta_consistency(traj, 0.05)
+                _, rho, sig = run_states(model, model.theta, 0.02, 1e-3, ANY_FINITE_STATE)
+                deviation = propagate(model, model.theta, 0.02, 1e-3, ANY_FINITE_STATE, 0.05).theta_consistency
             assert calls[path] > 0 and sum(calls.values()) == calls[path]
-            return traj, deviation
+            return (rho, sig), deviation
 
         maps, maps_dev = run(2**26, "maps")
         ref, ref_dev = run(0, "stacked")
-        for got, want in ((maps.rho, ref.rho), (maps.drho_dtheta, ref.drho_dtheta)):
+        for got, want in zip(maps, ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         assert abs(maps_dev - ref_dev) <= 1e-12 * max(1.0, ref_dev)
 
     def test_states_exactly_hermitian(self):
         for name in ("ad-nm", "phase-dephasing"):
             model = builtin_model(name)
-            traj = propagate(model, model.theta, 1.0, 1e-3)
-            for stack in (traj.rho, traj.drho_dtheta):
+            _, *stacks = run_states(model, model.theta, 1.0, 1e-3)
+            for stack in stacks:
                 assert np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) == 0.0
 
     def test_generator_evaluated_once_per_half_grid_time(self, monkeypatch):
@@ -707,22 +764,21 @@ class TestStackedPath:
         assert len(calls) == 4 * n + 1
 
     def test_memory_beyond_the_stored_stacks_does_not_grow_with_the_run(self, monkeypatch):
-        # the trajectory stores rho and drho_dtheta only: derivatives and
-        # eigenvectors live one block at a time.  Per grid point the flow keeps
-        # a few scalar columns; one more stored (N, d, d) stack would add
-        # 16 d^2 bytes per point, four times the growth allowed here.
+        # the run stores no states: they, their derivatives and eigenvectors
+        # live one block at a time.  Per grid point the flow keeps a few scalar
+        # columns; one stored (N, d, d) stack would add 16 d^2 bytes per point,
+        # four times the growth allowed here.
         model, gen = _qubit_model(monkeypatch)
         d = model.dim
-        excess = {}
+        peaks = {}
         for n in (40, 400):
             tracemalloc.start()
             try:
                 propagate(model, model.theta, n * 1e-3, 1e-3)
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            excess[n] = peak - 2 * (n + 1) * 16 * d * d
-        assert excess[400] - excess[40] <= (400 - 40) * 16 * d * d // 4
+        assert peaks[400] - peaks[40] <= (400 - 40) * 16 * d * d // 4
 
     def test_non_finite_operator_mid_block_aborts_at_next_grid_time(self, monkeypatch):
         # the stacked-path twin of TestStepMapPath's test: an inf rate at the
@@ -749,6 +805,65 @@ class TestStackedPath:
         assert calls["stacked"] == 2 * steps and calls["maps"] == 0
 
 
+def _inline_d8_model():
+    """An inline 3-qubit model (d = 8) of two channels, on the stacked path."""
+    d = 8
+    rng = np.random.default_rng(8)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    doc = {
+        "model": {
+            "dim": d,
+            "hamiltonian": matrix_to_config((h + h.conj().T) / 4),
+            "channels": [
+                {
+                    "label": "down",
+                    "A": matrix_to_config(np.diag(np.ones(d - 1), 1).astype(complex)),
+                    "gamma": {"form": "sinusoidal", "c0": 0.3, "a": 0.5, "omega": 2.0},
+                },
+                {"label": "z", "A": matrix_to_config(np.diag(np.arange(d) / d).astype(complex)), "gamma": 0.2},
+            ],
+            "rho0_family": {
+                "family": "linear",
+                "rho0": matrix_to_config(np.eye(d, dtype=complex) / d),
+                "drho0_dtheta": matrix_to_config(np.diag(np.linspace(-0.01, 0.01, d)).astype(complex)),
+                "theta_ref": 0.0,
+            },
+            "theta": 0.0,
+        },
+        "t_end": 0.01,
+        "dt": 1e-3,
+    }
+    return parse_config(json.dumps(doc)).model
+
+
+class TestStreamingRun:
+    def test_memory_per_grid_point_is_the_flow_tables(self):
+        # Bound, derived before measuring: per grid point a run keeps its flow
+        # table, 7 + 3c float64 columns (t, F, flow_fd, full_flow, ham_term,
+        # residual_T, thresholded_pairs, and gamma, J, I per channel).  At its
+        # peak, forming the table, the per-block columns and their concatenation
+        # are alive together with the rates' products and the residual's three
+        # temporaries: 15 + 5c columns, within twice the table for c >= 1.  Per
+        # block, the flow's tuple of six arrays and the block's minimum
+        # eigenvalue take under 1 KiB of Python objects.  Stored states would add
+        # 2 x 16 d^2 = 2048 bytes per point at d = 8, over nine times this bound.
+        model = _inline_d8_model()
+        c = len(model.channels)
+        steps, batch, _ = propagation._block_steps(model_module.compile_generator(model), 1)
+        assert batch == 0
+        peaks = {}
+        for blocks in (2, 8):
+            tracemalloc.start()
+            try:
+                propagate(model, model.theta, blocks * steps * 1e-3, 1e-3)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_point = 2 * 8 * (7 + 3 * c) + 1024 / steps
+        assert per_point * 9 <= 2 * 16 * model.dim**2
+        assert peaks[8] - peaks[2] <= (8 - 2) * steps * per_point
+
+
 class TestOnePass:
     @pytest.mark.parametrize("path", ["maps", "stacked"])
     def test_each_state_decomposed_once(self, monkeypatch, solver_calls, path):
@@ -760,6 +875,8 @@ class TestOnePass:
         else:
             model, _ = _qubit_model(monkeypatch)
             n = 40
-        traj = propagate(model, model.theta, n * 1e-3, 1e-3)
+        _, rho, _ = run_states(model, model.theta, n * 1e-3, 1e-3)
+        solver_calls.clear()
+        propagate(model, model.theta, n * 1e-3, 1e-3)
         assert all(vectors for _, vectors in solver_calls)
-        assert np.array_equal(np.concatenate([h for h, _ in solver_calls]), hermitize(traj.rho))
+        assert np.array_equal(np.concatenate([h for h, _ in solver_calls]), hermitize(rho))
