@@ -57,6 +57,8 @@ __all__ = [
 FLOW_ACCEPT_FACTOR = 1e-5
 THETA_CONSISTENCY_TOL = 1e-5
 INTERVAL_OVERLAP_MIN = 0.99
+# Rows of the CSV formatted and written at once.
+CSV_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -187,20 +189,21 @@ def run_simulate(config: RunConfig) -> RunSummary:
 
 def emit_csv(table: FlowTable, path: str) -> None:
     """Time series CSV: base columns then gamma/J/I triplets per channel, in
-    channel declaration order; 17-significant-digit decimals, LF endings."""
+    channel declaration order; 17-significant-digit decimals, LF endings.
+    Written CSV_ROWS rows at a time, so its transients do not grow with the table."""
     if not len(table):
         raise ValueError("empty flow table")
     header = ["t", "F", "flow_fd", "full_flow", "ham_term", "residual_T"]
-    for label in table.labels:
+    columns = [table.t, table.qfi, table.flow_fd, table.full_flow, table.ham_term, table.residual_T]
+    for label, *triplet in zip(table.labels, table.gamma, table.J, table.I):
         header += [f"gamma_{label}", f"J_{label}", f"I_{label}"]
-    triplets = np.stack([table.gamma, table.J, table.I], axis=1).reshape(-1, len(table))
-    columns = np.vstack(
-        [table.t, table.qfi, table.flow_fd, table.full_flow, table.ham_term, table.residual_T, triplets]
-    )
+        columns += triplet
     row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(row * len(table) % tuple(columns.T.ravel().tolist()))
+        for k in range(0, len(table), CSV_ROWS):
+            block = np.column_stack([c[k : k + CSV_ROWS] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _json_native(v):

@@ -333,9 +333,9 @@ StateFamily = Union[RyStateFamily, FixedRyStateFamily, LinearStateFamily]
 class ModelSpec:
     """Generator ingredients, their theta-derivatives, and the initial-state family, checked when
     built (:class:`ModelError`).  H and dH_dtheta pass when each group of terms of one modulation
-    up to amplitude (bases scaled by a constant's c or a sinusoid's c0) has Hermitian summed bases: as
-    forms are real, sufficient at every (theta, t), and necessary when the groups' modulations are
-    linearly independent."""
+    up to amplitude (bases scaled by a constant's c or a sinusoid's c0, also under theta_scaled)
+    has Hermitian summed bases: as forms are real, sufficient at every (theta, t), and necessary
+    when the groups' modulations are linearly independent."""
 
     dim: int
     H: TimeDependentOperator
@@ -360,8 +360,10 @@ class ModelSpec:
         for name, pointer, op in (("H", "/hamiltonian", self.H), ("dH_dtheta", "/dH_dtheta", self.dH_dtheta)):
             groups: dict = {}  # modulation -> the summed bases of its terms
             for t in op.terms:
-                field = {ConstantScalar: "c", SinusoidalScalar: "c0"}.get(type(t.modulation))
-                f, c = (replace(t.modulation, **{field: 1.0}), getattr(t.modulation, field)) if field else (t.modulation, 1.0)
+                m = t.modulation.base if isinstance(t.modulation, ThetaScaledScalar) else t.modulation
+                field = {ConstantScalar: "c", SinusoidalScalar: "c0"}.get(type(m))
+                f, c = (replace(m, **{field: 1.0}), getattr(m, field)) if field else (m, 1.0)
+                f = f if m is t.modulation else ThetaScaledScalar(f)  # theta itself is not folded
                 groups[f] = groups.get(f, 0.0) + c * t.base
             for f, bases in groups.items():
                 defect = hermiticity_defect(bases)
@@ -428,6 +430,14 @@ class CompiledGenerator:
         reals = sum(c.shape[1] for c in self.constants)
         coefficients = sum(f.shape[1] for f in self.factors)
         return n_thetas * (8 * reals + 40 * coefficients + 16 * len(self.forms) + 256)
+
+    @property
+    def theta_dependent(self) -> bool:
+        """Whether theta enters a form of the generator: through a ThetaScaledScalar, alone or
+        summed, the only form :func:`scalar_values` evaluates with theta; if not, the generator
+        is one matrix at every theta."""
+        parts = (p for f in self.forms for p in (f.parts if isinstance(f, _ScalarSum) else (f,)))
+        return any(isinstance(p, ThetaScaledScalar) for p in parts)
 
     def operators(self, times, thetas) -> np.ndarray:
         """The distinct blocks of the stack's generator at every time, shape

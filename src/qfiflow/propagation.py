@@ -15,7 +15,9 @@ It evaluates the generator's distinct blocks (K, and dK/dtheta where theta enter
 t_k + dt/2, t_(k+1) (t_k's carried over); a path only advances the stack.
 The equation is linear, so one RK4 step is a fixed real matrix in real
 Hermitian coordinates (per member: the diagonal, then the real parts of the
-upper triangle, then its imaginary parts).  Where the unit map (from one
+upper triangle, then its imaginary parts), one per distinct generator, whose
+members are its columns: rho and drho_dtheta unless a dK/dtheta block couples
+them, theta +/- delta unless theta enters K.  Where the unit map (from one
 theta's operators at one time to its matrix in these coordinates, read whole
 from the generator's ``act``) and one block of step maps fit
 ``COEFFICIENT_BYTES``, one product with it gives S(t) a batch of steps at a
@@ -39,7 +41,7 @@ allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 
 import numpy as np
@@ -140,9 +142,9 @@ def _half_grid(t: np.ndarray, dt: float) -> np.ndarray:
 
 def _unit_maps(gen: CompiledGenerator) -> np.ndarray:
     """The real-linear map from one theta's operators at one time to its m x m matrix in
-    coordinates, (w, m^2), m = k d^2 for the k members of a theta (rho and drho_dtheta for
-    a pair, else one state): row r is ``gen.act`` on the coordinate basis of all k members
-    under the r-th of the operators' w real units, so a pair's [[S_K, 0], [S_dK, S_K]]
+    coordinates, (w, m^2), m = k d^2 for the k members of one column (rho and drho_dtheta
+    for a coupled pair, else one state): row r is ``gen.act`` on the coordinate basis of the k
+    members under the r-th of the operators' w real units, so [[S_K, 0], [S_dK, S_K]]
     comes out of ``act`` whole; built in chunks of rows whose transients (per row: j jumps' sandwiches
     of m states and their copy, 16 j m^2 bytes each; T, T^H, their sum, coordinates) fit COEFFICIENT_BYTES."""
     d, w, k = gen.dim, sum(c.shape[1] for c in gen.constants), 2 if gen.derivative else 1
@@ -158,16 +160,10 @@ def _unit_maps(gen: CompiledGenerator) -> np.ndarray:
 
 
 def _generator_maps(ops: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """S(t) at every time of the stack's operators, the n x n real matrix of the
-    generator in coordinates: one gemm gives every theta's map, placed on the
-    diagonal, as the thetas evolve independently."""
-    n_times, n_thetas = ops.shape[:2]
+    """S(t) at every time of the stack's operators, per theta the m x m real matrix of
+    its generator in coordinates, (n_times, n_thetas, m, m): one gemm gives every theta's."""
     m = math.isqrt(units.shape[1])
-    maps = (ops.reshape(n_times * n_thetas, -1).view(float) @ units).reshape(n_times, n_thetas, m, m)
-    s = np.zeros((n_times, n_thetas, m, n_thetas, m))
-    for i in range(n_thetas):
-        s[:, i, :, i] = maps[:, i]
-    return s.reshape(n_times, n_thetas * m, -1)
+    return (ops.reshape(ops.shape[0] * ops.shape[1], -1).view(float) @ units).reshape(ops.shape[:2] + (m, m))
 
 
 def _rk4_increments(s: np.ndarray, dt: float, out: np.ndarray) -> None:
@@ -185,19 +181,20 @@ def _rk4_increments(s: np.ndarray, dt: float, out: np.ndarray) -> None:
 
 
 def _chain(n: np.ndarray, c: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The states c_1, ..., c_B of c_(j+1) = c_j + N_j c_j from c_0 = c, and the state
-    after the last chunk, by chunked prefix products (Blelloch 1990): n is overwritten,
-    for all chunks of ``size`` steps at once, with Q_j, I + Q_j being the product of
-    the step maps since j's chunk began (so the identity never rounds N); the chunk
-    starts advance one chunk at a time, and every state is c_start + Q_j c_start."""
+    """The states c_1, ..., c_B of c_(j+1) = c_j + N_j c_j from c_0 = c (per theta, m x cols
+    coordinates), and the state after the last chunk, by chunked prefix products (Blelloch
+    1990): n is overwritten, for all chunks of ``size`` steps at once, with Q_j, I + Q_j being
+    the product of the step maps since j's chunk began (so the identity never rounds N); the
+    chunk starts advance one chunk at a time, and every state is c_start + Q_j c_start."""
     for p in range(1, min(size, len(n))):
         q, prev = n[p::size], n[p - 1 :: size]
         q += prev[: len(q)] + q @ prev[: len(q)]
-    starts = np.tile(c, (-(-len(n) // size) + 1, 1))
+    starts = np.empty((-(-len(n) // size) + 1,) + c.shape)
+    starts[0] = c
     for i in range(1, len(starts)):
         starts[i] = starts[i - 1] + n[min(i * size, len(n)) - 1] @ starts[i - 1]
     cs = np.repeat(starts[:-1], size, axis=0)[: len(n)]
-    cs += (n @ cs[..., None])[..., 0]
+    cs += n @ cs
     cs[size - 1 :: size] = starts[1 : len(n) // size + 1]  # a chunk's last state starts the next
     return cs, starts[-1]
 
@@ -226,12 +223,12 @@ def _block_steps(gen: CompiledGenerator, n_thetas: int) -> tuple[int, int, int]:
 
 
 def _advance_maps(gen: CompiledGenerator, units: np.ndarray, batch: int, chunk: int, ops, carry: tuple, dt: float):
-    """A block's states by RK4 step maps in real Hermitian coordinates, from its
-    half-grid operators ops and carry, t_k's operators and the coordinates c of the
-    state there: returns (xs, dots, carry), dots being S(t) c, which only a pair's
-    flow reads (None without ``gen.derivative``)."""
+    """A block's states by RK4 step maps in real Hermitian coordinates, from its half-grid
+    operators ops and carry, t_k's operators and the coordinates c (n_thetas, m, cols) of the
+    state there, a map's members its columns: returns (xs, dots, carry), dots being S(t) c,
+    which only a pair's flow reads (None without ``gen.derivative``)."""
     last, c = carry
-    n = np.empty((len(ops) // 2, len(c), len(c)))
+    n = np.empty((len(ops) // 2,) + c.shape[:2] + c.shape[1:2])
     for j in range(0, len(n), batch):
         times = ops[2 * j - 1 : 2 * (j + batch)] if j else np.concatenate([last, ops[: 2 * batch]])
         _rk4_increments(_generator_maps(times, units), dt, n[j : j + batch])
@@ -240,11 +237,11 @@ def _advance_maps(gen: CompiledGenerator, units: np.ndarray, batch: int, chunk: 
     shape, dots = (len(cs), -1, gen.dim**2), None
     if gen.derivative:  # S(t) c, with S at the grid times formed again a batch at a time
         dots = [
-            _generator_maps(ops[2 * j + 1 : 2 * (j + batch) : 2], units) @ cs[j : j + batch, :, None]
+            _generator_maps(ops[2 * j + 1 : 2 * (j + batch) : 2], units) @ cs[j : j + batch]
             for j in range(0, len(cs), batch)
         ]
-        dots = _matrices(np.concatenate(dots).reshape(shape), gen.dim)
-    return _matrices(cs.reshape(shape), gen.dim), dots, (ops[-1:].copy(), c)
+        dots = _matrices(np.concatenate(dots).swapaxes(-1, -2).reshape(shape), gen.dim)
+    return _matrices(cs.swapaxes(-1, -2).reshape(shape), gen.dim), dots, (ops[-1:].copy(), c)
 
 
 def _advance_steps(gen: CompiledGenerator, xs: np.ndarray, ops, carry: tuple, dt: float):
@@ -271,16 +268,19 @@ def _integrate(gen: CompiledGenerator, thetas: tuple, x: np.ndarray, grid: np.nd
     advance it, as :func:`_block_steps` sizes them.
     """
     states = slice(None, None, 2 if gen.derivative else 1)
-    steps, batch, chunk = _block_steps(gen, len(thetas))
+    steps, batch, chunk = _block_steps(gen, len(thetas))  # as compiled, before any sharing
+    if batch and not gen.theta_dependent:  # one map serves every theta
+        thetas = thetas[:1]
     # Overflow leaves a non-finite state, which the gate reports with its time; the
     # consumer runs between blocks, outside this error state.
     ignore = partial(np.errstate, over="ignore", invalid="ignore")
     with ignore():
         last = gen.operators(grid[:1], thetas)
         xs, dots = x[None], gen.act(last[0], x)[None]
-        if batch:  # what the next block starts from: t_k's operators and coordinates
-            advance = partial(_advance_maps, gen, _unit_maps(gen), batch, chunk)
-            carry = last, _coordinates(hermitize(x)).ravel()
+        if batch:  # t_k's operators and coordinates; uncoupled, rho and drho_dtheta are states under K
+            units = _unit_maps(gen if len(gen.blocks) > 1 else replace(gen, derivative=False))
+            advance = partial(_advance_maps, gen, units, batch, chunk)
+            carry = last, _coordinates(hermitize(x)).reshape(len(thetas), -1, math.isqrt(units.shape[1])).swapaxes(1, 2)
         else:  # the state and its derivative
             advance = partial(_advance_steps, gen, np.empty((2, steps) + x.shape, dtype=complex))
             carry = x, dots[0]

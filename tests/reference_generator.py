@@ -195,8 +195,8 @@ def step_rk4(
 
 def step_map_chain(increments: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The states c_1, ..., c_B of c_(j+1) = c_j + N_j c_j from c_0 = c, one
-    matrix-vector product per step, in the precision of the inputs."""
-    cs = np.empty((len(increments), len(c)), dtype=np.result_type(increments, c))
+    matrix product per step, in the precision of the inputs."""
+    cs = np.empty((len(increments),) + c.shape, dtype=np.result_type(increments, c))
     for j, n in enumerate(increments):
         # c + N c rather than (I + N) c: the identity would round N's diagonal to ulp(1)
         c = cs[j] = c + n @ c

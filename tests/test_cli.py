@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from reference_generator import apply_generator
 from strategies import models, real
 
 import qfiflow
+from qfiflow import cli
 from qfiflow.cli import emit_csv, emit_summary, main, run_simulate, summary_to_dict
 from qfiflow.config import (
     DEFAULT_CSV_PATH,
@@ -231,6 +233,13 @@ EYE3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1,
 SCALAR_FORMS = "['constant', 'jc_lorentzian', 'sinusoidal', 'theta_scaled']"
 
 
+# A term whose base is Hermitian only to 5e-11, scaled by theta times 1e6.
+THETA_SCALED_TERM = {
+    "matrix": [[[0, 0], [0, 0]], [[5e-11, 0], [0, 0]]],
+    "modulation": {"form": "theta_scaled", "base": {"form": "constant", "c": 1e6}},
+}
+
+
 def _inline(**changes):
     """A config document with INLINE_MODEL's top-level keys replaced."""
     return {"model": dict(INLINE_MODEL, **changes), "t_end": 0.05, "dt": 0.001}
@@ -443,6 +452,12 @@ REJECTIONS = [
         "/model/hamiltonian",
         "H not Hermitian: defect 5.000e-05 on its terms modulated by SinusoidalScalar(c0=1.0, a=1.0, omega=1.0, phi=0.0)",
     ),
+    # so does a theta_scaled form's base amplitude (theta itself is not folded): 5e-11 |1><0| under theta 1e6
+    (
+        _inline(hamiltonian=[{"matrix": INLINE_MODEL["dH_dtheta"]}, THETA_SCALED_TERM]),
+        "/model/hamiltonian",
+        "H not Hermitian: defect 5.000e-05 on its terms modulated by ThetaScaledScalar(base=ConstantScalar(c=1.0))",
+    ),
 ]
 
 
@@ -561,6 +576,25 @@ class TestEmitCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_transients_do_not_grow_with_the_table(self, tmp_path):
+        # Bound, derived before measuring: written CSV_ROWS rows at a time, the
+        # transients of tables longer than one block are one block's, so the traced
+        # peak grows by nothing per row; allowed under one float64 per value, 8 (6 +
+        # 3 c) bytes.  Formatting the whole table at once holds, per value, a Python
+        # float, list and tuple slots and its ~19 digits, at least 40 bytes.
+        def peak(rows):
+            table = _table([k * 1e-3 for k in range(rows)], ("ad",))
+            tracemalloc.start()
+            try:
+                emit_csv(table, str(tmp_path / "out.csv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = 2048, 8192
+        assert (peak(long) - peak(short)) / (long - short) <= 8 * (6 + 3)
+        assert cli.CSV_ROWS <= short  # both tables are longer than a block
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -963,6 +997,18 @@ class TestMain:
         assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
         line = "runtime abort: state invalid at t=0.0: minimum eigenvalue -2.500e-09 < -1.000e-09\n"
         assert capsys.readouterr().err == line
+
+    def test_theta_scaled_amplitude_counts_in_the_hermiticity_check(self, tmp_path, capsys):
+        # H(t) has a defect of 0.3 x 5e-5: rejected when the model is built, not blamed
+        # on the state once it has drifted (exit 3, trace deviation at t = 0.022)
+        model = {"dim": 2, "hamiltonian": [{"matrix": INLINE_MODEL["dH_dtheta"]}, THETA_SCALED_TERM],
+                 "rho0_family": {"family": "ry"}, "theta": 0.3}
+        doc = {"model": model, "t_end": 1, "dt": 0.001}
+        argv = ["simulate", "--config", self._write_config(tmp_path, doc), "--check", "oracle,theta,intervals"]
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+        line = "config error: /model/hamiltonian: H not Hermitian: defect 5.000e-05 on its terms modulated by "
+        assert capsys.readouterr().err == line + "ThetaScaledScalar(base=ConstantScalar(c=1.0))\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_off_trace_initial_state_exit_three_at_t0(self, tmp_path, capsys):
         doc = json.loads(json.dumps(PURE_STATE))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -345,6 +346,27 @@ PURE_LINEAR = {
 }
 
 
+# H = sigma_z/2 + theta sigma_z/2: two terms on one base, which the generator sums
+# into one form, _ScalarSum(ConstantScalar, ThetaScaledScalar); theta enters K
+# only through that sum's part.
+SIGMA_Z_HALF = [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]
+SCALAR_SUM = {
+    "model": {
+        "dim": 2,
+        "hamiltonian": [
+            {"matrix": SIGMA_Z_HALF},
+            {"matrix": SIGMA_Z_HALF, "modulation": {"form": "theta_scaled", "base": 1}},
+        ],
+        "dH_dtheta": SIGMA_Z_HALF,
+        "channels": [{"label": "ad", "A": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "gamma": 0.2}],
+        "rho0_family": {"family": "ry_fixed", "angle": math.pi / 2},
+        "theta": 0.3,
+    },
+    "t_end": 2,
+    "dt": 0.001,
+}
+
+
 def _two_propagations_deviation(model, theta, delta, t_end):
     """The theta check's value from separate runs at theta and theta +/- delta."""
     _, _, sig = run_states(model, theta, t_end, 1e-3)
@@ -392,6 +414,19 @@ class TestFdThetaConsistency:
         theta, delta = model.theta, 1e-4
         expected = _two_propagations_deviation(model, theta, delta, 0.5)
         assert abs(propagate(model, theta, 0.5, 1e-3, delta_theta=delta).theta_consistency - expected) <= 1e-12
+
+    def test_theta_entering_k_through_a_sum_keeps_a_map_per_theta(self):
+        # Were the stack's K taken as theta-free, theta +/- delta would share
+        # one map: both members would evolve under K(theta + delta), and the
+        # check would read 0.819, failing criterion 8's 1e-5.
+        config = parse_config(json.dumps(SCALAR_SUM))
+        model, theta = config.model, config.theta
+        gen = model_module.compile_generator(model, derivative=False)
+        (form,) = [f for f in gen.forms if isinstance(f, model_module._ScalarSum)]
+        assert [type(part) for part in form.parts] == [ConstantScalar, model_module.ThetaScaledScalar]
+        deviation = propagate(model, theta, config.t_end, config.dt, delta_theta=1e-4).theta_consistency
+        assert deviation <= 1e-5
+        assert abs(deviation - _two_propagations_deviation(model, theta, 1e-4, config.t_end)) <= 1e-12
 
     def test_gate_reports_first_failing_time_of_either_member(self, monkeypatch):
         # with a = 3 the theta +/- delta states go negative near t = 0.35,
@@ -488,6 +523,11 @@ class TestStepMapPath:
 
     @settings(max_examples=60, deadline=None)
     @given(models())
+    # the map path's branches: an uncoupled pair and a theta-free stack (ad-nm), a
+    # coupled pair and a stack with a map per theta (phase-dephasing, and theta in a sum)
+    @example(builtin_model("ad-nm"))
+    @example(builtin_model("phase-dephasing"))
+    @example(parse_config(json.dumps(SCALAR_SUM)).model)
     def test_paths_agree_on_random_models(self, model):
         # delta = 0.05 keeps the central difference's rounding (eps / delta per
         # state) well below the 1e-12 bound; at 1e-4 it alone reaches ~1e-12
@@ -505,6 +545,31 @@ class TestStepMapPath:
         for got, want in zip(maps, ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         assert abs(maps_dev - ref_dev) <= 1e-12 * max(1.0, ref_dev)
+
+    @pytest.mark.parametrize(
+        "name, shapes",
+        [
+            # no dK/dtheta block, K free of theta: the pair's and the stack's members are columns of one 4 x 4 map
+            ("ad-nm", {(1, 4, 4)}),
+            ("ad-jc", {(1, 4, 4)}),
+            # a dK/dtheta block: the pair's [[S_K, 0], [S_dK, S_K]]; theta in K: the stack's map per theta
+            ("phase-dephasing", {(1, 8, 8), (2, 4, 4)}),
+            ("rate-estimation", {(1, 8, 8), (2, 4, 4)}),
+            ("qutrit", {(1, 9, 9)}),
+        ],
+    )
+    def test_each_stack_takes_its_branch(self, monkeypatch, qutrit_model, name, shapes):
+        model = qutrit_model if name == "qutrit" else builtin_model(name)
+        seen, maps = set(), propagation._generator_maps
+
+        def recording_maps(*args):
+            s = maps(*args)
+            seen.add(s.shape[1:])
+            return s
+
+        monkeypatch.setattr(propagation, "_generator_maps", recording_maps)
+        propagate(model, model.theta, 0.1, 1e-3, delta_theta=1e-4)
+        assert seen == shapes
 
     def test_states_exactly_hermitian(self):
         for name in ("ad-nm", "phase-dephasing"):
@@ -541,14 +606,25 @@ class TestStepMapPath:
         assert err.value.t == grid.tolist()[j + 1]
 
 
+def _map_layout(gen, thetas, x):
+    """The map path's unit map, the thetas its operators are evaluated at, and the
+    coordinates (n_thetas, m, cols) of the stack x, by the integrator's rules: a pair
+    without a dK/dtheta block, and a stack whose K is free of theta, are the columns
+    of one K's map."""
+    thetas = thetas if gen.theta_dependent else thetas[:1]
+    units = propagation._unit_maps(gen if len(gen.blocks) > 1 else dataclasses.replace(gen, derivative=False))
+    c = propagation._coordinates(hermitize(x)).reshape(len(thetas), -1, math.isqrt(units.shape[1]))
+    return units, thetas, c.swapaxes(1, 2)
+
+
 def _first_full_block_peak(gen, thetas, x) -> tuple[int, int]:
     """The steps of a full block of the map path and the bytes it holds at its peak: the
     unit map kept through the run, plus the traced peak of the memory allocated while
     the block's operators are evaluated and its states advanced."""
     steps, batch, chunk = propagation._block_steps(gen, len(thetas))
     grid = np.arange(steps + 1) * 1e-3
-    carry = gen.operators(grid[:1], thetas), propagation._coordinates(hermitize(x)).ravel()
-    units = propagation._unit_maps(gen)  # built once per run
+    units, thetas, c = _map_layout(gen, thetas, x)  # the unit map is built once per run
+    carry = gen.operators(grid[:1], thetas), c
     tracemalloc.start()
     try:
         ops = gen.operators(propagation._half_grid(grid, 1e-3), thetas)
@@ -615,10 +691,13 @@ class TestMapBlocks:
         # most ((1 + gamma_(k+2))^(B+1) - 1) times the same evaluation on
         # absolute values, |N_j| ... |N_0| |c_0| with I + |N| per step (Higham,
         # Accuracy and Stability, ch. 3).  The recurrence runs in long double.
+        # per theta, k x cols coordinates: the layouts of a coupled pair, of the columns
+        # of one map, and of one map per theta
+        thetas, cols = [(1, 1), (1, 2), (2, 1)][seed % 3]
         rng = np.random.default_rng(seed)
-        n = rng.standard_normal((steps, k, k))
-        n *= norm / np.maximum(np.linalg.norm(n, 2, axis=(1, 2)), 1e-300)[:, None, None]
-        c = rng.standard_normal(k)
+        n = rng.standard_normal((steps, thetas, k, k))
+        n *= norm / np.maximum(np.linalg.norm(n, 2, axis=(-2, -1)), 1e-300)[..., None, None]
+        c = rng.standard_normal((thetas, k, cols))
         ref = step_map_chain(n.astype(np.longdouble), c.astype(np.longdouble))
         scale = step_map_chain(np.abs(n).astype(np.longdouble), np.abs(c).astype(np.longdouble))
         size = math.isqrt(steps - 1) + 1  # chunks of ceil(sqrt(B)): exact for B = s^2, else a ragged last one
@@ -637,12 +716,12 @@ class TestMapBlocks:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_increment_spoils_only_later_states(self, j, bad):
         rng = np.random.default_rng(j)
-        n = 1e-3 * rng.standard_normal((100, 8, 8))
-        n[j, 3, 5] = bad
+        n = 1e-3 * rng.standard_normal((100, 1, 8, 8))
+        n[j, 0, 3, 5] = bad
         with np.errstate(invalid="ignore", over="ignore"):
-            cs, last = propagation._chain(n, rng.standard_normal(8), 10)
+            cs, last = propagation._chain(n, rng.standard_normal((1, 8, 2)), 10)
         assert np.all(np.isfinite(cs[:j]))
-        assert not np.any(np.isfinite(cs[j:, 3])) and not np.isfinite(last[3])
+        assert not np.any(np.isfinite(cs[j:, 0, 3])) and not np.any(np.isfinite(last[0, 3]))
 
 
 class TestGeneratorMaps:
@@ -660,7 +739,8 @@ class TestGeneratorMaps:
     def test_map_applies_the_generator(self, case, qutrit_model):
         # Bound, derived before measuring: every real term either side sums is
         # +/- (an operator real) (a jump entry, or a unit) (a coordinate), of
-        # magnitude at most f l c (l >= 1, as L_0 = I).  S c sums at most 2 w n
+        # magnitude at most f l c (l >= 1, as L_0 = I).  A theta's S c acts on
+        # the n = m coordinates of one column (of cols), so it sums at most 2 w n
         # of them (a unit-map entry is t_ij + conj(t_ji) of one product each),
         # act at most 16 j d^2 (4 per complex triple product, nj d^2 of them per
         # entry, doubled by t + t^H and by a pair's dK/dtheta), and no term is
@@ -671,16 +751,18 @@ class TestGeneratorMaps:
         gen = model_module.compile_generator(model, derivative=stack == "pair")
         thetas = (model.theta,) if stack == "pair" else (model.theta + 0.1, model.theta - 0.1)
         rng = np.random.default_rng(len(case))
+        units, thetas, _ = _map_layout(gen, thetas, np.zeros((2, gen.dim, gen.dim)))
         ops = gen.operators(rng.uniform(0.0, 5.0, 7), thetas)
         d, j, w = gen.dim, len(gen.jumps) // gen.dim, ops.shape[-2] * 2 * gen.dim
-        n = (2 if stack == "pair" else 1) * len(thetas) * d * d
-        c = rng.uniform(-1.0, 1.0, (len(ops), n))
-        got = (propagation._generator_maps(ops, propagation._unit_maps(gen)) @ c[..., None])[..., 0]
-        want = propagation._coordinates(gen.act(ops, propagation._matrices(c.reshape(len(ops), -1, d * d), d)))
+        n = math.isqrt(units.shape[1])
+        cols = 2 * d * d // (len(thetas) * n)  # two members: rho and drho_dtheta, or theta +/- 0.1
+        c = rng.uniform(-1.0, 1.0, (len(ops), len(thetas), n, cols))
+        got = (propagation._generator_maps(ops, units) @ c).swapaxes(-1, -2).reshape(len(ops), 2, d * d)
+        want = propagation._coordinates(gen.act(ops, propagation._matrices(c.swapaxes(-1, -2).reshape(got.shape), d)))
         r, u = w + n + 4 * j * d + 8, 2.0**-53
         scale = np.abs(ops.view(float)).max() * np.abs(gen.jumps).max() * np.abs(c).max()
         bound = r * u / (1 - r * u) * (2 * w * n + 16 * j * d * d) * scale
-        assert np.max(np.abs(got - want.reshape(got.shape))) <= bound
+        assert np.max(np.abs(got - want)) <= bound
 
 
     @pytest.mark.parametrize("case", ["ad-nm pair", "rate-estimation pair", "qutrit pair", "qutrit theta stack"])
